@@ -63,7 +63,6 @@ from .roughsim import (
     c_eps,
     c_eps_timedep,
     fbm_rl,
-    iterated_w,
     model_bound_probe,
     mollify,
     stationary_hat_process,

@@ -12,14 +12,13 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .coalgebra import delta_minus, delta_plus_ex, twisted_antipode
+from .config import rational
 from .errors import ConfigError, DomainError, ParseError
-from .gaussian import CovarianceSpec, SymbolicCovariance, g_antipode, g_minus
+from .gaussian import CovarianceSpec, SymbolicCovariance, g_antipode
 from .model import check_bphz_plain, check_gamma_bphz
 from .structure import StructureSpec, generic_spec
 from .trees import FormalSum, format_forest, format_symbol, format_tree, parse_symbol
@@ -49,7 +48,7 @@ def _parse_alpha(text, d):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != d:
         raise ConfigError(f"expected {d} alpha entries, got {len(parts)}")
-    return tuple(Fraction(p) for p in parts)
+    return tuple(rational(p) for p in parts)
 
 
 def _spec_from_args(args):
@@ -93,12 +92,12 @@ def _cmd_g_antipode(args):
     spec = _spec_from_args(args)
     x = parse_symbol(args.symbol, d=args.d)
     if args.cov:
-        cov = CovarianceSpec.from_text(Path(args.cov).read_text())
+        cov = CovarianceSpec.from_text(_read_text(args.cov))
         if cov.d != args.d:
             raise ConfigError("covariance dimension does not match --d")
     else:
         cov = SymbolicCovariance(args.d)
-    value = g_minus(twisted_antipode(x, spec), cov)
+    value = g_antipode(x, cov, spec)
     print(value)
     return 0
 
@@ -119,6 +118,13 @@ def _cmd_check_gamma(args):
 
 # ---------------------------------------------------------------------------
 # simulation commands
+
+
+def _read_text(path):
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def _sha256(path):
@@ -145,7 +151,7 @@ def _write_csv(path, fieldnames, rows):
 
 
 def _cmd_wong_zakai(args):
-    config_text = Path(args.config).read_text()
+    config_text = _read_text(args.config)
     config = SimConfig.from_text(config_text)
     result = wz_experiment(config)
     out_dir = Path(args.out)
@@ -185,12 +191,8 @@ def _cmd_c_eps(args):
 
 
 def _cmd_bounds(args):
-    config_text = Path(args.config).read_text()
+    config_text = _read_text(args.config)
     config = SimConfig.from_text(config_text)
-    lambdas = _extra_field(config_text, "lambda", "1/4,1/8,1/16")
-    lambdas = tuple(float(Fraction(p.strip())) for p in lambdas.split(","))
-    powers_text = _extra_field(config_text, "powers", "1")
-    powers = tuple(int(p) for p in powers_text.split(","))
     report = model_bound_probe(
         H=config.H,
         kappa=config.kappa,
@@ -198,8 +200,8 @@ def _cmd_bounds(args):
         n_paths=config.n_paths,
         seed=config.seed,
         eps_list=config.eps_list,
-        lambdas=lambdas,
-        n_powers=powers,
+        lambdas=config.lambdas,
+        n_powers=config.powers,
         mollifier=config.mollifier,
         T=config.T,
         threads=config.threads,
@@ -219,16 +221,6 @@ def _cmd_bounds(args):
         if fit["eps_exponent"] <= 0:
             ok = False
     return 0 if ok else 1
-
-
-def _extra_field(config_text, key, default):
-    for raw in config_text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith(key) and "=" in line:
-            k, v = (part.strip() for part in line.split("=", 1))
-            if k == key:
-                return v
-    return default
 
 
 # ---------------------------------------------------------------------------

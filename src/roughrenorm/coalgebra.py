@@ -3,17 +3,23 @@ negative antipode.
 
 ``delta_minus`` enumerates extractions of edge subsets: the extracted
 components form the left leg, the contraction of the extracted edges the
-right leg.  Two variants are provided:
+right leg.  The enumeration is one dynamic programme, ``trees._extract``,
+whose states record for every extracted root edge the noise branches
+("riders") that contracting it leaves at the remainder's root.  Two
+finishers read those states:
 
-* ``repair=False`` -- plain contraction of every edge subset.  This is
-  the classical extraction/contraction coproduct and is coassociative.
-* ``repair=True`` (default) -- when contraction would strand more than
-  one noise edge at the remainder's root (taking the tree outside the
-  symbol family), the excess noise edges are pulled into the extracted
-  component they rode in on.  This matches the worked expansions used as
-  oracles (in particular it yields coefficient 2 on the
-  ``I(Xi_1) (x) Xi_1`` term of the coproduct of ``Xi_1*I(Xi_1)``), at
-  the price of coassociativity of the unprojected coproduct.
+* ``repair=False`` -- the plain finisher (``trees._finish_plain``) keeps
+  every rider at the remainder's root: plain contraction of every edge
+  subset.  This is the classical extraction/contraction coproduct and is
+  coassociative.
+* ``repair=True`` (default) -- the repaired finisher
+  (``_finish_repaired``) keeps at most one noise edge at the remainder's
+  root, so the remainder stays inside the symbol family, and pulls the
+  excess riders into the extracted component they rode in on.  This
+  matches the worked expansions used as oracles (in particular it yields
+  coefficient 2 on the ``I(Xi_1) (x) Xi_1`` term of the coproduct of
+  ``Xi_1*I(Xi_1)``), at the price of coassociativity of the unprojected
+  coproduct.
 
 After projecting the left leg onto negative-degree forests the two
 variants agree, so everything downstream (the twisted antipode, the
@@ -25,23 +31,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .structure import project_minus, tree_survives_plus
+from .structure import tree_survives_plus
 from .trees import (
     EMPTY_FOREST,
     FormalSum,
     Forest,
-    INTEGRATION,
     LEAF,
     Tree,
-    _bsort,
     _extract,
-    _msort,
+    as_formal_sum,
     branch,
     forest_of,
     forest_product,
     in_symbol_family,
     mul_forests,
-    tree_factors,
     tree_product,
 )
 
@@ -52,78 +55,32 @@ from .trees import (
 _REPAIRED_CACHE = {}
 
 
-def _entry_key(entry):
-    et, aroot, riders = entry
-    return (et.sort_key(), aroot.key, tuple(r[0].sort_key() + (r[1].key,) for r in riders))
-
-
-def _extract_repaired(tree):
-    """Edge-subset extraction with stranded root noises pulled into the
-    extracted component.  Same return shape as ``trees._extract``."""
-    cached = _REPAIRED_CACHE.get(tree)
-    if cached is not None:
-        return cached
-    # state: (off-root trees, chosen entries, remainder branches)
-    # chosen entry: (edge type, extracted subtree part, rider noise branches)
-    states = {((), (), ()): 1}
-    for et, sub in tree.children:
-        sub_ext = _extract_repaired(sub)
-        nxt = {}
-        for (aoff, chosen, rem), m in states.items():
-            for (s_off, s_root, s_rem), sm in sub_ext.items():
-                w = m * sm
-                off2 = s_off + ((s_root,) if s_root.children else ())
-                k = (_msort(aoff + off2), chosen, _bsort(rem + ((et, s_rem),)))
-                nxt[k] = nxt.get(k, 0) + w
-                riders = tuple(b for b in s_rem.children if b[0].is_noise)
-                others = tuple(b for b in s_rem.children if not b[0].is_noise)
-                entry = (et, s_root, riders)
-                k = (
-                    _msort(aoff + s_off),
-                    tuple(sorted(chosen + (entry,), key=_entry_key)),
-                    _bsort(rem + others),
-                )
-                nxt[k] = nxt.get(k, 0) + w
-        states = nxt
-    out = {}
-    for (aoff, chosen, rem), m in states.items():
-        fixed = sum(1 for b in rem if b[0].is_noise)
-        rider_slots = [
-            (r[0].sort_key(), r[1].key, idx, r)
-            for idx, entry in enumerate(chosen)
-            for r in entry[2]
-        ]
-        rider_slots.sort()
-        capacity = max(0, 1 - fixed)
-        kept = rider_slots[:capacity]
-        pulled = rider_slots[capacity:]
-        root_branches = []
-        pulled_by_entry = {}
-        for _, _, idx, r in pulled:
-            pulled_by_entry.setdefault(idx, []).append(r)
-        for idx, (et2, aroot, _) in enumerate(chosen):
-            extra = pulled_by_entry.get(idx, [])
-            if extra:
-                aroot = Tree(aroot.children + tuple(extra))
-            root_branches.append((et2, aroot))
-        rootpart = Tree(root_branches)
-        rem_tree = Tree(rem + tuple(r for _, _, _, r in kept))
-        key = (aoff, rootpart, rem_tree)
-        out[key] = out.get(key, 0) + m
-    _REPAIRED_CACHE[tree] = out
-    return out
+def _finish_repaired(aoff, chosen, rem):
+    """Repaired contraction of a ``trees._extract`` state: riders fill the
+    remainder's root up to one noise edge (smallest first); the rest go
+    back into the extracted component of the edge they rode in on."""
+    fixed = sum(1 for b in rem if b[0].is_noise)
+    rider_slots = sorted(
+        (r[0].sort_key(), r[1].key, idx, r)
+        for idx, entry in enumerate(chosen)
+        for r in entry[2]
+    )
+    capacity = max(0, 1 - fixed)
+    pulled_by_entry = {}
+    for _, _, idx, r in rider_slots[capacity:]:
+        pulled_by_entry.setdefault(idx, []).append(r)
+    root_branches = []
+    for idx, (et, aroot, _) in enumerate(chosen):
+        extra = pulled_by_entry.get(idx)
+        if extra:
+            aroot = Tree(aroot.children + tuple(extra))
+        root_branches.append((et, aroot))
+    kept = tuple(r for _, _, _, r in rider_slots[:capacity])
+    return aoff, Tree(root_branches), Tree(rem + kept)
 
 
 # ---------------------------------------------------------------------------
 # negative-space coproduct
-
-
-def _as_lincomb(x):
-    if isinstance(x, Tree):
-        x = forest_of(x)
-    if isinstance(x, Forest):
-        x = FormalSum.lift(x)
-    return x
 
 
 def delta_minus_tree(tree, repair=True):
@@ -138,7 +95,7 @@ def delta_minus_tree(tree, repair=True):
     """
     if repair and not in_symbol_family(tree):
         raise DomainError(f"tree {tree!r} lies outside the symbol family")
-    ext = _extract_repaired(tree) if repair else _extract(tree)
+    ext = _extract(tree, _finish_repaired, _REPAIRED_CACHE) if repair else _extract(tree)
     pairs = {}
     for (aoff, aroot, rem), m in ext.items():
         a = Forest(aoff + ((aroot,) if aroot.children else ()))
@@ -150,7 +107,7 @@ def delta_minus_tree(tree, repair=True):
 def delta_minus(x, repair=True):
     """Extraction coproduct, multiplicative over forest components and
     linear over formal sums."""
-    x = _as_lincomb(x)
+    x = as_formal_sum(x)
     out = FormalSum()
     for f, c in x:
         term = FormalSum.lift((EMPTY_FOREST, EMPTY_FOREST))
@@ -229,7 +186,7 @@ def twisted_antipode(x, spec):
 
     with A(1) = 1.  Returns a forest-keyed FormalSum.
     """
-    x = _as_lincomb(x)
+    x = as_formal_sum(x)
     out = FormalSum()
     for f, c in x:
         term = FormalSum.lift(EMPTY_FOREST)

@@ -10,16 +10,19 @@ evaluates to the origin itself and annihilates the monomial.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import numpy as np
 
+from .config import rational, read_config
 from .errors import ConfigError, DomainError
 from .poly import Poly
-from .trees import FormalSum, Forest, Tree, forest_of, in_symbol_family
+from .trees import Forest, Tree, as_formal_sum, forest_of, in_symbol_family
 from .coalgebra import twisted_antipode
 
 # A variable is ("D", i) or ("X", j) with a 1-based channel index.
+_ENTRY = re.compile(r"([DX])([0-9]+),([DX])([0-9]+)")  # covariance key, e.g. D1,X2
 
 
 def variable_order(d):
@@ -65,41 +68,23 @@ class CovarianceSpec:
                 out[a, b] = float(self.entry(order[a], order[b]))
         return out
 
-    # -- serialization ----------------------------------------------------
-
-    def to_text(self):
-        order = variable_order(self.d)
-        lines = [f"d = {self.d}"]
-        for a, u in enumerate(order):
-            for v in order[a:]:
-                val = self.entry(u, v)
-                if val:
-                    lines.append(f"{u[0]}{u[1]},{v[0]}{v[1]} = {val}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text):
-        d = None
-        entries = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"malformed line {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key == "d":
-                d = int(value)
-                continue
-            try:
-                left, right = key.split(",")
-                u = (left[0], int(left[1:]))
-                v = (right[0], int(right[1:]))
-                entries[(u, v)] = Fraction(value)
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"malformed covariance entry {raw!r}") from exc
+        """Read ``d = <channels>`` and entry lines such as ``D1,X2 = 3/7``."""
+
+        def converter(key):
+            return int if key == "d" else rational if _ENTRY.fullmatch(key) else None
+
+        fields = read_config(text, converter)
+        d = fields.pop("d", None)
         if d is None:
             raise ConfigError("missing field 'd'")
+        entries = {}
+        for key, value in fields.items():
+            a, i, b, j = _ENTRY.fullmatch(key).groups()
+            if not (1 <= int(i) <= d and 1 <= int(j) <= d):
+                raise ConfigError(f"covariance entry {key!r} outside channels 1..{d}")
+            entries[((a, int(i)), (b, int(j)))] = value
         return cls(d, entries)
 
 
@@ -190,12 +175,8 @@ def compile_moments(x):
     value as ``g_minus`` but shares the combinatorial work across
     covariances.
     """
-    if isinstance(x, Tree):
-        x = forest_of(x)
-    if isinstance(x, Forest):
-        x = FormalSum.lift(x)
     profile = {}
-    for f, c in x:
+    for f, c in as_formal_sum(x):
         monos = []
         dead = False
         for t in f.trees:
@@ -232,10 +213,7 @@ def g_antipode(x, cov, spec):
     The antipode expansion and its moment profile do not depend on the
     covariance, so they are cached keyed by the input symbol and spec.
     """
-    if isinstance(x, Tree):
-        x = forest_of(x)
-    if isinstance(x, Forest):
-        x = FormalSum.lift(x)
+    x = as_formal_sum(x)
     key = (tuple((f.key, c) for f, c in x.sorted_terms()), spec)
     profile = _ANTIPODE_PROFILES.get(key)
     if profile is None:

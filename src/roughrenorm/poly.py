@@ -36,10 +36,6 @@ class Poly:
         value = Fraction(value)
         return cls([((), value)]) if value else cls()
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -93,12 +89,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        out = Poly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
@@ -118,12 +108,6 @@ class Poly:
                 prod = prod * values[name]
             total = total + prod
         return total
-
-    def variables(self):
-        names = set()
-        for mono in self.terms:
-            names.update(mono)
-        return sorted(names)
 
     def __repr__(self):
         if not self.terms:

@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, signal
 
+from .config import ints, read_config, real, reals
 from .errors import ConfigError
 from .structure import required_power
 
@@ -118,10 +119,10 @@ class KernelSpec:
     T: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.H < 1.0):
-            raise ConfigError("H must lie in (0, 1)")
-        if self.T <= 0:
-            raise ConfigError("T must be positive")
+        if not (0.0 < self.H < 0.5):
+            raise ConfigError("H must lie in (0, 1/2)")
+        if not 0.0 < self.T < math.inf:
+            raise ConfigError("T must be positive and finite")
 
     def raw(self, u):
         u = np.asarray(u, dtype=float)
@@ -143,21 +144,6 @@ class KernelSpec:
         out[pos] = self.raw(u[pos]) * self.cutoff(u[pos])
         return out
 
-    def cutoff_smoothness_report(self, n_samples=4001):
-        """Finite-difference bounds sup |chi^(k)| for k = 0, 1, 2 on the
-        transition window, reported for the smoothness invariant."""
-        u = np.linspace(self.T * 1e-6, 2.0 * self.T, n_samples)
-        h = u[1] - u[0]
-        chi = self.cutoff(u)
-        d1 = np.gradient(chi, h)
-        d2 = np.gradient(d1, h)
-        return {
-            "sup_chi": float(np.max(np.abs(chi))),
-            "sup_dchi": float(np.max(np.abs(d1))),
-            "sup_d2chi": float(np.max(np.abs(d2))),
-        }
-
-
 # ---------------------------------------------------------------------------
 # path generation
 
@@ -167,12 +153,6 @@ def brownian_increments(n_steps, dt, seed, path_index):
     key = np.array([seed % 2**64, path_index % 2**64], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     return rng.standard_normal(n_steps) * math.sqrt(dt)
-
-
-def sample_brownian(n_steps, dt, seed, path_index):
-    """Brownian path at n_steps + 1 grid points, starting at 0."""
-    inc = brownian_increments(n_steps, dt, seed, path_index)
-    return np.concatenate(([0.0], np.cumsum(inc))), inc
 
 
 def _causal_convolve(increments, kernel_values):
@@ -274,8 +254,8 @@ def c_eps(eps, kernel, mollifier, with_error=False):
     autocorrelation and regularized by the substitution
     ``u = v ** (1 / (H + 1/2))``.
     """
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ConfigError("eps must be positive and finite")
     H = kernel.H
 
     def phi(u):
@@ -311,6 +291,8 @@ def c_eps_timedep(t, eps, H, mollifier):
     """Time-dependent correction E[dot(W^eps)(t) W^(H,eps)(t)] for the
     one-sided fractional path started at time 0 (no cutoff).  Reduces to
     the stationary constant once t exceeds the mollification width."""
+    if not (0.0 < eps < math.inf and 0.0 < t < math.inf):
+        raise ConfigError("eps and t must be positive and finite")
     c = math.sqrt(2.0 * H) / (H + 0.5)
 
     def cross(a, b):
@@ -335,62 +317,6 @@ def c_eps_timedep(t, eps, H, mollifier):
         epsrel=1e-7,
     )
     return val
-
-
-# ---------------------------------------------------------------------------
-# iterated integrals
-
-
-def _prefix_powers(hat_w, increments, n_max):
-    """S_q[k] = sum_{j < k} hat_w[j]^q * dW[j] for q = 0..n_max."""
-    out = []
-    for q in range(n_max + 1):
-        integrand = hat_w[:-1] ** q * increments
-        out.append(np.concatenate(([0.0], np.cumsum(integrand))))
-    return out
-
-
-def iterated_w(n, s_idx, hat_w, increments):
-    """Left-point iterated integral of the hat process against the
-    driving noise, as a function of the end index.
-
-    For ``t >= s`` this is ``sum_{s <= j < t} (hatW_j - hatW_s)^n dW_j``;
-    for ``t < s`` the value is produced by the binomial flip identity
-    from integrals started at t.
-    """
-    if n < 0:
-        raise ConfigError("n must be >= 0")
-    hat_w = np.asarray(hat_w, dtype=float)
-    increments = np.asarray(increments, dtype=float)
-    npts = hat_w.shape[0]
-    prefix = _prefix_powers(hat_w, increments, n)
-    out = np.zeros(npts)
-    ws = hat_w[s_idx]
-
-    def forward(base_idx, m, end_slice):
-        """sum_q C(m,q) (-hatW_base)^(m-q) (S_q[end] - S_q[base])"""
-        total = np.zeros_like(out[end_slice])
-        wb = hat_w[base_idx]
-        for q in range(m + 1):
-            coef = math.comb(m, q) * (-wb) ** (m - q)
-            total += coef * (prefix[q][end_slice] - prefix[q][base_idx])
-        return total
-
-    out[s_idx:] = forward(s_idx, n, slice(s_idx, npts))
-    if s_idx > 0:
-        ks = np.arange(0, s_idx)
-        flip = np.zeros(s_idx)
-        for i in range(n + 1):
-            # iterated integrals started at each t < s, evaluated at s
-            started_at_t = np.zeros(s_idx)
-            m = n - i
-            wb = hat_w[ks]
-            for q in range(m + 1):
-                coef = math.comb(m, q) * (-wb) ** (m - q)
-                started_at_t += coef * (prefix[q][s_idx] - prefix[q][ks])
-            flip += math.comb(n, i) * (hat_w[ks] - ws) ** i * started_at_t
-        out[:s_idx] = -flip
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +354,23 @@ class TestFunction:
 # configuration
 
 
+# config key -> (SimConfig field, converter)
+_SIM_KEYS = {
+    "H": ("H", real),
+    "kappa": ("kappa", real),
+    "N": ("n_grid", int),
+    "P": ("n_paths", int),
+    "seed": ("seed", int),
+    "eps": ("eps_list", reals),
+    "f": ("f_name", str),
+    "mollifier": ("mollifier", str),
+    "T": ("T", real),
+    "threads": ("threads", int),
+    "lambda": ("lambdas", reals),
+    "powers": ("powers", ints),
+}
+
+
 @dataclass
 class SimConfig:
     H: float
@@ -440,6 +383,8 @@ class SimConfig:
     mollifier: str = "bump"
     T: float = 1.0
     threads: int = 1
+    lambdas: tuple = (0.25, 0.125, 0.0625)  # bounds only: test-function scales
+    powers: tuple = (1,)  # bounds only: n in Xi * I(Xihat)^n
 
     def __post_init__(self):
         if self.n_grid < 8 or self.n_grid & (self.n_grid - 1):
@@ -450,8 +395,10 @@ class SimConfig:
             raise ConfigError("kappa must lie in (0, H)")
         if self.n_paths < 1:
             raise ConfigError("P must be >= 1")
-        if self.T <= 0:
-            raise ConfigError("T must be positive")
+        if not 0.0 < self.T < math.inf:
+            raise ConfigError("T must be positive and finite")
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
         eps_list = tuple(float(e) for e in self.eps_list)
         if not eps_list:
             raise ConfigError("eps ladder must be non-empty")
@@ -460,6 +407,10 @@ class SimConfig:
             if e < 4 * dt:
                 raise ConfigError(f"eps={e} must cover at least 4 grid steps (dt={dt})")
         object.__setattr__(self, "eps_list", eps_list)
+        object.__setattr__(self, "lambdas", tuple(float(x) for x in self.lambdas))
+        object.__setattr__(self, "powers", tuple(int(k) for k in self.powers))
+        if not self.powers or min(self.powers) < 1:
+            raise ConfigError("powers must be >= 1")
         TestFunction(self.f_name)
         MollifierSpec(self.mollifier)
 
@@ -469,44 +420,23 @@ class SimConfig:
 
     def to_text(self):
         eps = ",".join(repr(e) for e in self.eps_list)
+        lambdas = ",".join(repr(x) for x in self.lambdas)
+        powers = ",".join(str(k) for k in self.powers)
         return (
             f"H = {self.H}\nkappa = {self.kappa}\nN = {self.n_grid}\n"
             f"P = {self.n_paths}\nseed = {self.seed}\neps = {eps}\n"
             f"f = {self.f_name}\nmollifier = {self.mollifier}\n"
             f"T = {self.T}\nthreads = {self.threads}\n"
+            f"lambda = {lambdas}\npowers = {powers}\n"
         )
 
     @classmethod
     def from_text(cls, text):
-        fields = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"malformed config line {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            fields[key] = value
-        try:
-            eps_list = tuple(
-                float(Fraction(part.strip())) for part in fields["eps"].split(",")
-            )
-            return cls(
-                H=float(Fraction(fields["H"])),
-                kappa=float(Fraction(fields["kappa"])),
-                n_grid=int(fields["N"]),
-                n_paths=int(fields["P"]),
-                seed=int(fields["seed"]),
-                eps_list=eps_list,
-                f_name=fields.get("f", "sine"),
-                mollifier=fields.get("mollifier", "bump"),
-                T=float(Fraction(fields.get("T", "1"))),
-                threads=int(fields.get("threads", "1")),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config field {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"malformed config value: {exc}") from exc
+        fields = read_config(text, lambda key: _SIM_KEYS.get(key, (None, None))[1])
+        for key in ("H", "kappa", "N", "P", "seed", "eps"):
+            if key not in fields:
+                raise ConfigError(f"missing config field {key!r}")
+        return cls(**{_SIM_KEYS[key][0]: value for key, value in fields.items()})
 
 
 def _run_paths(worker, n_paths, threads):
@@ -656,9 +586,15 @@ def model_bound_probe(
     evaluation against rescaled bump test functions centred at T/2, over
     a ladder of scales ``lambdas`` and widths ``eps_list``.  Returns the
     row table and, per symbol, joint log-log regression exponents in
-    lambda and eps.
+    lambda and eps.  The fit needs at least two distinct values of each,
+    and every lambda must lie in [dt, T/2); otherwise ConfigError.
     """
     dt = T / n_grid
+    if len(set(eps_list)) < 2 or len(set(lambdas)) < 2:
+        raise ConfigError("the fit needs two distinct eps and two distinct lambda values")
+    halves = {lam: int(math.floor(lam / dt + 1e-9)) for lam in lambdas}
+    if not all(1 <= half < n_grid // 2 for half in halves.values()):
+        raise ConfigError(f"lambda values must lie in [dt, T/2) = [{dt:g}, {T / 2:g})")
     moll = MollifierSpec(mollifier)
     kernel = KernelSpec(H=H, T=T)
     m_max = max(int(math.floor(e / dt + 1e-9)) for e in eps_list)
@@ -680,8 +616,7 @@ def model_bound_probe(
             hat_sm, _, _ = mollify(hat, dt, e, moll)
             per_eps[e] = (w_dot, hat_sm)
         vals = {}
-        for lam in lambdas:
-            half = int(math.floor(lam / dt + 1e-9))
+        for lam, half in halves.items():
             ks = np.arange(s_idx - half, s_idx + half + 1)
             phi = moll.rho((ks - s_idx) * dt / lam) / lam
             dw = inc[ks]

@@ -13,17 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .config import rational, read_config
 from .errors import ConfigError, DomainError
 from .trees import (
-    EMPTY_FOREST,
     FormalSum,
-    Forest,
     INTEGRATION,
     LEAF,
     Tree,
+    as_formal_sum,
     branch,
-    forest_of,
-    in_symbol_family,
     noise,
     tree_product,
 )
@@ -85,27 +83,30 @@ class StructureSpec:
 
     @classmethod
     def from_text(cls, text):
-        fields = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"malformed line {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            fields[key] = value
+        """Read ``d``, ``alpha_1`` .. ``alpha_d`` and optional ``truncation``."""
+
+        def converter(key):
+            if key in ("d", "truncation"):
+                return int
+            return rational if key.startswith("alpha_") else None
+
+        fields = read_config(text, converter)
         try:
-            d = int(fields["d"])
-            alpha = tuple(Fraction(fields[f"alpha_{i}"]) for i in range(1, d + 1))
-            truncation = int(fields.get("truncation", DEFAULT_TRUNCATION))
+            d = fields.pop("d")
+            alpha = tuple(fields.pop(f"alpha_{i}") for i in range(1, d + 1))
         except KeyError as exc:
             raise ConfigError(f"missing field {exc}") from exc
+        truncation = fields.pop("truncation", DEFAULT_TRUNCATION)
+        if fields:
+            raise ConfigError(f"unknown key {min(fields)!r} for d={d}")
         return cls(d=d, alpha=alpha, truncation=truncation)
 
 
 def generic_spec(d, nmax):
     """Spec with small distinct exponents keeping all noise monomials of
     power <= nmax at negative degree (used by the symbolic self-checks)."""
+    if nmax < 0:
+        raise ConfigError("nmax must be >= 0")
     denom = 8 * d * (nmax + 1)
     alpha = tuple(Fraction(2 * i + 1, denom) for i in range(d))
     return StructureSpec(d=d, alpha=alpha, truncation=max(nmax, 1))
@@ -146,20 +147,14 @@ def required_power(H, kappa):
 # projections
 
 
-def _tree_in_negative_space(tree, spec):
-    return in_symbol_family(tree, d=spec.d) and spec.degree_tree(tree) < 0
-
-
 def project_minus(x, spec):
     """Kill forests having any component of non-negative degree.
 
     The empty forest (unit) survives.  Acts term-wise on forest-keyed
-    formal sums; also accepts a single Forest.
+    formal sums; also accepts a single Tree or Forest.
     """
-    if isinstance(x, Forest):
-        x = FormalSum.lift(x)
     out = FormalSum()
-    for f, c in x:
+    for f, c in as_formal_sum(x):
         if all(spec.degree_tree(t) < 0 for t in f.trees):
             out += FormalSum.lift(f, c)
     return out
@@ -185,12 +180,8 @@ def project_plus(x, spec):
     Keys must be single-tree forests (or the empty forest); raises
     DomainError otherwise.
     """
-    if isinstance(x, Tree):
-        x = FormalSum.lift(forest_of(x))
-    if isinstance(x, Forest):
-        x = FormalSum.lift(x)
     out = FormalSum()
-    for f, c in x:
+    for f, c in as_formal_sum(x):
         if len(f.trees) > 1:
             raise DomainError("positive projection acts on trees, not proper forests")
         if f.is_empty or tree_survives_plus(f.trees[0], spec):

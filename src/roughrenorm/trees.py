@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError, ParseError
+from .errors import ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +163,8 @@ def forest_product(*forests):
     return Forest(trees)
 
 
-def canonical_key(obj):
-    """Stable structural key of a Tree or Forest (nested tuples)."""
-    return obj.key
-
-
 # ---------------------------------------------------------------------------
 # symbol family predicate
-
-
-def root_noise_count(tree):
-    return sum(1 for et, _ in tree.children if et.is_noise)
 
 
 def in_symbol_family(tree, d=None, truncation=None):
@@ -207,15 +198,6 @@ def in_symbol_family(tree, d=None, truncation=None):
     if truncation is not None and n_int > truncation:
         return False
     return True
-
-
-def forest_in_symbol_family(forest, d=None, truncation=None):
-    return all(in_symbol_family(t, d, truncation) for t in forest.trees)
-
-
-def tree_factors(tree):
-    """Generator factors of a symbol tree (single-branch trees)."""
-    return tuple(branch(et, sub) for et, sub in tree.children)
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +273,12 @@ class FormalSum:
     def __hash__(self):
         raise TypeError("FormalSum is not hashable")
 
-    def map_keys(self, fn):
-        """Apply ``fn`` to every key, merging collisions."""
-        return FormalSum((fn(k), c) for k, c in self.terms.items())
-
-    def combine(self, other, key_fn, coeff_fn=None):
+    def combine(self, other, key_fn):
         """Bilinear product: combine every pair of terms."""
         pairs = []
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                c = c1 * c2 if coeff_fn is None else coeff_fn(c1, c2)
-                pairs.append((key_fn(k1, k2), c))
+                pairs.append((key_fn(k1, k2), c1 * c2))
         return FormalSum(pairs)
 
     def sorted_terms(self):
@@ -316,14 +293,13 @@ class FormalSum:
         return f"FormalSum({self.terms!r})"
 
 
-def lincomb(pairs):
-    """FormalSum over forests from (Forest|Tree, coeff) pairs."""
-    out = []
-    for k, c in pairs:
-        if isinstance(k, Tree):
-            k = forest_of(k)
-        out.append((k, c))
-    return FormalSum(out)
+def as_formal_sum(x):
+    """A Tree, Forest or forest-keyed FormalSum as a forest-keyed FormalSum."""
+    if isinstance(x, Tree):
+        x = forest_of(x)
+    if isinstance(x, Forest):
+        x = FormalSum.lift(x)
+    return x
 
 
 def mul_forests(a, b):
@@ -332,7 +308,7 @@ def mul_forests(a, b):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive edge-subset extraction (plain contraction semantics)
+# edge-subset extraction: one DP, finished plain here or repaired in coalgebra
 
 
 _EXTRACT_CACHE = {}
@@ -346,7 +322,18 @@ def _bsort(branches):
     return tuple(sorted(branches, key=_branch_sort_key))
 
 
-def _extract(tree):
+def _entry_key(entry):
+    et, aroot, riders = entry
+    return (et.sort_key(), aroot.key, tuple(r[0].sort_key() + (r[1].key,) for r in riders))
+
+
+def _finish_plain(aoff, chosen, rem):
+    """Plain contraction: every rider stays at the remainder's root."""
+    riders = tuple(r for entry in chosen for r in entry[2])
+    return aoff, Tree((et, aroot) for et, aroot, _ in chosen), Tree(rem + riders)
+
+
+def _extract(tree, finish=_finish_plain, cache=_EXTRACT_CACHE):
     """All edge-subset extractions of ``tree``.
 
     Returns a dict mapping ``(off_root, root_part, remainder)`` to a
@@ -355,34 +342,44 @@ def _extract(tree):
     containing the root (a single node when no root-incident edge is
     chosen), and ``remainder`` is the tree obtained by contracting the
     chosen edges (each removed edge identifies its endpoints).
+
+    The DP walks the root edges.  Its states are ``(off-root trees,
+    chosen entries, remainder branches)``; a chosen entry ``(edge type,
+    extracted subtree part, riders)`` records the noise branches that
+    contracting that root edge leaves at the remainder's root.
+    ``finish`` turns a final state into an output key, and subtrees are
+    extracted with the same finisher.  Only finished tables are cached,
+    in ``cache``.
     """
-    cached = _EXTRACT_CACHE.get(tree)
+    cached = cache.get(tree)
     if cached is not None:
         return cached
-    states = {((), (), ()): 1}  # (off-root trees, root-part branches, remainder branches)
+    states = {((), (), ()): 1}
     for et, sub in tree.children:
-        sub_ext = _extract(sub)
+        sub_ext = _extract(sub, finish, cache)
         nxt = {}
-        for (aoff, ab, rb), m in states.items():
+        for (aoff, chosen, rem), m in states.items():
             for (s_off, s_root, s_rem), sm in sub_ext.items():
                 w = m * sm
                 # edge kept: the sub-extraction's root component detaches
                 off2 = s_off + ((s_root,) if s_root.children else ())
-                k = (_msort(aoff + off2), ab, _bsort(rb + ((et, s_rem),)))
+                k = (_msort(aoff + off2), chosen, _bsort(rem + ((et, s_rem),)))
                 nxt[k] = nxt.get(k, 0) + w
                 # edge extracted: endpoints identified, remainder splices up
+                riders = tuple(b for b in s_rem.children if b[0].is_noise)
+                others = tuple(b for b in s_rem.children if not b[0].is_noise)
                 k = (
                     _msort(aoff + s_off),
-                    _bsort(ab + ((et, s_root),)),
-                    _bsort(rb + s_rem.children),
+                    tuple(sorted(chosen + ((et, s_root, riders),), key=_entry_key)),
+                    _bsort(rem + others),
                 )
                 nxt[k] = nxt.get(k, 0) + w
         states = nxt
     out = {}
-    for (aoff, ab, rb), m in states.items():
-        key = (aoff, Tree(ab), Tree(rb))
+    for state, m in states.items():
+        key = finish(*state)
         out[key] = out.get(key, 0) + m
-    _EXTRACT_CACHE[tree] = out
+    cache[tree] = out
     return out
 
 
@@ -625,10 +622,6 @@ def format_forest(forest):
     return " . ".join(format_tree(t) for t in forest.trees)
 
 
-def _format_coeff(c):
-    return str(c)
-
-
 def format_symbol(x):
     """Canonical text of a Tree, Forest, or forest-keyed FormalSum."""
     if isinstance(x, Tree):
@@ -645,7 +638,7 @@ def format_symbol(x):
         elif c == -1:
             term = f"-{body}"
         else:
-            term = f"{_format_coeff(c)}*{body}"
+            term = f"{c}*{body}"
         parts.append(term)
     out = parts[0]
     for term in parts[1:]:

@@ -107,3 +107,44 @@ def test_bounds_outputs(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert set(rows[0]) == {"tau", "lambda", "eps", "rms_pairing"}
     assert (out / "manifest.json").exists()
+
+
+
+_SIM = "H = 0.3\nkappa = 0.01\nN = 256\nP = 2\nseed = 1\n"
+_WZ = ["simulate", "wong-zakai", "--config", "{file}", "--out", "{out}"]
+_BOUNDS = ["simulate", "bounds", "--config", "{file}", "--out", "{out}"]
+_G_ANTIPODE = ["symbolic", "g-antipode", "Xi_1*I(Xi_2)", "--cov", "{file}"]
+_C_EPS = ["simulate", "c-eps", "--H", "0.3", "--eps"]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["symbolic", "check-bphz", "--nmax", "-1"], None),
+        (["symbolic", "antipode", "Xi_1", "--alpha", "1/2,x"], None),
+        (_WZ, None),  # missing config file
+        (_G_ANTIPODE, None),  # missing covariance file
+        (_G_ANTIPODE, "d = x\n"),
+        (_C_EPS + ["-0.1", "--time", "0.5"], None),
+        (_C_EPS + ["0.125", "--time", "0"], None),
+        (_C_EPS + ["0.125", "--time", "inf"], None),
+        (_C_EPS + ["0.125", "--T", "nan"], None),
+        (["simulate", "c-eps", "--H", "0.7", "--eps", "0.125"], None),
+        (_WZ, _SIM + "eps = 1/8\nthreds = 4\n"),
+        (_WZ, _SIM + "eps = 1/8\nthreads = -3\n"),
+        (_BOUNDS, _SIM + "eps = 1/8,1/16\nlambda = 1/4,abc\n"),
+        (_BOUNDS, _SIM + "eps = 1/8,1/16\npowers = 0\n"),
+        (_BOUNDS, _SIM + "eps = 1/8,1/16\nlambda = 1/4,1/512\n"),  # 1/512 < dt
+        (_BOUNDS, _SIM + "eps = 1/8\n"),
+        (_BOUNDS, _SIM + "eps = 1/8,1/16\nlambda = 1/4\n"),
+    ],
+)
+def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv, text):
+    file = tmp_path / "input.txt"
+    if text is not None:
+        file.write_text(text)
+    argv = [arg.format(file=file, out=tmp_path / "out") for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

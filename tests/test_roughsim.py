@@ -1,5 +1,5 @@
 """Simulation harness: fractional paths, mollification, correction
-constant, iterated integrals, experiment plumbing."""
+constant, experiment plumbing."""
 
 import math
 
@@ -16,7 +16,6 @@ from roughrenorm.roughsim import (  # noqa: F401
     c_eps,
     c_eps_timedep,
     fbm_rl,
-    iterated_w,
     model_bound_probe,
     mollification_weights,
     mollify,
@@ -152,41 +151,6 @@ def test_c_eps_monte_carlo_cross_check():
     assert abs(est - exact) <= 5 * se
 
 
-def _brute_iterated(n, s, k, hat_w, inc):
-    """Direct double loop for the forward definition, k >= s."""
-    total = 0.0
-    for j in range(s, k):
-        total += (hat_w[j] - hat_w[s]) ** n * inc[j]
-    return total
-
-
-def test_iterated_w_forward_matches_brute_force():
-    rng = np.random.default_rng(4)
-    hat_w = np.cumsum(rng.normal(size=33)) * 0.3
-    inc = rng.normal(size=32) * 0.1
-    for n in (0, 1, 2, 3):
-        vals = iterated_w(n, 8, hat_w, inc)
-        for k in (8, 9, 15, 32):
-            assert vals[k] == pytest.approx(_brute_iterated(n, 8, k, hat_w, inc))
-
-
-def test_iterated_w_chen_identity():
-    rng = np.random.default_rng(6)
-    hat_w = np.cumsum(rng.normal(size=41)) * 0.2
-    inc = rng.normal(size=40) * 0.1
-    for n in (1, 2, 3):
-        for s, u in [(5, 12), (12, 5), (20, 33), (33, 20)]:
-            from_s = iterated_w(n, s, hat_w, inc)
-            from_u = iterated_w(n, u, hat_w, inc)
-            ws, wu = hat_w[s], hat_w[u]
-            for k in (0, 7, 18, 40):
-                expected = from_s[u] + sum(
-                    math.comb(n, i) * (wu - ws) ** i * iterated_w(n - i, u, hat_w, inc)[k]
-                    for i in range(n + 1)
-                )
-                assert from_s[k] == pytest.approx(expected, rel=1e-9, abs=1e-9)
-
-
 def test_testfunction_derivatives():
     f = FunctionSpec("sine")
     x = np.linspace(-1, 1, 11)
@@ -219,8 +183,13 @@ def test_sim_config_text_round_trip():
         n_paths=4,
         seed=7,
         eps_list=(0.125, 0.0625),
+        lambdas=(0.25, 1 / 3),
+        powers=(1, 3),
     )
-    assert SimConfig.from_text(cfg.to_text()) == cfg
+    text = cfg.to_text()
+    assert "lambda = 0.25,0.3333333333333333" in text and "powers = 1,3" in text
+    assert SimConfig.from_text(text) == cfg
+    assert SimConfig.from_text(text.replace("powers = 1,3\n", "")).powers == (1,)
 
 
 def test_wz_experiment_small():
