@@ -196,25 +196,27 @@ def twisted_antipode(x, spec):
     return out
 
 
-def _antipode_tree(tree, spec):
-    key = (tree.key, spec)
-    cached = _ANTIPODE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if tree.is_leaf:
-        return FormalSum.lift(EMPTY_FOREST)
+def antipode_terms(tree, spec):
+    """The terms ``((a, r), c)`` of ``delta_minus_ex(tree) - tree (x) 1``
+    over which the antipode recursion runs; defined on negative-degree
+    trees only."""
     if spec.degree_tree(tree) >= 0:
         raise DomainError(
             f"antipode is defined on negative-degree trees; {tree!r} has degree "
             f"{spec.degree_tree(tree)}"
         )
     full = forest_of(tree)
+    return [((a, r), c) for (a, r), c in delta_minus_ex(tree, spec) if a != full]
+
+
+def _antipode_tree(tree, spec):
+    key = (tree.key, spec)
+    cached = _ANTIPODE_CACHE.get(key)
+    if cached is not None:
+        return cached
     acc = FormalSum()
-    for (a, r), c in delta_minus_ex(tree, spec):
-        if a == full:
-            continue  # the tau (x) 1 term is moved to the other side
-        piece = mul_forests(twisted_antipode(a, spec), FormalSum.lift(r))
-        acc += piece.scale(c)
+    for (a, r), c in antipode_terms(tree, spec):
+        acc += mul_forests(twisted_antipode(a, spec), FormalSum.lift(r)).scale(c)
     result = -acc
     _ANTIPODE_CACHE[key] = result
     return result

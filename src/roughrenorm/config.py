@@ -37,11 +37,11 @@ def ints(text):
 def read_config(text, converter):
     """Read ``key = value`` lines into a dict of converted values.
 
-    Blank lines and ``#`` comments are skipped; a repeated key keeps its
-    last value.  ``converter(key)`` returns the function that converts
-    the value text of ``key``, or None when the key is unknown.  A line
-    without ``=``, an unknown key, or a value that its converter rejects
-    raises ConfigError.
+    Blank lines and ``#`` comments are skipped.  ``converter(key)``
+    returns the function that converts the value text of ``key``, or None
+    when the key is unknown.  A line without ``=``, an unknown or
+    repeated key, or a value that its converter rejects raises
+    ConfigError.
     """
     fields = {}
     for raw in text.splitlines():
@@ -54,6 +54,8 @@ def read_config(text, converter):
         convert = converter(key)
         if convert is None:
             raise ConfigError(f"unknown key {key!r}")
+        if key in fields:
+            raise ConfigError(f"repeated key {key!r}")
         try:
             fields[key] = convert(value)
         except (ArithmeticError, ValueError) as exc:

@@ -6,11 +6,17 @@ A symbol tree maps to a monomial in the jointly Gaussian variables
 root noise edge) and ``X_j`` (the channel-j path value at the origin,
 from an integrated noise branch ``I(Xi_j)``).  A bare integration branch
 evaluates to the origin itself and annihilates the monomial.
+
+The BPHZ character g∘A runs the antipode recursion on its values tree by
+tree (both maps are multiplicative over forests), never expanding an
+antipode; each tree's value is cached as a polynomial in the covariance
+entries ``C[u][v]`` and evaluated against a covariance by substitution.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +25,16 @@ from .config import rational, read_config
 from .errors import ConfigError, DomainError
 from .poly import Poly
 from .trees import Forest, Tree, as_formal_sum, forest_of, in_symbol_family
-from .coalgebra import twisted_antipode
+from .coalgebra import antipode_terms
 
 # A variable is ("D", i) or ("X", j) with a 1-based channel index.
 _ENTRY = re.compile(r"([DX])([0-9]+),([DX])([0-9]+)")  # covariance key, e.g. D1,X2
+
+
+def _entry_name(u, v):
+    """Name of the covariance entry of the variables u and v, e.g. ``C[D1][X2]``."""
+    u, v = (u, v) if u <= v else (v, u)
+    return f"C[{u[0]}{u[1]}][{v[0]}{v[1]}]"
 
 
 def variable_order(d):
@@ -34,14 +46,8 @@ class CovarianceSpec:
 
     def __init__(self, d, entries):
         self.d = d
-        self._entries = {}
-        for (u, v), value in entries.items():
-            self._entries[self._norm(u, v)] = Fraction(value)
+        self._entries = {_entry_name(u, v): Fraction(e) for (u, v), e in entries.items()}
         self._moment_cache = {}
-
-    @staticmethod
-    def _norm(u, v):
-        return (u, v) if u <= v else (v, u)
 
     @classmethod
     def from_matrix(cls, d, matrix):
@@ -57,7 +63,7 @@ class CovarianceSpec:
         return cls(d, entries)
 
     def entry(self, u, v):
-        return self._entries.get(self._norm(u, v), Fraction(0))
+        return self._entries.get(_entry_name(u, v), Fraction(0))
 
     def as_array(self):
         order = variable_order(self.d)
@@ -84,7 +90,10 @@ class CovarianceSpec:
             a, i, b, j = _ENTRY.fullmatch(key).groups()
             if not (1 <= int(i) <= d and 1 <= int(j) <= d):
                 raise ConfigError(f"covariance entry {key!r} outside channels 1..{d}")
-            entries[((a, int(i)), (b, int(j)))] = value
+            u, v = sorted([(a, int(i)), (b, int(j))])
+            if (u, v) in entries:
+                raise ConfigError(f"covariance entry {key!r} repeats an earlier entry")
+            entries[(u, v)] = value
         return cls(d, entries)
 
 
@@ -96,8 +105,11 @@ class SymbolicCovariance:
         self._moment_cache = {}
 
     def entry(self, u, v):
-        u, v = (u, v) if u <= v else (v, u)
-        return Poly.var(f"C[{u[0]}{u[1]}][{v[0]}{v[1]}]")
+        return Poly.var(_entry_name(u, v))
+
+
+# g∘A is computed against this covariance; entry names do not depend on d
+_SYMBOLIC = SymbolicCovariance(d=None)
 
 
 def isserlis_moment(monomial, cov):
@@ -166,60 +178,43 @@ def g_minus(x, cov):
     return acc
 
 
-def compile_moments(x):
-    """Aggregate a forest-keyed formal sum into a moment profile.
-
-    Returns a dict mapping a sorted tuple of component monomials to the
-    total coefficient.  Terms killed by a bare integration branch are
-    dropped.  Evaluating the profile against a covariance gives the same
-    value as ``g_minus`` but shares the combinatorial work across
-    covariances.
-    """
-    profile = {}
-    for f, c in as_formal_sum(x):
-        monos = []
-        dead = False
-        for t in f.trees:
-            mono = tree_monomial(t)
-            if mono is None:
-                dead = True
-                break
-            monos.append(mono)
-        if dead:
-            continue
-        key = tuple(sorted(monos))
-        profile[key] = profile.get(key, Fraction(0)) + c
-    return profile
-
-
-def eval_moments(profile, cov):
-    """Evaluate a profile from ``compile_moments`` against a covariance."""
-    acc = Fraction(0)
-    for monos, c in profile.items():
-        term = c
-        for mono in monos:
-            term = term * isserlis_moment(mono, cov)
-        acc = acc + term
-    return acc
-
-
-_ANTIPODE_PROFILES = {}
+_G_ANTIPODE_CACHE = {}
 
 
 def g_antipode(x, cov, spec):
-    """The BPHZ character: the Gaussian character composed with the
-    twisted negative antipode.
+    """The BPHZ character g∘A: the Gaussian character g composed with the
+    twisted negative antipode A, linear and multiplicative over forests.
 
-    The antipode expansion and its moment profile do not depend on the
-    covariance, so they are cached keyed by the input symbol and spec.
+    On a tree, g∘A(tau) = -sum c * g∘A(a) * g(r) over the terms
+    ``((a, r), c)`` of ``antipode_terms(tau, spec)``.  Tree values are
+    cached by ``(tree.key, spec)`` as polynomials in the entries
+    ``C[u][v]``, one cache for every covariance.  Returns the polynomial
+    for a ``SymbolicCovariance``, its value (a Fraction) for a
+    ``CovarianceSpec``.
     """
-    x = as_formal_sum(x)
-    key = (tuple((f.key, c) for f, c in x.sorted_terms()), spec)
-    profile = _ANTIPODE_PROFILES.get(key)
-    if profile is None:
-        profile = compile_moments(twisted_antipode(x, spec))
-        _ANTIPODE_PROFILES[key] = profile
-    return eval_moments(profile, cov)
+    value = Poly()
+    for f, c in as_formal_sum(x):
+        term = Poly.const(c)
+        for t in f.trees:
+            term = term * _g_antipode_tree(t, spec)
+        value = value + term
+    if isinstance(cov, SymbolicCovariance):
+        return value
+    return Fraction(value.substitute(defaultdict(Fraction, cov._entries)))
+
+
+def _g_antipode_tree(tree, spec):
+    key = (tree.key, spec)
+    value = _G_ANTIPODE_CACHE.get(key)
+    if value is None:
+        value = Poly()
+        for (a, r), c in antipode_terms(tree, spec):
+            term = -c * g_minus(r, _SYMBOLIC)
+            for t in a.trees:
+                term = term * _g_antipode_tree(t, spec)
+            value = value + term
+        _G_ANTIPODE_CACHE[key] = value
+    return value
 
 
 def mc_moment_oracle(monomial, cov, n_samples, seed):

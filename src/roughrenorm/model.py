@@ -366,14 +366,14 @@ def check_model_axioms(path, spec, n_triples, seed, rtol=1e-10):
         g_tu = eval_gamma(t, u, path, spec)
         g_us = eval_gamma(u, s, path, spec)
         for tau in basis:
+            one_step = g_ts.apply(tau)
             lhs = eval_pi(tau, s, path)
-            rhs = eval_pi(g_ts.apply(tau), t, path)
+            rhs = eval_pi(one_step, t, path)
             scale = max(float(np.max(np.abs(lhs))), 1e-30)
             err = float(np.max(np.abs(lhs - rhs))) / scale
             worst = max(worst, err)
             if err > rtol:
                 failures.append(f"recentring: {tau!r} at (s={s}, t={t}): rel err {err:.3e}")
-            one_step = g_ts.apply(tau)
             two_step = FormalSum()
             for sigma, c in g_us.apply(tau):
                 two_step += g_tu.apply(sigma).scale(c)

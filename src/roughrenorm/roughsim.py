@@ -406,6 +406,9 @@ class SimConfig:
         for e in eps_list:
             if e < 4 * dt:
                 raise ConfigError(f"eps={e} must cover at least 4 grid steps (dt={dt})")
+            if e > self.T / 2:
+                # c_eps integrates khat over u < 2*eps, and khat is cut off from T on
+                raise ConfigError(f"eps={e} must be at most T/2 (T={self.T})")
         object.__setattr__(self, "eps_list", eps_list)
         object.__setattr__(self, "lambdas", tuple(float(x) for x in self.lambdas))
         object.__setattr__(self, "powers", tuple(int(k) for k in self.powers))

@@ -43,8 +43,12 @@ def test_parse_error_exit_code(capsys):
     assert main(["symbolic", "delta-minus", "Xi_1^2"]) == 2
 
 
-def test_domain_error_exit_code(capsys):
-    assert main(["symbolic", "delta-plus", "Xi_1 . Xi_1"]) == 3
+@pytest.mark.parametrize(
+    "command, symbol",
+    [("delta-plus", "Xi_1 . Xi_1"), ("g-antipode", "I^2"), ("g-antipode", "Xi_1*I")],
+)
+def test_domain_error_exit_code(capsys, command, symbol):
+    assert main(["symbolic", command, symbol]) == 3
 
 
 def test_check_commands_pass(capsys):
@@ -137,6 +141,9 @@ _C_EPS = ["simulate", "c-eps", "--H", "0.3", "--eps"]
         (_BOUNDS, _SIM + "eps = 1/8,1/16\nlambda = 1/4,1/512\n"),  # 1/512 < dt
         (_BOUNDS, _SIM + "eps = 1/8\n"),
         (_BOUNDS, _SIM + "eps = 1/8,1/16\nlambda = 1/4\n"),
+        (_WZ, _SIM + "eps = 1/8\neps = 1/4\n"),  # repeated key
+        (_G_ANTIPODE, "d = 2\nD1,X2 = 1/3\nX2,D1 = 1/2\n"),  # one entry twice
+        (_WZ, _SIM + "eps = 1\n"),  # eps > T/2
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv, text):

@@ -127,6 +127,24 @@ def test_antipode_character_vanishes_on_higher_powers(cov, n):
     assert val == 0
 
 
+@given(
+    rational_covariances(),
+    st.sampled_from(
+        [
+            "Xi_1*I(Xi_2)",
+            "Xi_1*I(Xi_2) . Xi_2*I(Xi_1)",
+            "2*Xi_1*I(Xi_1) - 1/3*Xi_2*I(Xi_1) . Xi_1*I(Xi_2)",
+        ]
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_g_antipode_with_covariance_equals_direct_route(cov, symbol):
+    x = parse_symbol(symbol, d=2)
+    val = g_antipode(x, cov, SPEC)
+    assert isinstance(val, Fraction)
+    assert val == g_minus(twisted_antipode(x, SPEC), cov)
+
+
 def test_cached_g_antipode_equals_direct_route():
     """The cached BPHZ character equals g_minus of the expanded antipode on
     every negative-degree basis tree up to power 6, and on every two-tree
