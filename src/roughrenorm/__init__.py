@@ -43,7 +43,6 @@ from .gaussian import (
     mc_moment_oracle,
 )
 from .model import (
-    GammaCoeffs,
     SamplePath,
     bphz_expansion,
     check_bphz_plain,

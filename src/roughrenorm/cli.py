@@ -21,7 +21,7 @@ from .errors import ConfigError, DomainError, ParseError
 from .gaussian import CovarianceSpec, SymbolicCovariance, g_antipode
 from .model import check_bphz_plain, check_gamma_bphz
 from .structure import StructureSpec, generic_spec
-from .trees import FormalSum, format_forest, format_symbol, format_tree, parse_symbol
+from .trees import LEAF, FormalSum, format_forest, format_symbol, format_tree, parse_symbol
 from .roughsim import (
     KernelSpec,
     MollifierSpec,
@@ -72,9 +72,7 @@ def _cmd_delta_plus(args):
     for f, c in x:
         if len(f.trees) > 1:
             raise DomainError("the positive coproduct acts on trees, not forests")
-        tree = f.trees[0] if f.trees else None
-        terms = delta_plus_ex(tree, spec) if tree is not None else FormalSum()
-        acc += terms.scale(c)
+        acc += delta_plus_ex(f.trees[0] if f.trees else LEAF, spec).scale(c)
     for line in _format_pair_terms(acc, format_tree):
         print(line)
     return 0
@@ -163,7 +161,7 @@ def _cmd_wong_zakai(args):
     )
     _write_csv(
         out_dir / "wz_summary.csv",
-        ["eps", "rms_uncorr", "rms_corr", "c_eps"],
+        ["eps", "rms_uncorr", "rms_corr", "rms_model", "c_eps"],
         result.summary,
     )
     _write_manifest(

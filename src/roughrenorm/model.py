@@ -4,9 +4,12 @@ renormalized evaluation pipeline.
 The numeric layer evaluates symbols against a :class:`SamplePath`
 (smooth channel paths with analytic derivatives on a common grid).  The
 symbolic layer re-runs the same constructions with path values,
-transport coefficients, and covariances kept as free polynomial
+transport increments, and covariances kept as free polynomial
 indeterminates, which turns the structural identities into exact
-polynomial identities that can be checked mechanically.
+polynomial identities that can be checked mechanically.  The transport
+rule :func:`gamma_direct` is written once over its coefficient ring: it
+takes free symbols by default and a path's float increments
+(:func:`eval_gamma`) in the numeric checks.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .trees import (
     LEAF,
     Tree,
     branch,
+    format_atom,
     in_symbol_family,
     noise,
     tree_product,
@@ -96,64 +100,57 @@ def eval_pi(x, s_idx, path):
 
 
 # ---------------------------------------------------------------------------
-# transport (Gamma) coefficients: symbolic core shared by both routes
-
-_GAMMA_I = "g[I]"
+# transport (Gamma): one rule over any coefficient ring
 
 
-def _gamma_var(et, sub):
-    """Free-symbol name of the transport increment of a positive factor."""
-    if et.is_noise:
-        return None
-    if sub.is_leaf:
-        return _GAMMA_I
-    set2, sub2 = sub.children[0]
-    if set2.is_noise and sub2.is_leaf:
-        return f"g[I(Xi_{set2.index})]"
-    raise DomainError("tree lies outside the symbol family")
+def _factor_name(prefix, et, sub):
+    """Free-symbol name of a root factor, from its printed text: ``P[Xi_1]``,
+    ``g[I]``, ``g[I(Xi_2)]``."""
+    return f"{prefix}[{format_atom(et, sub)}]"
 
 
-def gamma_direct(tree, spec):
+def _root_factors(x):
+    """The root factors ``(edge type, subtree)`` of a tree or of every tree
+    of a forest."""
+    trees = x.trees if isinstance(x, Forest) else (x,)
+    return [factor for t in trees for factor in t.children]
+
+
+def _monomial(prefix, factors):
+    """The monomial of the named root factors, as a Poly."""
+    return Poly.lift(tuple(sorted(_factor_name(prefix, et, sub) for et, sub in factors)))
+
+
+def gamma_direct(tree, spec, increment=Poly.var):
     """Transport of a symbol by the direct recentring rules.
 
-    Noise factors are fixed; each integration factor picks up the
-    corresponding increment as a free symbol.  Returns a tree-keyed
-    FormalSum with Poly coefficients.
+    Noise factors are fixed; each integration factor ``f`` picks up the
+    increment ``increment(name)``, where ``name`` is ``g[<text of f>]``.
+    The default keeps increments as free symbols (Poly coefficients);
+    passing ``eval_gamma(t, s, path).__getitem__`` gives the float
+    transport between two base points.  Returns a tree-keyed FormalSum
+    whose untransported term has the integer coefficient 1.
     """
     if not in_symbol_family(tree, d=spec.d):
         raise DomainError(f"tree {tree!r} lies outside the symbol family")
-    out = FormalSum.lift(LEAF, Poly.const(1))
+    out = FormalSum.lift(LEAF, 1)
     for et, sub in tree.children:
         factor = branch(et, sub)
         if et.is_noise:
-            fac = FormalSum.lift(factor, Poly.const(1))
+            fac = FormalSum.lift(factor, 1)
         else:
-            fac = FormalSum(
-                [(factor, Poly.const(1)), (LEAF, Poly.var(_gamma_var(et, sub)))]
-            )
+            fac = FormalSum([(factor, 1), (LEAF, increment(_factor_name("g", et, sub)))])
         out = out.combine(fac, tree_product)
     return out
 
 
-def _gamma_char_tree(tree):
-    """The transport character on a positive-space tree: the product of
-    its factors' free symbols; zero on trees with noise factors."""
-    poly = Poly.const(1)
-    for et, sub in tree.children:
-        name = _gamma_var(et, sub)
-        if name is None:
-            return Poly.const(0)
-        poly = poly * Poly.var(name)
-    return poly
-
-
-def _gamma_char(forest_or_tree):
-    if isinstance(forest_or_tree, Tree):
-        return _gamma_char_tree(forest_or_tree)
-    poly = Poly.const(1)
-    for t in forest_or_tree.trees:
-        poly = poly * _gamma_char_tree(t)
-    return poly
+def _gamma_char(x):
+    """The transport character on a tree or forest: the monomial of its
+    root factors' increments; zero if a root factor is a noise."""
+    factors = _root_factors(x)
+    if any(et.is_noise for et, _ in factors):
+        return Poly()
+    return _monomial("g", factors)
 
 
 def gamma_via_coproduct(tree, spec, cov, twist=True):
@@ -177,40 +174,14 @@ def gamma_via_coproduct(tree, spec, cov, twist=True):
     return out
 
 
-# -- numeric transport -------------------------------------------------------
-
-
-@dataclass
-class GammaCoeffs:
-    """Numeric transport between two base points on a sample path."""
-
-    spec: object
-    values: dict  # free-symbol name -> float
-
-    def apply(self, x):
-        """Expand a Tree/Forest/FormalSum into a float-coefficient
-        FormalSum over trees in the recentred basis."""
-        if isinstance(x, Forest):
-            if len(x.trees) > 1:
-                raise DomainError("transport acts on trees")
-            x = x.trees[0] if x.trees else LEAF
-        if isinstance(x, Tree):
-            sym = gamma_direct(x, self.spec)
-            return FormalSum(
-                [(t, poly.substitute(self.values)) for t, poly in sym]
-            )
-        out = FormalSum()
-        for key, c in x:
-            out += self.apply(key).scale(float(c))
-        return out
-
-
-def eval_gamma(t_idx, s_idx, path, spec):
-    """Transport coefficients Gamma_{t s} read off a sample path."""
-    values = {_GAMMA_I: float(path.t[t_idx] - path.t[s_idx])}
+def eval_gamma(t_idx, s_idx, path):
+    """The transport increments between grid indices ``s_idx`` and
+    ``t_idx``, by the names :func:`gamma_direct` asks for."""
+    values = {_factor_name("g", INTEGRATION, LEAF): float(path.t[t_idx] - path.t[s_idx])}
     for j in path.xi:
-        values[f"g[I(Xi_{j})]"] = float(path.xi[j][t_idx] - path.xi[j][s_idx])
-    return GammaCoeffs(spec=spec, values=values)
+        name = _factor_name("g", INTEGRATION, branch(noise(j)))
+        values[name] = float(path.xi[j][t_idx] - path.xi[j][s_idx])
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -239,22 +210,9 @@ def eval_pi_bphz(tree, s_idx, path, cov, spec):
 
 
 def pi_symbolic(x):
-    """Recentred evaluation with path values as free symbols."""
-    if isinstance(x, Forest):
-        poly = Poly.const(1)
-        for t in x.trees:
-            poly = poly * pi_symbolic(t)
-        return poly
-    poly = Poly.const(1)
-    for et, sub in x.children:
-        if et.is_noise:
-            poly = poly * Poly.var(f"P[Xi_{et.index}]")
-        elif sub.is_leaf:
-            poly = poly * Poly.var("P[I]")
-        else:
-            set2, _ = sub.children[0]
-            poly = poly * Poly.var(f"P[I(Xi_{set2.index})]")
-    return poly
+    """Recentred evaluation with path values as free symbols: the
+    monomial of the root factors of a tree or forest."""
+    return _monomial("P", _root_factors(x))
 
 
 def check_bphz_plain(spec, nmax, cov):
@@ -351,7 +309,7 @@ def check_model_axioms(path, spec, n_triples, seed, rtol=1e-10):
     """Check recentring consistency and the transport cocycle numerically.
 
     For random index triples (s, u, t): every basis symbol must satisfy
-    ``eval_pi(tau, s) == eval_pi(Gamma_ts.apply(tau), t)`` up to
+    ``eval_pi(tau, s) == eval_pi(Gamma_ts tau, t)`` up to
     relative error ``rtol``, and the transport must compose:
     ``Gamma_ts == Gamma_tu . Gamma_us`` on basis symbols.
     """
@@ -362,11 +320,11 @@ def check_model_axioms(path, spec, n_triples, seed, rtol=1e-10):
     failures = []
     for _ in range(n_triples):
         s, u, t = sorted(rng.choice(n, size=3, replace=False))
-        g_ts = eval_gamma(t, s, path, spec)
-        g_tu = eval_gamma(t, u, path, spec)
-        g_us = eval_gamma(u, s, path, spec)
+        g_ts = eval_gamma(t, s, path).__getitem__
+        g_tu = eval_gamma(t, u, path).__getitem__
+        g_us = eval_gamma(u, s, path).__getitem__
         for tau in basis:
-            one_step = g_ts.apply(tau)
+            one_step = gamma_direct(tau, spec, g_ts)
             lhs = eval_pi(tau, s, path)
             rhs = eval_pi(one_step, t, path)
             scale = max(float(np.max(np.abs(lhs))), 1e-30)
@@ -375,8 +333,8 @@ def check_model_axioms(path, spec, n_triples, seed, rtol=1e-10):
             if err > rtol:
                 failures.append(f"recentring: {tau!r} at (s={s}, t={t}): rel err {err:.3e}")
             two_step = FormalSum()
-            for sigma, c in g_us.apply(tau):
-                two_step += g_tu.apply(sigma).scale(c)
+            for sigma, c in gamma_direct(tau, spec, g_us):
+                two_step += gamma_direct(sigma, spec, g_tu).scale(c)
             cscale = max((abs(c) for c in one_step.terms.values()), default=1.0)
             cerr = 0.0
             for key in set(one_step.terms) | set(two_step.terms):

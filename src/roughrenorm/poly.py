@@ -1,103 +1,57 @@
-"""Minimal multivariate polynomials with exact rational coefficients.
+"""Multivariate polynomials with exact rational coefficients.
 
 Used for identity checks in which path evaluations, transport
-coefficients, and covariance entries are kept as free commuting
-indeterminates.  Monomials are sorted tuples of variable names (with
-repetition for powers).
+increments, and covariance entries are kept as free commuting
+indeterminates.  A polynomial is a :class:`~roughrenorm.trees.FormalSum`
+keyed by monomials: sorted tuples of variable names (with repetition for
+powers).  It adds to the formal sum only what a ring of polynomials
+needs: variables and constants, int/Fraction scalars on either side of
+``+ - * ==``, the product of monomials, and substitution.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .trees import FormalSum
 
-class Poly:
-    __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        d = {}
-        if terms:
-            for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                coeff = Fraction(coeff)
-                if mono in d:
-                    coeff = d[mono] + coeff
-                if coeff:
-                    d[mono] = coeff
-                elif mono in d:
-                    del d[mono]
-        self.terms = d
+def _coerced(op):
+    """``op`` on two polynomials, with an int or Fraction ``other`` read
+    as a constant."""
+
+    def wrapper(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = Poly.const(other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
+        return op(self, other)
+
+    return wrapper
+
+
+def _mono_product(m1, m2):
+    return tuple(sorted(m1 + m2))
+
+
+class Poly(FormalSum):
+    """A polynomial: a formal sum over monomials with Fraction coefficients."""
+
+    __slots__ = ()
 
     @classmethod
     def var(cls, name):
-        return cls([((name,), Fraction(1))])
+        return cls.lift((name,))
 
     @classmethod
     def const(cls, value):
-        value = Fraction(value)
-        return cls([((), value)]) if value else cls()
+        return cls.lift((), Fraction(value))
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.const(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = dict(self.terms)
-        for mono, c in other.terms.items():
-            c = d.get(mono, Fraction(0)) + c
-            if c:
-                d[mono] = c
-            elif mono in d:
-                del d[mono]
-        out = Poly()
-        out.terms = d
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = Poly()
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        pairs = []
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                pairs.append((tuple(sorted(m1 + m2)), c1 * c2))
-        return Poly(pairs)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+    __add__ = __radd__ = _coerced(FormalSum.__add__)
+    __sub__ = _coerced(FormalSum.__sub__)
+    __rsub__ = _coerced(lambda self, other: other - self)
+    __mul__ = __rmul__ = _coerced(lambda self, other: self.combine(other, _mono_product))
+    __eq__ = _coerced(FormalSum.__eq__)
 
     def substitute(self, values):
         """Evaluate with ``values`` mapping variable name -> Fraction/float."""

@@ -210,6 +210,8 @@ class FormalSum:
     Keys may be any hashable values (forests, pairs of forests, ...).
     Coefficients are Fractions, ints, or any commutative-ring value
     supporting ``+``, ``*``, unary ``-`` and truthiness as a zero test.
+    Sums, negations, scalings and products keep the subclass, so a
+    subclass such as ``poly.Poly`` stays closed under its arithmetic.
     """
 
     __slots__ = ("terms",)
@@ -248,12 +250,12 @@ class FormalSum:
                 d[k] = c
             elif k in d:
                 del d[k]
-        out = FormalSum()
+        out = type(self)()
         out.terms = d
         return out
 
     def __neg__(self):
-        out = FormalSum()
+        out = type(self)()
         out.terms = {k: -c for k, c in self.terms.items()}
         return out
 
@@ -262,8 +264,8 @@ class FormalSum:
 
     def scale(self, factor):
         if not factor:
-            return FormalSum()
-        out = FormalSum()
+            return type(self)()
+        out = type(self)()
         out.terms = {k: c * factor for k, c in self.terms.items()}
         return out
 
@@ -279,7 +281,7 @@ class FormalSum:
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 pairs.append((key_fn(k1, k2), c1 * c2))
-        return FormalSum(pairs)
+        return type(self)(pairs)
 
     def sorted_terms(self):
         def keyof(k):
@@ -582,7 +584,8 @@ def parse_symbol(text, d=None, truncation=None):
     return result
 
 
-def _format_atom(et, sub):
+def format_atom(et, sub):
+    """Printed text of one root factor: ``Xi_i``, ``I`` or ``I(Xi_j)``."""
     if et.is_noise:
         if sub.is_leaf:
             return f"Xi_{et.index}"
@@ -605,7 +608,7 @@ def format_tree(tree):
     counts = {}
     order = []
     for et, sub in tree.children:
-        atom = _format_atom(et, sub)
+        atom = format_atom(et, sub)
         if atom not in counts:
             counts[atom] = 0
             order.append(atom)

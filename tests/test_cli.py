@@ -22,6 +22,15 @@ def test_delta_plus_output(capsys):
     assert "2*I(Xi_2)*Xi_1 (x) I(Xi_2)" in out
 
 
+@pytest.mark.parametrize(
+    "symbol, lines",
+    [("1", ["1 (x) 1"]), ("3 + I", ["3*1 (x) 1", "1 (x) I", "I (x) 1"])],
+)
+def test_delta_plus_keeps_the_unit(capsys, symbol, lines):
+    assert main(["symbolic", "delta-plus", symbol]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 def test_antipode_output(capsys):
     assert main(["symbolic", "antipode", "Xi_1"]) == 0
     assert capsys.readouterr().out.strip() == "-Xi_1"
@@ -80,7 +89,7 @@ def test_wong_zakai_outputs(tmp_path, wz_config, capsys):
     assert len(rows) == 2 * 4
     with open(out / "wz_summary.csv") as fh:
         srows = list(csv.DictReader(fh))
-    assert set(srows[0]) == {"eps", "rms_uncorr", "rms_corr", "c_eps"}
+    assert set(srows[0]) == {"eps", "rms_uncorr", "rms_corr", "rms_model", "c_eps"}
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 9
     assert set(manifest["outputs"]) == {"wz.csv", "wz_summary.csv"}

@@ -17,6 +17,7 @@ from roughrenorm.model import (
     gamma_direct,
     gamma_via_coproduct,
 )
+from roughrenorm.poly import Poly
 from roughrenorm.structure import enumerate_basis, generic_spec
 from roughrenorm.trees import forest_of, parse_symbol
 
@@ -78,6 +79,21 @@ def test_gamma_routes_agree_symbolically():
         for other in (via, plain):
             diff = direct - other
             assert all(c == 0 for _, c in diff), tree
+
+
+def test_numeric_transport_matches_symbolic():
+    rng = np.random.default_rng(5)
+    names = ["g[I]", "g[I(Xi_1)]", "g[I(Xi_2)]"]
+    for _ in range(3):
+        values = dict(zip(names, rng.normal(size=len(names))))
+        for tau in enumerate_basis(SPEC):
+            numeric = gamma_direct(tau, SPEC, values.__getitem__)
+            symbolic = gamma_direct(tau, SPEC)
+            assert set(numeric.terms) == set(symbolic.terms), tau
+            for key, c in symbolic:
+                # the untransported term's coefficient is the integer 1
+                ref = (Poly() + c).substitute(values)
+                assert numeric.terms[key] == pytest.approx(ref, rel=1e-12, abs=0), tau
 
 
 def test_check_bphz_plain_passes():
