@@ -129,13 +129,14 @@ def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_manifest(out_dir, command, config_text, seed, outputs):
+def _write_manifest(out_dir, command, config_text, seed, outputs, **extra):
     manifest = {
         "command": command,
         "package_version": __version__,
         "seed": seed,
         "config": config_text,
         "outputs": {name: _sha256(out_dir / name) for name in outputs},
+        **extra,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -167,6 +168,10 @@ def _cmd_wong_zakai(args):
     _write_manifest(
         out_dir, "simulate wong-zakai", config_text, config.seed,
         ["wz.csv", "wz_summary.csv"],
+        c_eps=[
+            {"eps": e, "value": value, "quad_error": result.c_eps_error[e]}
+            for e, value in result.c_eps.items()
+        ],
     )
     for row in result.summary:
         print(

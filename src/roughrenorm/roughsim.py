@@ -16,6 +16,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,6 +50,29 @@ def _bump_draw(x):
     denom = 1.0 - xs * xs
     out[inside] = np.exp(-1.0 / denom) * (-2.0 * xs / (denom * denom))
     return out
+
+
+# The quadrature integrands call these once per point, so they stay in plain
+# float arithmetic: a one-element array per point costs more than the
+# quadrature itself.
+
+
+def _rho_eps_at(x, eps, norm):
+    """``MollifierSpec("bump").rho_eps(x, eps)`` at one float; ``norm`` is
+    the spec's ``norm``."""
+    y = x / eps
+    if abs(y) >= 1.0:
+        return 0.0
+    return math.exp(-1.0 / (1.0 - y * y)) / norm / eps
+
+
+def _drho_eps_at(x, eps, norm):
+    """``MollifierSpec("bump").drho_eps(x, eps)`` at one float."""
+    y = x / eps
+    if abs(y) >= 1.0:
+        return 0.0
+    denom = 1.0 - y * y
+    return math.exp(-1.0 / denom) * (-2.0 * y / (denom * denom)) / norm / (eps * eps)
 
 
 _MOLLIFIER_NORMS = {}
@@ -155,18 +179,21 @@ def brownian_increments(n_steps, dt, seed, path_index):
     return rng.standard_normal(n_steps) * math.sqrt(dt)
 
 
+def _convolve(values, weights, start):
+    """Entries ``start .. start + n - 1`` of the full convolution of
+    ``values`` (a path, or a batch with the grid on the last axis, of
+    ``n`` points) with ``weights``: one FFT convolution."""
+    values = np.asarray(values, dtype=float)
+    rows = values[None, :] if values.ndim == 1 else values
+    n = rows.shape[-1]
+    out = signal.fftconvolve(rows, weights[None, :], mode="full")[:, start : start + n]
+    return out[0] if values.ndim == 1 else out
+
+
 def _causal_convolve(increments, kernel_values):
     """out[k] = sum_{j < k} kernel[k - j] * increments[j], out[0] = 0."""
-    increments = np.asarray(increments, dtype=float)
-    squeeze = increments.ndim == 1
-    if squeeze:
-        increments = increments[None, :]
-    n = increments.shape[-1]
-    full = signal.fftconvolve(increments, kernel_values[None, :], mode="full")
-    out = np.concatenate(
-        (np.zeros((increments.shape[0], 1)), full[:, :n]), axis=-1
-    )
-    return out[0] if squeeze else out
+    out = _convolve(increments, kernel_values, 0)
+    return np.concatenate((np.zeros(out.shape[:-1] + (1,)), out), axis=-1)
 
 
 def fbm_rl(increments, H, dt):
@@ -227,18 +254,7 @@ def mollify(values, dt, eps, mollifier):
     alias zero-padding and must be discarded by the caller.
     """
     w, dw, m = mollification_weights(dt, eps, mollifier)
-    values = np.asarray(values, dtype=float)
-    squeeze = values.ndim == 1
-    if squeeze:
-        values = values[None, :]
-    n = values.shape[-1]
-    full = signal.fftconvolve(values, w[None, :], mode="full")
-    smooth = full[:, m : m + n]
-    fulld = signal.fftconvolve(values, dw[None, :], mode="full")
-    deriv = fulld[:, m : m + n]
-    if squeeze:
-        return smooth[0], deriv[0], m
-    return smooth, deriv, m
+    return _convolve(values, w, m), _convolve(values, dw, m), m
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +273,14 @@ def c_eps(eps, kernel, mollifier, with_error=False):
     if not 0.0 < eps < math.inf:
         raise ConfigError("eps must be positive and finite")
     H = kernel.H
+    norm = mollifier.norm
 
     def phi(u):
         lo, hi = -eps, eps - u
         if hi <= lo:
             return 0.0
         val, _ = integrate.quad(
-            lambda b: float(
-                mollifier.rho_eps(np.array([b]), eps)[0]
-                * mollifier.rho_eps(np.array([b + u]), eps)[0]
-            ),
+            lambda b: _rho_eps_at(b, eps, norm) * _rho_eps_at(b + u, eps, norm),
             lo,
             hi,
             limit=100,
@@ -294,6 +308,7 @@ def c_eps_timedep(t, eps, H, mollifier):
     if not (0.0 < eps < math.inf and 0.0 < t < math.inf):
         raise ConfigError("eps and t must be positive and finite")
     c = math.sqrt(2.0 * H) / (H + 0.5)
+    norm = mollifier.norm
 
     def cross(a, b):
         v = t - b
@@ -306,9 +321,7 @@ def c_eps_timedep(t, eps, H, mollifier):
         return c * (v ** (H + 0.5) - max(v - mn, 0.0) ** (H + 0.5))
 
     val, _ = integrate.dblquad(
-        lambda a, b: float(mollifier.drho_eps(np.array([a]), eps)[0])
-        * float(mollifier.rho_eps(np.array([b]), eps)[0])
-        * cross(a, b),
+        lambda a, b: _drho_eps_at(a, eps, norm) * _rho_eps_at(b, eps, norm) * cross(a, b),
         -eps,
         eps,
         -eps,
@@ -443,9 +456,11 @@ class SimConfig:
 
 
 def _run_paths(worker, n_paths, threads):
-    """Deterministic per-path map, optionally thread-parallel."""
+    """Deterministic per-path map, optionally thread-parallel on at most
+    one thread per CPU."""
     results = [None] * n_paths
-    if threads and threads > 1:
+    threads = min(threads, os.cpu_count() or 1)
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for idx, value in zip(range(n_paths), pool.map(worker, range(n_paths))):
                 results[idx] = value
@@ -463,6 +478,7 @@ def _run_paths(worker, n_paths, threads):
 class WZResult:
     config: SimConfig
     c_eps: dict  # eps -> correction constant
+    c_eps_error: dict  # eps -> quadrature error estimate of c_eps
     rows: list = field(default_factory=list)
     summary: list = field(default_factory=list)
 
@@ -489,7 +505,9 @@ def wz_experiment(config):
         Fraction(config.H).limit_denominator(10**9),
         Fraction(config.kappa).limit_denominator(10**9),
     )
-    corrections = {e: c_eps(e, kernel, moll) for e in config.eps_list}
+    quadratures = {e: c_eps(e, kernel, moll, with_error=True) for e in config.eps_list}
+    corrections = {e: value for e, (value, _) in quadratures.items()}
+    weights = {e: mollification_weights(dt, e, moll) for e in config.eps_list}
     block = 8
 
     def one_path(p):
@@ -503,8 +521,9 @@ def wz_experiment(config):
         )
         out = []
         for e in config.eps_list:
-            _, w_dot, _ = mollify(w_ext, dt, e, moll)
-            wh_sm, _, _ = mollify(wh_ext, dt, e, moll)
+            w, dw, m = weights[e]
+            w_dot = _convolve(w_ext, dw, m)
+            wh_sm = _convolve(wh_ext, w, m)
             sl = slice(pad, pad + n)
             vals = wh_sm[sl]
             i_unc = float(np.sum(f(vals) * w_dot[sl]) * dt)
@@ -515,7 +534,11 @@ def wz_experiment(config):
             out.append((e, i_unc, i_corr, i_model, i_ito))
         return out
 
-    result = WZResult(config=config, c_eps=dict(corrections))
+    result = WZResult(
+        config=config,
+        c_eps=corrections,
+        c_eps_error={e: err for e, (_, err) in quadratures.items()},
+    )
     per_path = _run_paths(one_path, config.n_paths, config.threads)
     by_eps = {e: [] for e in config.eps_list}
     for p, rows in enumerate(per_path):
@@ -547,21 +570,27 @@ def wz_experiment(config):
 
 
 def _model_route(f, wh_sm, w_dot, pad, n, dt, correction, order_max, block):
-    """Blockwise renormalized-expansion quadrature of the integral."""
-    total = 0.0
-    for start in range(pad, pad + n, block):
-        stop = min(start + block, pad + n)
-        base = wh_sm[start]
-        delta = wh_sm[start:stop] - base
-        acc = np.zeros(stop - start)
-        for m in range(order_max + 1):
-            fm = float(f(np.array([base]), m)[0]) / math.factorial(m)
-            term = w_dot[start:stop] * delta**m
-            if m >= 1:
-                term = term - m * correction * delta ** (m - 1)
-            acc += fm * term
-        total += float(np.sum(acc) * dt)
-    return total
+    """Blockwise renormalized-expansion quadrature of the integral.
+
+    The ``n`` grid points from ``pad`` on split into blocks of ``block``
+    points (``block`` divides ``n``); on each block ``f`` is Taylor
+    expanded to ``order_max`` about the block's first point.  All blocks
+    are evaluated at once, in the arithmetic order of a block-by-block
+    loop: ascending order, block sums, then a left-to-right sum.
+    """
+    blocks = wh_sm[pad : pad + n].reshape(-1, block)
+    base = blocks[:, 0].copy()  # contiguous, as the loop's one-point arrays were
+    delta = blocks - base[:, None]
+    w_blocks = w_dot[pad : pad + n].reshape(-1, block)
+    acc = np.zeros_like(delta)
+    for m in range(order_max + 1):
+        fm = f(base, m) / math.factorial(m)
+        term = w_blocks * delta**m
+        if m >= 1:
+            term = term - m * correction * delta ** (m - 1)
+        acc += fm[:, None] * term
+    # cumsum adds the block sums left to right, as a running total would
+    return float(np.cumsum(np.sum(acc, axis=1) * dt)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +634,7 @@ def model_bound_probe(
     n_ext = n_grid + pad
     s_idx = pad + n_grid // 2
     corrections = {e: c_eps(e, kernel, moll) for e in eps_list}
+    weights = {e: mollification_weights(dt, e, moll) for e in eps_list}
     taus = ["Xi", "I(Xihat)"] + [
         f"Xi*I(Xihat)^{k}" if k > 1 else "Xi*I(Xihat)" for k in n_powers
     ]
@@ -612,12 +642,11 @@ def model_bound_probe(
     def one_path(p):
         inc = brownian_increments(n_ext, dt, seed, p)
         hat = stationary_hat_process(inc, kernel, dt)
+        w_ext = np.concatenate(([0.0], np.cumsum(inc)))
         per_eps = {}
         for e in eps_list:
-            w_ext = np.concatenate(([0.0], np.cumsum(inc)))
-            _, w_dot, _ = mollify(w_ext, dt, e, moll)
-            hat_sm, _, _ = mollify(hat, dt, e, moll)
-            per_eps[e] = (w_dot, hat_sm)
+            w, dw, m = weights[e]
+            per_eps[e] = (_convolve(w_ext, dw, m), _convolve(hat, w, m))
         vals = {}
         for lam, half in halves.items():
             ks = np.arange(s_idx - half, s_idx + half + 1)

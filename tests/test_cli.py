@@ -94,6 +94,10 @@ def test_wong_zakai_outputs(tmp_path, wz_config, capsys):
     assert manifest["seed"] == 9
     assert set(manifest["outputs"]) == {"wz.csv", "wz_summary.csv"}
     assert len(manifest["outputs"]["wz.csv"]) == 64
+    assert [row["eps"] for row in manifest["c_eps"]] == [0.125, 0.0625]
+    for row, srow in zip(manifest["c_eps"], srows):
+        assert row["value"] == float(srow["c_eps"])
+        assert 0.0 < row["quad_error"] < 1e-6 * row["value"]
 
 
 def test_bad_config_exit_code(tmp_path, capsys):

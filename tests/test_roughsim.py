@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from roughrenorm import roughsim
 from roughrenorm.errors import ConfigError
 from roughrenorm.roughsim import (  # noqa: F401
     KernelSpec,
@@ -132,6 +134,20 @@ def test_c_eps_timedep_matches_constant_away_from_origin():
     const = c_eps(eps, kernel, moll)
     late = c_eps_timedep(0.5, eps, 0.3, moll)
     assert late == pytest.approx(const, rel=1e-4)
+    # pinned, so that a change to the quadrature cannot move c_eps unseen
+    assert const == pytest.approx(0.8764189091348921, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 0.3])
+def test_scalar_mollifier_matches_array_mollifier(eps):
+    moll = MollifierSpec("bump")
+    edge = np.nextafter(1.0, 0.0)
+    y = np.concatenate((np.linspace(-1.5, 1.5, 241), [-1.0, 1.0, -edge, edge, 0.0]))
+    x = np.concatenate((y * eps, [-eps, eps]))
+    rho, drho = moll.rho_eps(x, eps), moll.drho_eps(x, eps)
+    for xi, r, d in zip(x, rho, drho):
+        assert roughsim._rho_eps_at(xi, eps, moll.norm) == pytest.approx(r, rel=1e-15, abs=0)
+        assert roughsim._drho_eps_at(xi, eps, moll.norm) == pytest.approx(d, rel=1e-15, abs=0)
 
 
 def test_c_eps_monte_carlo_cross_check():
@@ -216,6 +232,69 @@ def test_wz_experiment_threaded_matches_serial():
     serial = wz_experiment(SimConfig(**base, threads=1))
     threaded = wz_experiment(SimConfig(**base, threads=4))
     assert serial.rows == threaded.rows
+
+
+def _loop_model_route(f, wh_sm, w_dot, pad, n, dt, correction, order_max, block):
+    """Reference for ``roughsim._model_route``: one block at a time."""
+    total = 0.0
+    for start in range(pad, pad + n, block):
+        stop = min(start + block, pad + n)
+        base = wh_sm[start]
+        delta = wh_sm[start:stop] - base
+        acc = np.zeros(stop - start)
+        for m in range(order_max + 1):
+            fm = float(f(np.array([base]), m)[0]) / math.factorial(m)
+            term = w_dot[start:stop] * delta**m
+            if m >= 1:
+                term = term - m * correction * delta ** (m - 1)
+            acc += fm * term
+        total += float(np.sum(acc) * dt)
+    return total
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_n=st.integers(3, 10),
+    pad=st.integers(0, 40),
+    order=st.integers(0, 5),
+    name=st.sampled_from(["sine", "quadratic", "constant"]),
+    correction=st.floats(-5.0, 5.0),
+    scale=st.floats(1e-3, 3.0),
+    T=st.floats(0.1, 10.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_model_route_equals_block_loop(seed, log_n, pad, order, name, correction, scale, T):
+    n = 2**log_n
+    rng = np.random.default_rng(seed)
+    wh_sm = scale * np.cumsum(rng.standard_normal(n + 2 * pad + 1))
+    w_dot = rng.standard_normal(n + 2 * pad + 1) / scale
+    args = (FunctionSpec(name), wh_sm, w_dot, pad, n, T / n, correction, order, 8)
+    assert roughsim._model_route(*args) == _loop_model_route(*args)
+
+
+def test_run_paths_caps_threads_at_cpu_count(monkeypatch):
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(roughsim, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(roughsim.os, "cpu_count", lambda: 3)
+    assert roughsim._run_paths(lambda p: p * p, 5, 1000) == [0, 1, 4, 9, 16]
+    assert pools == [3]
+    monkeypatch.setattr(roughsim.os, "cpu_count", lambda: None)
+    assert roughsim._run_paths(lambda p: -p, 3, 1000) == [0, -1, -2]
+    assert pools == [3]  # one usable CPU: no pool
 
 
 def test_model_bound_probe_shapes():
