@@ -457,9 +457,13 @@ class SimConfig:
 
 def _run_paths(worker, n_paths, threads):
     """Deterministic per-path map, optionally thread-parallel on at most
-    one thread per CPU."""
+    one thread per CPU the process may run on."""
     results = [None] * n_paths
-    threads = min(threads, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    threads = min(threads, cpus)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for idx, value in zip(range(n_paths), pool.map(worker, range(n_paths))):

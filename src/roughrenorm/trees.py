@@ -437,11 +437,22 @@ class _Tokenizer:
     def integer(self):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            raise ParseError("integer too long", start) from None
+
+
+_MAX_POWER = 999  # a power is expanded into that many branches
+
+
+def _is_digit(ch):
+    # ASCII only: str.isdigit also accepts superscripts and other scripts' digits
+    return "0" <= ch <= "9"
 
 
 def _parse_atom(tok, d):
@@ -468,8 +479,8 @@ def _parse_atom(tok, d):
     power = 1
     if tok.try_consume("^"):
         power = tok.integer()
-        if power < 1:
-            raise ParseError("powers must be >= 1", pos)
+        if not 1 <= power <= _MAX_POWER:
+            raise ParseError(f"powers must be between 1 and {_MAX_POWER}", pos)
     if base is None:
         return LEAF, pos
     return tree_product(*([base] * power)), pos
@@ -519,7 +530,7 @@ def _parse_rational(tok):
 
 def _starts_coefficient(tok):
     ch = tok.peek()
-    return ch is not None and ch.isdigit() and ch != "1" or _is_coeff_one(tok)
+    return ch is not None and _is_digit(ch) and ch != "1" or _is_coeff_one(tok)
 
 
 def _is_coeff_one(tok):
@@ -528,7 +539,7 @@ def _is_coeff_one(tok):
         return False
     j = tok.pos + 1
     text = tok.text
-    while j < len(text) and text[j].isdigit():
+    while j < len(text) and _is_digit(text[j]):
         return True
     while j < len(text) and text[j].isspace():
         j += 1

@@ -157,6 +157,11 @@ _C_EPS = ["simulate", "c-eps", "--H", "0.3", "--eps"]
         (_WZ, _SIM + "eps = 1/8\neps = 1/4\n"),  # repeated key
         (_G_ANTIPODE, "d = 2\nD1,X2 = 1/3\nX2,D1 = 1/2\n"),  # one entry twice
         (_WZ, _SIM + "eps = 1\n"),  # eps > T/2
+        (["symbolic", "delta-minus", "¹3"], None),  # non-ASCII digits
+        (["symbolic", "delta-minus", "I^²"], None),
+        (["symbolic", "delta-minus", "Xi_١"], None),
+        (["symbolic", "delta-minus", "I^1000"], None),  # power above 999
+        (["symbolic", "delta-minus", "I^" + "9" * 5000], None),  # beyond int()
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv, text):

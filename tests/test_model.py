@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from roughrenorm import model
 from roughrenorm.gaussian import CovarianceSpec, SymbolicCovariance
 from roughrenorm.model import (
     SamplePath,
@@ -12,8 +13,10 @@ from roughrenorm.model import (
     check_bphz_plain,
     check_gamma_bphz,
     check_model_axioms,
+    compile_transport,
     eval_pi,
     eval_pi_bphz,
+    eval_transport,
     gamma_direct,
     gamma_via_coproduct,
 )
@@ -87,13 +90,13 @@ def test_numeric_transport_matches_symbolic():
     for _ in range(3):
         values = dict(zip(names, rng.normal(size=len(names))))
         for tau in enumerate_basis(SPEC):
-            numeric = gamma_direct(tau, SPEC, values.__getitem__)
+            numeric = eval_transport(compile_transport(tau, SPEC), values)
             symbolic = gamma_direct(tau, SPEC)
-            assert set(numeric.terms) == set(symbolic.terms), tau
+            assert set(numeric) == set(symbolic.terms), tau
             for key, c in symbolic:
                 # the untransported term's coefficient is the integer 1
                 ref = (Poly() + c).substitute(values)
-                assert numeric.terms[key] == pytest.approx(ref, rel=1e-12, abs=0), tau
+                assert numeric[key] == pytest.approx(ref, rel=1e-12, abs=0), tau
 
 
 def test_check_bphz_plain_passes():
@@ -109,10 +112,45 @@ def test_check_gamma_bphz_passes():
     assert report["failures"] == []
 
 
-def test_model_axioms(path):
+def test_eval_pi_at_many_base_points(path):
+    x = parse_symbol("Xi_1*I(Xi_2)^2*I + 1/3*I(Xi_1) . Xi_2", d=2)
+    rows = eval_pi(x, [3, 40, 3], path)
+    assert rows.shape == (3, len(path.t))
+    for row, s_idx in zip(rows, [3, 40, 3]):
+        assert np.array_equal(row, eval_pi(x, s_idx, path))
+    assert eval_pi(parse_symbol("Xi_2", d=2), [0, 9], path).shape == (2, len(path.t))
+
+
+def test_model_axioms(path, monkeypatch):
+    compiled = []
+
+    def counted(tree, spec):
+        compiled.append(tree)
+        return gamma_direct(tree, spec)
+
+    monkeypatch.setattr(model, "gamma_direct", counted)
     report = check_model_axioms(path, SPEC, n_triples=100, seed=3)
     assert report["status"] == "pass"
     assert report["worst_rel_err"] <= 1e-10
+    # each symbol's transport is expanded once per call, not once per triple
+    assert len(compiled) == len(set(compiled))
+    assert report["symbols"] == len(enumerate_basis(SPEC)) == 57
+    assert report["transport_entries"] == 246
+    assert report["elapsed_s"] > 0
+
+
+def test_model_axioms_catch_offset_increments(path, monkeypatch):
+    exact = model.eval_gamma
+
+    def offset(t_idx, s_idx, p):
+        return {name: value + 1e-6 for name, value in exact(t_idx, s_idx, p).items()}
+
+    # one offset on each of Gamma_ts, Gamma_tu and Gamma_us breaks both axioms
+    monkeypatch.setattr(model, "eval_gamma", offset)
+    report = check_model_axioms(path, SPEC, n_triples=3, seed=3)
+    assert report["status"] == "fail"
+    assert any(f.startswith("recentring: ") for f in report["failures"])
+    assert any(f.startswith("cocycle: ") for f in report["failures"])
 
 
 def test_bphz_expansion_two_terms():

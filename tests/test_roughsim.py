@@ -289,7 +289,13 @@ def test_run_paths_caps_threads_at_cpu_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(roughsim, "ThreadPoolExecutor", SerialPool)
+    # the CPUs the process may run on come first: one CPU, no pool
+    monkeypatch.setattr(roughsim.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(roughsim.os, "cpu_count", lambda: 3)
+    assert roughsim._run_paths(lambda p: p + 1, 3, 4) == [1, 2, 3]
+    assert pools == []
+    # without an affinity call, the CPU count caps the pool
+    monkeypatch.delattr(roughsim.os, "sched_getaffinity")
     assert roughsim._run_paths(lambda p: p * p, 5, 1000) == [0, 1, 4, 9, 16]
     assert pools == [3]
     monkeypatch.setattr(roughsim.os, "cpu_count", lambda: None)

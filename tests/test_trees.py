@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roughrenorm.errors import ParseError
+from roughrenorm.errors import DomainError, ParseError
 from roughrenorm.trees import (
     EMPTY_FOREST,
     FormalSum,
@@ -182,6 +182,20 @@ def test_parser_rejects_bad_index():
         parse_symbol("Xi_3", d=2)
     with pytest.raises(ParseError):
         parse_symbol("Xi_0", d=2)
+
+
+_SYMBOL_CHARS = "1I()Xi_^*.+-/ 0123456789²١"
+
+
+@given(st.one_of(st.text(), st.text(alphabet=_SYMBOL_CHARS)))
+@settings(max_examples=400, deadline=None)
+def test_parse_symbol_fuzz(text):
+    # malformed text ends in ParseError (or DomainError), never another exception
+    for d in (None, 2):
+        try:
+            parse_symbol(text, d=d)
+        except (ParseError, DomainError):
+            pass
 
 
 def test_parser_error_has_position():
