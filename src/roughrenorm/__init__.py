@@ -27,9 +27,7 @@ from .structure import (
     StructureSpec,
     enumerate_basis,
     generic_spec,
-    positive_basis,
     project_minus,
-    project_plus,
     required_power,
     rough_vol_spec,
 )
@@ -67,3 +65,42 @@ from .roughsim import (
     stationary_hat_process,
     wz_experiment,
 )
+
+from . import coalgebra as _coalgebra, gaussian as _gaussian
+from . import structure as _structure, trees as _trees
+
+
+def _memo_tables():
+    return {
+        "trees._EXTRACT_CACHE": _trees._EXTRACT_CACHE,
+        "coalgebra._REPAIRED_CACHE": _coalgebra._REPAIRED_CACHE,
+        "coalgebra._ANTIPODE_CACHE": _coalgebra._ANTIPODE_CACHE,
+        "gaussian._G_ANTIPODE_CACHE": _gaussian._G_ANTIPODE_CACHE,
+        "gaussian._SYMBOLIC._moment_cache": _gaussian._SYMBOLIC._moment_cache,
+        "structure._DEGREE_CACHE": _structure._DEGREE_CACHE,
+    }
+
+
+def cache_info():
+    """Entry count of each of the package's process-wide memo tables.
+
+    The tables hold the plain and repaired extraction tables (one entry
+    per tree), the twisted antipode and g∘A values (per tree and spec),
+    the symbolic Gaussian moments (per monomial) and the degrees (per
+    spec and tree).  None is bounded: each grows with the distinct trees
+    a process sees.  A ``CovarianceSpec`` keeps its own moment cache,
+    which lives and dies with that object.
+
+    The tables are plain dicts with no lock.  Every entry is a pure
+    function of its key, so threads sharing them under CPython get the
+    same results: a race at worst computes an entry twice, and
+    :func:`clear_caches` during a computation only makes later calls
+    compute again.
+    """
+    return {name: len(table) for name, table in _memo_tables().items()}
+
+
+def clear_caches():
+    """Empty every table that :func:`cache_info` counts."""
+    for table in _memo_tables().values():
+        table.clear()

@@ -28,10 +28,12 @@ renormalization characters) is variant-independent.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 
 from .errors import DomainError
-from .structure import tree_survives_plus
+from .structure import is_negative_forest, tree_survives_plus
 from .trees import (
     EMPTY_FOREST,
     FormalSum,
@@ -111,9 +113,11 @@ def delta_minus(x, repair=True):
     out = FormalSum()
     for f, c in x:
         term = FormalSum.lift((EMPTY_FOREST, EMPTY_FOREST))
-        for t in f.trees:
-            term = term.combine(
-                delta_minus_tree(t, repair=repair),
+        for i, t in enumerate(f.trees):
+            tree_terms = delta_minus_tree(t, repair=repair)
+            # the unit pair is the identity of the product: start from the first tree
+            term = tree_terms if i == 0 else term.combine(
+                tree_terms,
                 lambda k1, k2: (
                     forest_product(k1[0], k2[0]),
                     forest_product(k1[1], k2[1]),
@@ -123,12 +127,30 @@ def delta_minus(x, repair=True):
     return out
 
 
+_TABLE_SIZES = ContextVar("coproduct_table_sizes", default=None)
+
+
+@contextmanager
+def coproduct_sizes():
+    """Collect the number of terms of every ``delta_minus_ex`` table built
+    inside the block, in a list, for reports; the context variable keeps
+    threads and nested blocks apart."""
+    sizes = []
+    token = _TABLE_SIZES.set(sizes)
+    try:
+        yield sizes
+    finally:
+        _TABLE_SIZES.reset(token)
+
+
 def delta_minus_ex(x, spec, repair=True):
     """Coproduct with the left leg projected onto negative-degree forests."""
-    out = FormalSum()
-    for (a, r), c in delta_minus(x, repair=repair):
-        if all(spec.degree_tree(t) < 0 for t in a.trees):
-            out += FormalSum.lift((a, r), c)
+    out = FormalSum(
+        [((a, r), c) for (a, r), c in delta_minus(x, repair=repair) if is_negative_forest(a, spec)]
+    )
+    sizes = _TABLE_SIZES.get()
+    if sizes is not None:
+        sizes.append(len(out))
     return out
 
 

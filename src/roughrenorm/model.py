@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coalgebra import delta_minus_ex, delta_plus_ex
+from .coalgebra import coproduct_sizes, delta_minus_ex, delta_plus_ex
 from .errors import DomainError
 from .gaussian import g_antipode, g_minus
 from .poly import Poly
@@ -246,8 +246,25 @@ def check_bphz_plain(spec, nmax, cov):
 
     as a polynomial identity, and the expansion of the unit, the noises,
     and the pure integrated powers must be untouched.  Returns a report
-    dict with status "pass"/"fail".
+    dict with status "pass"/"fail", the run time ``elapsed_s`` and
+    ``max_coproduct_terms``, the number of terms of the largest
+    ``delta_minus_ex`` table built.
     """
+    start = time.perf_counter()
+    with coproduct_sizes() as sizes:
+        failures, cases = _check_closed_form(spec, nmax, cov)
+    return {
+        "name": "bphz_closed_form",
+        "status": "pass" if not failures else "fail",
+        "cases": cases,
+        "failures": failures,
+        "elapsed_s": time.perf_counter() - start,
+        "max_coproduct_terms": max(sizes, default=0),
+    }
+
+
+def _check_closed_form(spec, nmax, cov):
+    """The failure messages and the case count of :func:`check_bphz_plain`."""
     failures = []
     cases = 0
     ixi = {j: _integrated(j) for j in range(1, spec.d + 1)}
@@ -275,12 +292,7 @@ def check_bphz_plain(spec, nmax, cov):
         cases += 1
         if _expansion_poly(tau, cov, spec) != pi_symbolic(tau):
             failures.append(f"{tau!r}: renormalization should act trivially")
-    return {
-        "name": "bphz_closed_form",
-        "status": "pass" if not failures else "fail",
-        "cases": cases,
-        "failures": failures,
-    }
+    return failures, cases
 
 
 def _integrated(j):
@@ -300,25 +312,30 @@ def check_gamma_bphz(spec, nmax, cov):
     For every basis symbol of power <= nmax, the transport computed
     through the coproduct route (with and without the antipode twist on
     the inner character) must coincide exactly with the direct
-    recentring rules.  Returns a report dict.
+    recentring rules.  Returns a report dict, with the same ``elapsed_s``
+    and ``max_coproduct_terms`` as :func:`check_bphz_plain`.
     """
+    start = time.perf_counter()
     failures = []
     cases = 0
     small = type(spec)(d=spec.d, alpha=spec.alpha, truncation=min(spec.truncation, nmax))
-    for tau in enumerate_basis(small):
-        direct = gamma_direct(tau, small)
-        for twist in (True, False):
-            cases += 1
-            via = gamma_via_coproduct(tau, small, cov, twist=twist)
-            if via != direct:
-                failures.append(
-                    f"{tau!r}: coproduct route (twist={twist}) disagrees with direct rules"
-                )
+    with coproduct_sizes() as sizes:
+        for tau in enumerate_basis(small):
+            direct = gamma_direct(tau, small)
+            for twist in (True, False):
+                cases += 1
+                via = gamma_via_coproduct(tau, small, cov, twist=twist)
+                if via != direct:
+                    failures.append(
+                        f"{tau!r}: coproduct route (twist={twist}) disagrees with direct rules"
+                    )
     return {
         "name": "gamma_unchanged_by_renormalization",
         "status": "pass" if not failures else "fail",
         "cases": cases,
         "failures": failures,
+        "elapsed_s": time.perf_counter() - start,
+        "max_coproduct_terms": max(sizes, default=0),
     }
 
 

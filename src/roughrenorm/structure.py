@@ -28,6 +28,8 @@ from .trees import (
 
 DEFAULT_TRUNCATION = 8
 
+_DEGREE_CACHE = {}  # (spec, tree) -> exact degree
+
 
 @dataclass(frozen=True)
 class StructureSpec:
@@ -49,6 +51,11 @@ class StructureSpec:
                 raise ConfigError(f"alpha entries must lie in (0, 1), got {a}")
         if self.truncation < 1:
             raise ConfigError("truncation must be >= 1")
+        # every memo table is keyed by spec; hash its fields once
+        object.__setattr__(self, "_hash", hash((self.d, alpha, self.truncation)))
+
+    def __hash__(self):
+        return self._hash
 
     def edge_degree(self, et):
         if et.is_noise:
@@ -58,9 +65,14 @@ class StructureSpec:
         return Fraction(1)
 
     def degree_tree(self, tree):
-        total = Fraction(0)
-        for et, sub in tree.children:
-            total += self.edge_degree(et) + self.degree_tree(sub)
+        """Exact degree of a tree, computed once per spec and tree."""
+        key = (self, tree)
+        total = _DEGREE_CACHE.get(key)
+        if total is None:
+            total = Fraction(0)
+            for et, sub in tree.children:
+                total += self.edge_degree(et) + self.degree_tree(sub)
+            _DEGREE_CACHE[key] = total
         return total
 
     def degree(self, obj):
@@ -147,17 +159,19 @@ def required_power(H, kappa):
 # projections
 
 
+def is_negative_forest(forest, spec):
+    """Whether every component of ``forest`` has negative degree (so the
+    empty forest, the unit, qualifies)."""
+    return all(spec.degree_tree(t) < 0 for t in forest.trees)
+
+
 def project_minus(x, spec):
     """Kill forests having any component of non-negative degree.
 
     The empty forest (unit) survives.  Acts term-wise on forest-keyed
     formal sums; also accepts a single Tree or Forest.
     """
-    out = FormalSum()
-    for f, c in as_formal_sum(x):
-        if all(spec.degree_tree(t) < 0 for t in f.trees):
-            out += FormalSum.lift(f, c)
-    return out
+    return FormalSum([(f, c) for f, c in as_formal_sum(x) if is_negative_forest(f, spec)])
 
 
 def tree_survives_plus(tree, spec):
@@ -172,21 +186,6 @@ def tree_survives_plus(tree, spec):
         if spec.edge_degree(et) + spec.degree_tree(sub) <= 0:
             return False
     return True
-
-
-def project_plus(x, spec):
-    """Projection onto the positive symbol space (term-wise on trees).
-
-    Keys must be single-tree forests (or the empty forest); raises
-    DomainError otherwise.
-    """
-    out = FormalSum()
-    for f, c in as_formal_sum(x):
-        if len(f.trees) > 1:
-            raise DomainError("positive projection acts on trees, not proper forests")
-        if f.is_empty or tree_survives_plus(f.trees[0], spec):
-            out += FormalSum.lift(f, c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +220,3 @@ def enumerate_basis(spec):
             seen.add(t.key)
             uniq.append(t)
     return uniq
-
-
-def positive_basis(spec):
-    """Symbols spanning the positive space: unit, I^n, I(Xi_j)^n."""
-    return [t for t in enumerate_basis(spec) if tree_survives_plus(t, spec)]

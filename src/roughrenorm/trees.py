@@ -18,6 +18,8 @@ merging roots) and ``.`` (forest product, disjoint union).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
+from math import comb
 
 from .errors import ParseError
 
@@ -324,6 +326,10 @@ def _bsort(branches):
     return tuple(sorted(branches, key=_branch_sort_key))
 
 
+def _csort(entries):
+    return tuple(sorted(entries, key=_entry_key))
+
+
 def _entry_key(entry):
     et, aroot, riders = entry
     return (et.sort_key(), aroot.key, tuple(r[0].sort_key() + (r[1].key,) for r in riders))
@@ -345,37 +351,37 @@ def _extract(tree, finish=_finish_plain, cache=_EXTRACT_CACHE):
     chosen), and ``remainder`` is the tree obtained by contracting the
     chosen edges (each removed edge identifies its endpoints).
 
-    The DP walks the root edges.  Its states are ``(off-root trees,
-    chosen entries, remainder branches)``; a chosen entry ``(edge type,
-    extracted subtree part, riders)`` records the noise branches that
-    contracting that root edge leaves at the remainder's root.
-    ``finish`` turns a final state into an output key, and subtrees are
-    extracted with the same finisher.  Only finished tables are cached,
-    in ``cache``.
+    The DP walks the root branches group by group, a group being a run
+    of k equal ``(edge type, subtree)`` branches (``Tree.children`` is in
+    canonical order, so equal branches are adjacent).  Its states are
+    ``(off-root trees, chosen entries, remainder branches)``; a chosen
+    entry ``(edge type, extracted subtree part, riders)`` records the
+    noise branches that contracting that root edge leaves at the
+    remainder's root.  One copy of a branch has a choice per entry of
+    its subtree's table: keep the edge or extract it.  A group's k copies
+    are distributed over those choices in one step: n_1 + ... + n_m = k
+    copies taking choices of weights w_1 .. w_m contribute with weight
+    k! / (n_1! ... n_m!) * w_1^n_1 ... w_m^n_m, the number of ways the
+    one-branch-at-a-time walk reaches the same state.  ``finish`` turns
+    a final state into an output key, and subtrees are extracted with
+    the same finisher.  Only finished tables are cached, in ``cache``.
     """
     cached = cache.get(tree)
     if cached is not None:
         return cached
     states = {((), (), ()): 1}
-    for et, sub in tree.children:
-        sub_ext = _extract(sub, finish, cache)
+    for (et, sub), copies in groupby(tree.children):
+        choices = _branch_choices(et, _extract(sub, finish, cache))
+        group = _distribute(choices, len(list(copies)))
         nxt = {}
         for (aoff, chosen, rem), m in states.items():
-            for (s_off, s_root, s_rem), sm in sub_ext.items():
-                w = m * sm
-                # edge kept: the sub-extraction's root component detaches
-                off2 = s_off + ((s_root,) if s_root.children else ())
-                k = (_msort(aoff + off2), chosen, _bsort(rem + ((et, s_rem),)))
-                nxt[k] = nxt.get(k, 0) + w
-                # edge extracted: endpoints identified, remainder splices up
-                riders = tuple(b for b in s_rem.children if b[0].is_noise)
-                others = tuple(b for b in s_rem.children if not b[0].is_noise)
+            for (g_off, g_chosen, g_rem), w in group:
                 k = (
-                    _msort(aoff + s_off),
-                    tuple(sorted(chosen + ((et, s_root, riders),), key=_entry_key)),
-                    _bsort(rem + others),
+                    _merge(aoff, g_off, _msort),
+                    _merge(chosen, g_chosen, _csort),
+                    _merge(rem, g_rem, _bsort),
                 )
-                nxt[k] = nxt.get(k, 0) + w
+                nxt[k] = nxt.get(k, 0) + m * w
         states = nxt
     out = {}
     for state, m in states.items():
@@ -383,6 +389,55 @@ def _extract(tree, finish=_finish_plain, cache=_EXTRACT_CACHE):
         out[key] = out.get(key, 0) + m
     cache[tree] = out
     return out
+
+
+def _branch_choices(et, sub_ext):
+    """The state parts one root branch ``(et, sub)`` can add, with weights:
+    per entry of the subtree's table, the edge kept or extracted."""
+    choices = {}
+    for (s_off, s_root, s_rem), sm in sub_ext.items():
+        # edge kept: the sub-extraction's root component detaches
+        off = _msort(s_off + ((s_root,) if s_root.children else ()))
+        part = (off, (), ((et, s_rem),))
+        choices[part] = choices.get(part, 0) + sm
+        # edge extracted: endpoints identified, remainder splices up
+        riders = tuple(b for b in s_rem.children if b[0].is_noise)
+        others = tuple(b for b in s_rem.children if not b[0].is_noise)
+        part = (s_off, ((et, s_root, riders),), others)
+        choices[part] = choices.get(part, 0) + sm
+    return list(choices.items())
+
+
+def _distribute(choices, k):
+    """All ways of giving k copies of a branch one choice each, as
+    sorted state parts with multinomial weights."""
+    parts = [(k, (), (), (), 1)]  # copies left, off-root, chosen, remainder, weight
+    last = len(choices) - 1
+    for i, ((c_off, c_chosen, c_rem), w) in enumerate(choices):
+        nxt = []
+        for left, off, chosen, rem, weight in parts:
+            for n in ((left,) if i == last else range(left + 1)):
+                nxt.append((
+                    left - n,
+                    off + c_off * n,
+                    chosen + c_chosen * n,
+                    rem + c_rem * n,
+                    weight * comb(left, n) * w**n,
+                ))
+        parts = nxt
+    return [
+        ((_msort(off), _csort(chosen), _bsort(rem)), weight)
+        for _, off, chosen, rem, weight in parts
+    ]
+
+
+def _merge(a, b, sort):
+    """The sorted concatenation of two sorted tuples."""
+    if not a:
+        return b
+    if not b:
+        return a
+    return sort(a + b)
 
 
 def subforest_extractions(tree):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from roughrenorm import cache_info, clear_caches
 from roughrenorm.cli import main
 
 
@@ -60,13 +61,46 @@ def test_domain_error_exit_code(capsys, command, symbol):
     assert main(["symbolic", command, symbol]) == 3
 
 
+_REPORT_KEYS = ["name", "status", "cases", "failures", "elapsed_s", "max_coproduct_terms"]
+
+
 def test_check_commands_pass(capsys):
     assert main(["symbolic", "check-bphz", "--nmax", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "pass"
+    assert list(report) == _REPORT_KEYS
+    assert report["elapsed_s"] > 0
+    assert report["max_coproduct_terms"] == 14  # delta_minus_ex of Xi_i*I(Xi_j)^3
     assert main(["symbolic", "check-gamma", "--nmax", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "pass"
+    assert list(report) == _REPORT_KEYS
+    assert report["elapsed_s"] > 0
+    assert report["max_coproduct_terms"] > 0
+
+
+def _without_elapsed(text):
+    report = json.loads(text)
+    del report["elapsed_s"]
+    return report
+
+
+def test_check_bphz_same_after_clear_caches(capsys):
+    assert main(["symbolic", "check-bphz", "--nmax", "6"]) == 0
+    first = _without_elapsed(capsys.readouterr().out)
+    clear_caches()
+    assert set(cache_info().values()) == {0}
+    assert main(["symbolic", "check-bphz", "--nmax", "6"]) == 0
+    assert _without_elapsed(capsys.readouterr().out) == first
+    filled = cache_info()
+    assert filled["coalgebra._REPAIRED_CACHE"] > 0
+    assert filled["gaussian._G_ANTIPODE_CACHE"] > 0
+    assert filled["structure._DEGREE_CACHE"] > 0
+    # a cold run fills the same entries every time
+    clear_caches()
+    assert main(["symbolic", "check-bphz", "--nmax", "6"]) == 0
+    capsys.readouterr()
+    assert cache_info() == filled
 
 
 @pytest.fixture

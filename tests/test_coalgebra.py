@@ -19,6 +19,7 @@ from roughrenorm.trees import (
     INTEGRATION,
     branch,
     forest_of,
+    mul_forests,
     noise,
     parse_symbol,
     tree_product,
@@ -178,6 +179,21 @@ def test_antipode_multiplicative():
         for (f2, c2) in a2:
             prod += FormalSum.lift(Forest(f1.trees + f2.trees), c1 * c2)
     assert twisted_antipode(x, SPEC) == prod
+
+
+def test_antipode_identity_on_negative_basis():
+    # M (A (x) Id) delta_minus_ex(tau) = counit(tau) = 0 for every non-unit tau
+    spec = generic_spec(2, 6)
+    checked = 0
+    for tau in enumerate_basis(spec):
+        if not tau.children or spec.degree_tree(tau) >= 0:
+            continue
+        total = FormalSum()
+        for (a, r), c in delta_minus_ex(tau, spec):
+            total += mul_forests(twisted_antipode(a, spec), FormalSum.lift(r)).scale(c)
+        assert total.is_zero, tau
+        checked += 1
+    assert checked == 2 + 6 * 4  # Xi_i and Xi_i * I(Xi_j)^n for n <= 6
 
 
 def test_antipode_requires_negative_degree():

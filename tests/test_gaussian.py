@@ -157,3 +157,25 @@ def test_cached_g_antipode_equals_direct_route():
     pairs = [Forest((a, b)) for i, a in enumerate(small) for b in small[i:]]
     for x in trees + pairs:
         assert g_antipode(x, cov, spec) == g_minus(twisted_antipode(x, spec), cov), x
+
+
+_NEGATIVE_TREES = [
+    t
+    for t in enumerate_basis(generic_spec(2, 6))
+    if t.children and generic_spec(2, 6).degree_tree(t) < 0
+]
+
+
+@given(
+    rational_covariances(),
+    st.sampled_from(_NEGATIVE_TREES),
+    st.sampled_from(_NEGATIVE_TREES),
+)
+@settings(max_examples=40, deadline=None)
+def test_g_antipode_multiplicative_over_two_tree_forests(cov, a, b):
+    """g∘A of a two-tree forest up to power 6 is the product of each tree's
+    value by the expanded route (the forest's own antipode is never
+    expanded, which for power 6 would take minutes)."""
+    spec = generic_spec(2, 6)
+    expected = g_minus(twisted_antipode(a, spec), cov) * g_minus(twisted_antipode(b, spec), cov)
+    assert g_antipode(Forest((a, b)), cov, spec) == expected

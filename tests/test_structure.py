@@ -4,14 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from roughrenorm.errors import ConfigError, DomainError
+from roughrenorm.errors import ConfigError
 from roughrenorm.structure import (
     StructureSpec,
     enumerate_basis,
     generic_spec,
-    positive_basis,
     project_minus,
-    project_plus,
     required_power,
     rough_vol_spec,
     tree_survives_plus,
@@ -92,22 +90,6 @@ def test_project_plus_kills_root_noise_factors():
     assert tree_survives_plus(IXI2, spec)
     assert tree_survives_plus(I_BARE, spec)
     assert tree_survives_plus(LEAF, spec)
-
-
-def test_project_plus_rejects_proper_forests():
-    spec = generic_spec(2, 2)
-    with pytest.raises(DomainError):
-        project_plus(FormalSum.lift(Forest((XI1, XI2))), spec)
-
-
-def test_positive_basis_contents():
-    spec = generic_spec(2, 2)
-    names = {t.key for t in positive_basis(spec)}
-    expected = set()
-    for text in ["1", "I", "I^2", "I(Xi_1)", "I(Xi_1)^2", "I(Xi_2)", "I(Xi_2)^2"]:
-        ((f, _),) = list(parse_symbol(text, d=2))
-        expected.add(f.trees[0].key if f.trees else LEAF.key)
-    assert names == expected
 
 
 def test_enumerate_basis_count():

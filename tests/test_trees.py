@@ -5,13 +5,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from roughrenorm.coalgebra import _finish_repaired
 from roughrenorm.errors import DomainError, ParseError
+from roughrenorm.structure import enumerate_basis, generic_spec
 from roughrenorm.trees import (
     EMPTY_FOREST,
     FormalSum,
     Forest,
     INTEGRATION,
     LEAF,
+    Tree,
+    _bsort,
+    _entry_key,
+    _extract,
+    _finish_plain,
+    _msort,
     branch,
     forest_of,
     forest_product,
@@ -133,6 +141,86 @@ def test_extraction_multiplicities_sum_to_power_of_two(branches):
     tree = tree_product(*[branch(et, branch(s) if s else LEAF) for et, s in branches])
     total = sum(m for _, _, m in subforest_extractions(tree))
     assert total == 2**tree.num_edges
+
+
+def _reference_extract(tree, finish, cache):
+    """Reference for ``trees._extract``: one root branch at a time."""
+    cached = cache.get(tree)
+    if cached is not None:
+        return cached
+    states = {((), (), ()): 1}
+    for et, sub in tree.children:
+        sub_ext = _reference_extract(sub, finish, cache)
+        nxt = {}
+        for (aoff, chosen, rem), m in states.items():
+            for (s_off, s_root, s_rem), sm in sub_ext.items():
+                w = m * sm
+                # edge kept: the sub-extraction's root component detaches
+                off2 = s_off + ((s_root,) if s_root.children else ())
+                k = (_msort(aoff + off2), chosen, _bsort(rem + ((et, s_rem),)))
+                nxt[k] = nxt.get(k, 0) + w
+                # edge extracted: endpoints identified, remainder splices up
+                riders = tuple(b for b in s_rem.children if b[0].is_noise)
+                others = tuple(b for b in s_rem.children if not b[0].is_noise)
+                k = (
+                    _msort(aoff + s_off),
+                    tuple(sorted(chosen + ((et, s_root, riders),), key=_entry_key)),
+                    _bsort(rem + others),
+                )
+                nxt[k] = nxt.get(k, 0) + w
+        states = nxt
+    out = {}
+    for state, m in states.items():
+        key = finish(*state)
+        out[key] = out.get(key, 0) + m
+    cache[tree] = out
+    return out
+
+
+@st.composite
+def powered_family_trees(draw):
+    """Symbol-family trees with up to 8 integration branches."""
+    root = [branch(noise(draw(st.sampled_from([1, 2]))))] if draw(st.booleans()) else []
+    factors = draw(st.lists(st.sampled_from([I_BARE, IXI1, IXI2]), max_size=8))
+    return tree_product(*root, *factors)
+
+
+_EDGE_TYPES = st.sampled_from([INTEGRATION, noise(1), noise(2)])
+
+
+@st.composite
+def bounded_trees(draw, depth=3, max_edges=10):
+    """Trees of depth at most ``depth`` with at most ``max_edges`` edges; a
+    drawn branch is repeated up to three times, so runs of equal branches
+    are common."""
+    children = []
+    budget = max_edges
+    while depth > 0 and budget > 0 and draw(st.booleans()):
+        et = draw(_EDGE_TYPES)
+        sub = draw(bounded_trees(depth - 1, budget - 1))
+        size = sub.num_edges + 1
+        copies = draw(st.integers(1, min(3, budget // size)))
+        children += [(et, sub)] * copies
+        budget -= copies * size
+    return Tree(children)
+
+
+@pytest.mark.parametrize("finish", [_finish_plain, _finish_repaired])
+def test_grouped_extraction_equals_reference_on_basis(finish):
+    for tree in enumerate_basis(generic_spec(2, 8)):
+        assert _extract(tree, finish, {}) == _reference_extract(tree, finish, {}), tree
+
+
+@given(powered_family_trees(), st.sampled_from([_finish_plain, _finish_repaired]))
+@settings(max_examples=40, deadline=None)
+def test_grouped_extraction_equals_reference_on_family_trees(tree, finish):
+    assert _extract(tree, finish, {}) == _reference_extract(tree, finish, {})
+
+
+@given(bounded_trees())
+@settings(max_examples=60, deadline=None)
+def test_grouped_extraction_equals_reference_on_depth_3_trees(tree):
+    assert _extract(tree, _finish_plain, {}) == _reference_extract(tree, _finish_plain, {})
 
 
 # ---------------------------------------------------------------------------
