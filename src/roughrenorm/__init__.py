@@ -27,7 +27,6 @@ from .structure import (
     StructureSpec,
     enumerate_basis,
     generic_spec,
-    project_minus,
     required_power,
     rough_vol_spec,
 )

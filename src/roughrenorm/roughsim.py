@@ -24,9 +24,12 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, signal
 
+from . import model
 from .config import ints, read_config, real, reals
 from .errors import ConfigError
-from .structure import required_power
+from .gaussian import CovarianceSpec
+from .structure import rough_vol_spec
+from .trees import INTEGRATION, branch, noise, tree_product
 
 
 # ---------------------------------------------------------------------------
@@ -427,24 +430,16 @@ class SimConfig:
         object.__setattr__(self, "powers", tuple(int(k) for k in self.powers))
         if not self.powers or min(self.powers) < 1:
             raise ConfigError("powers must be >= 1")
+        # a repeat would duplicate output rows or weight the exponent fits twice
+        for key, values in (("eps", eps_list), ("lambda", self.lambdas), ("powers", self.powers)):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} lists a value twice")
         TestFunction(self.f_name)
         MollifierSpec(self.mollifier)
 
     @property
     def dt(self):
         return self.T / self.n_grid
-
-    def to_text(self):
-        eps = ",".join(repr(e) for e in self.eps_list)
-        lambdas = ",".join(repr(x) for x in self.lambdas)
-        powers = ",".join(str(k) for k in self.powers)
-        return (
-            f"H = {self.H}\nkappa = {self.kappa}\nN = {self.n_grid}\n"
-            f"P = {self.n_paths}\nseed = {self.seed}\neps = {eps}\n"
-            f"f = {self.f_name}\nmollifier = {self.mollifier}\n"
-            f"T = {self.T}\nthreads = {self.threads}\n"
-            f"lambda = {lambdas}\npowers = {powers}\n"
-        )
 
     @classmethod
     def from_text(cls, text):
@@ -458,7 +453,6 @@ class SimConfig:
 def _run_paths(worker, n_paths, threads):
     """Deterministic per-path map, optionally thread-parallel on at most
     one thread per CPU the process may run on."""
-    results = [None] * n_paths
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -466,12 +460,39 @@ def _run_paths(worker, n_paths, threads):
     threads = min(threads, cpus)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for idx, value in zip(range(n_paths), pool.map(worker, range(n_paths))):
-                results[idx] = value
-    else:
-        for idx in range(n_paths):
-            results[idx] = worker(idx)
-    return results
+            return list(pool.map(worker, range(n_paths)))
+    return [worker(idx) for idx in range(n_paths)]
+
+
+# ---------------------------------------------------------------------------
+# the renormalised model, read from the symbolic expansion
+
+
+def _structure_spec(H, kappa):
+    """``rough_vol_spec`` at the rationals nearest to the float H and kappa."""
+    return rough_vol_spec(*(Fraction(x).limit_denominator(10**9) for x in (H, kappa)))
+
+
+def renormalised_terms(c, spec, powers):
+    """Per k in ``powers``, :func:`model.bphz_expansion` of ``Xi_1 * I(Xi_2)^k``
+    under the covariance ``C[D1][X2] = c``, as a dict from each remainder's
+    (Xi_1 factors, I(Xi_2) factors) to its float coefficient.  For k >= 1
+    and c != 0 this is ``{(1, k): 1.0, (0, k - 1): -k * c}``.
+    """
+    cov = CovarianceSpec(2, {(("D", 1), ("X", 2)): Fraction(c)})
+    xi, ixi = branch(noise(1)), branch(INTEGRATION, branch(noise(2)))
+    out = {k: {} for k in powers}
+    for k, terms in out.items():
+        for forest, coeff in model.bphz_expansion(tree_product(xi, *[ixi] * k), cov, spec):
+            edges = [et for tree in forest.trees for et, _ in tree.children]
+            noises = sum(et.is_noise for et in edges)
+            terms[(noises, len(edges) - noises)] = float(coeff)
+    return out
+
+
+def _evaluate(terms, w_dot, delta):
+    """The renormalised model: ``c * w_dot**xi * delta**j`` summed over ``terms``."""
+    return sum(c * delta**j * w_dot**xi for (xi, j), c in terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +513,11 @@ def wz_experiment(config):
 
     Per path and mollification width, computes the uncorrected smooth
     integral of ``f`` of the mollified fractional path against the
-    mollified driving path, its corrected version (subtracting the
-    renormalization-constant drift), a block-expansion route built from
-    the renormalized symbol evaluations, and the left-point Ito
-    reference on the unmollified pair.
+    mollified driving path, its corrected version, a block-expansion
+    route built from the renormalized symbol evaluations, and the
+    left-point Ito reference on the unmollified pair.  Both corrections
+    read their coefficients from :func:`renormalised_terms` at ``c_eps``,
+    for powers up to the truncation of ``rough_vol_spec(H, kappa)``.
     """
     dt = config.dt
     n = config.n_grid
@@ -505,12 +527,13 @@ def wz_experiment(config):
     m_max = max(int(math.floor(e / dt + 1e-9)) for e in config.eps_list)
     pad = m_max + 2
     n_ext = n + 2 * pad
-    order_max = required_power(
-        Fraction(config.H).limit_denominator(10**9),
-        Fraction(config.kappa).limit_denominator(10**9),
-    )
+    spec = _structure_spec(config.H, config.kappa)
     quadratures = {e: c_eps(e, kernel, moll, with_error=True) for e in config.eps_list}
     corrections = {e: value for e, (value, _) in quadratures.items()}
+    orders = range(spec.truncation + 1)
+    terms = {e: renormalised_terms(c, spec, orders) for e, c in corrections.items()}
+    # I_corr's drift: the order-1 term at delta = 0, less the Xi part I_uncorr holds
+    drifts = {e: _evaluate(terms[e][1], 0.0, 0.0) for e in config.eps_list}
     weights = {e: mollification_weights(dt, e, moll) for e in config.eps_list}
     block = 8
 
@@ -531,10 +554,8 @@ def wz_experiment(config):
             sl = slice(pad, pad + n)
             vals = wh_sm[sl]
             i_unc = float(np.sum(f(vals) * w_dot[sl]) * dt)
-            i_corr = i_unc - corrections[e] * float(np.sum(f(vals, 1)) * dt)
-            i_model = _model_route(
-                f, wh_sm, w_dot, pad, n, dt, corrections[e], order_max, block
-            )
+            i_corr = i_unc + drifts[e] * float(np.sum(f(vals, 1)) * dt)
+            i_model = _model_route(f, wh_sm, w_dot, pad, n, dt, terms[e], block)
             out.append((e, i_unc, i_corr, i_model, i_ito))
         return out
 
@@ -573,26 +594,25 @@ def wz_experiment(config):
     return result
 
 
-def _model_route(f, wh_sm, w_dot, pad, n, dt, correction, order_max, block):
+def _model_route(f, wh_sm, w_dot, pad, n, dt, terms, block):
     """Blockwise renormalized-expansion quadrature of the integral.
 
     The ``n`` grid points from ``pad`` on split into blocks of ``block``
     points (``block`` divides ``n``); on each block ``f`` is Taylor
-    expanded to ``order_max`` about the block's first point.  All blocks
-    are evaluated at once, in the arithmetic order of a block-by-block
-    loop: ascending order, block sums, then a left-to-right sum.
+    expanded about the block's first point, its order-m term paired with
+    ``terms[m]`` of :func:`renormalised_terms` (m = 0, 1, ... ascending).
+    All blocks are evaluated at once, in the arithmetic order of a
+    block-by-block loop: ascending order, block sums, then a
+    left-to-right sum.
     """
     blocks = wh_sm[pad : pad + n].reshape(-1, block)
     base = blocks[:, 0].copy()  # contiguous, as the loop's one-point arrays were
     delta = blocks - base[:, None]
     w_blocks = w_dot[pad : pad + n].reshape(-1, block)
     acc = np.zeros_like(delta)
-    for m in range(order_max + 1):
+    for m, expansion in terms.items():
         fm = f(base, m) / math.factorial(m)
-        term = w_blocks * delta**m
-        if m >= 1:
-            term = term - m * correction * delta ** (m - 1)
-        acc += fm[:, None] * term
+        acc += fm[:, None] * _evaluate(expansion, w_blocks, delta)
     # cumsum adds the block sums left to right, as a running total would
     return float(np.cumsum(np.sum(acc, axis=1) * dt)[-1])
 
@@ -620,10 +640,12 @@ def model_bound_probe(
     the root-mean-square pairing of the difference between the
     renormalized mollified evaluation and the rough (unmollified)
     evaluation against rescaled bump test functions centred at T/2, over
-    a ladder of scales ``lambdas`` and widths ``eps_list``.  Returns the
-    row table and, per symbol, joint log-log regression exponents in
-    lambda and eps.  The fit needs at least two distinct values of each,
-    and every lambda must lie in [dt, T/2); otherwise ConfigError.
+    a ladder of scales ``lambdas`` and widths ``eps_list``; the
+    renormalized ``Xi * I(Xihat)^n`` is :func:`renormalised_terms` at
+    ``c_eps``.  Returns the row table and, per symbol, joint log-log
+    regression exponents in lambda and eps.  The fit needs at least two
+    distinct values of each, and every lambda must lie in [dt, T/2);
+    otherwise ConfigError.
     """
     dt = T / n_grid
     if len(set(eps_list)) < 2 or len(set(lambdas)) < 2:
@@ -637,11 +659,12 @@ def model_bound_probe(
     pad = int(round(2 * T / dt)) + m_max + 2
     n_ext = n_grid + pad
     s_idx = pad + n_grid // 2
+    spec = _structure_spec(H, kappa)
     corrections = {e: c_eps(e, kernel, moll) for e in eps_list}
+    terms = {e: renormalised_terms(c, spec, n_powers) for e, c in corrections.items()}
     weights = {e: mollification_weights(dt, e, moll) for e in eps_list}
-    taus = ["Xi", "I(Xihat)"] + [
-        f"Xi*I(Xihat)^{k}" if k > 1 else "Xi*I(Xihat)" for k in n_powers
-    ]
+    names = {k: f"Xi*I(Xihat)^{k}" if k > 1 else "Xi*I(Xihat)" for k in n_powers}
+    taus = ["Xi", "I(Xihat)", *names.values()]
 
     def one_path(p):
         inc = brownian_increments(n_ext, dt, seed, p)
@@ -663,12 +686,8 @@ def model_bound_probe(
                 pair = {}
                 pair["Xi"] = float(np.sum(phi * (w_dot[ks] * dt - dw)))
                 pair["I(Xihat)"] = float(np.sum(phi * (dhat_sm - dhat_rough)) * dt)
-                for k in n_powers:
-                    name = f"Xi*I(Xihat)^{k}" if k > 1 else "Xi*I(Xihat)"
-                    smooth = (
-                        w_dot[ks] * dhat_sm**k
-                        - k * corrections[e] * dhat_sm ** (k - 1)
-                    ) * dt
+                for k, name in names.items():
+                    smooth = _evaluate(terms[e][k], w_dot[ks], dhat_sm) * dt
                     rough = dhat_rough**k * dw
                     pair[name] = float(np.sum(phi * (smooth - rough)))
                 vals[(lam, e)] = pair

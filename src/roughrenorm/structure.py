@@ -16,11 +16,9 @@ from fractions import Fraction
 from .config import rational, read_config
 from .errors import ConfigError, DomainError
 from .trees import (
-    FormalSum,
     INTEGRATION,
     LEAF,
     Tree,
-    as_formal_sum,
     branch,
     noise,
     tree_product,
@@ -85,13 +83,6 @@ class StructureSpec:
         return total
 
     # -- serialization ----------------------------------------------------
-
-    def to_text(self):
-        lines = [f"d = {self.d}"]
-        for i, a in enumerate(self.alpha, start=1):
-            lines.append(f"alpha_{i} = {a}")
-        lines.append(f"truncation = {self.truncation}")
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text):
@@ -163,15 +154,6 @@ def is_negative_forest(forest, spec):
     """Whether every component of ``forest`` has negative degree (so the
     empty forest, the unit, qualifies)."""
     return all(spec.degree_tree(t) < 0 for t in forest.trees)
-
-
-def project_minus(x, spec):
-    """Kill forests having any component of non-negative degree.
-
-    The empty forest (unit) survives.  Acts term-wise on forest-keyed
-    formal sums; also accepts a single Tree or Forest.
-    """
-    return FormalSum([(f, c) for f, c in as_formal_sum(x) if is_negative_forest(f, spec)])
 
 
 def tree_survives_plus(tree, spec):

@@ -196,6 +196,9 @@ _C_EPS = ["simulate", "c-eps", "--H", "0.3", "--eps"]
         (["symbolic", "delta-minus", "Xi_١"], None),
         (["symbolic", "delta-minus", "I^1000"], None),  # power above 999
         (["symbolic", "delta-minus", "I^" + "9" * 5000], None),  # beyond int()
+        (_WZ, _SIM + "eps = 1/16,0.0625\n"),  # one eps twice
+        (_BOUNDS, _SIM + "eps = 1/8,1/16\nlambda = 1/4,1/4,1/8\n"),
+        (_BOUNDS, _SIM + "eps = 1/8,1/16\npowers = 1,2,1\n"),
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv, text):

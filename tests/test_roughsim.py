@@ -2,12 +2,13 @@
 constant, experiment plumbing."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from roughrenorm import roughsim
+from roughrenorm import model, roughsim
 from roughrenorm.errors import ConfigError
 from roughrenorm.roughsim import (  # noqa: F401
     KernelSpec,
@@ -21,9 +22,14 @@ from roughrenorm.roughsim import (  # noqa: F401
     model_bound_probe,
     mollification_weights,
     mollify,
+    renormalised_terms,
     stationary_hat_process,
     wz_experiment,
 )
+from roughrenorm.structure import rough_vol_spec
+from roughrenorm.trees import FormalSum, forest_of
+
+SPEC_H01 = rough_vol_spec(Fraction(1, 10), Fraction(1, 100))  # truncation 5
 
 
 def test_brownian_increments_deterministic():
@@ -199,11 +205,17 @@ def test_sim_config_text_round_trip():
         n_paths=4,
         seed=7,
         eps_list=(0.125, 0.0625),
+        f_name="quadratic",
+        T=2.0,
+        threads=2,
         lambdas=(0.25, 1 / 3),
         powers=(1, 3),
     )
-    text = cfg.to_text()
-    assert "lambda = 0.25,0.3333333333333333" in text and "powers = 1,3" in text
+    text = (
+        "H = 0.3\nkappa = 1/100\nN = 256\nP = 4\nseed = 7\neps = 1/8, 0.0625\n"
+        "f = quadratic\nmollifier = bump\nT = 2\nthreads = 2\n"
+        "lambda = 0.25,1/3\npowers = 1,3\n"
+    )
     assert SimConfig.from_text(text) == cfg
     assert SimConfig.from_text(text.replace("powers = 1,3\n", "")).powers == (1,)
 
@@ -268,8 +280,59 @@ def test_model_route_equals_block_loop(seed, log_n, pad, order, name, correction
     rng = np.random.default_rng(seed)
     wh_sm = scale * np.cumsum(rng.standard_normal(n + 2 * pad + 1))
     w_dot = rng.standard_normal(n + 2 * pad + 1) / scale
-    args = (FunctionSpec(name), wh_sm, w_dot, pad, n, T / n, correction, order, 8)
-    assert roughsim._model_route(*args) == _loop_model_route(*args)
+    args = (FunctionSpec(name), wh_sm, w_dot, pad, n, T / n)
+    terms = renormalised_terms(correction, SPEC_H01, range(order + 1))
+    assert roughsim._model_route(*args, terms, 8) == _loop_model_route(
+        *args, correction, order, 8
+    )
+
+
+@given(
+    c=st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+    k=st.integers(1, 6),
+)
+@settings(max_examples=100, deadline=None)
+def test_renormalised_terms_are_the_closed_form(c, k):
+    # the closed form of the renormalised Xi*I(Xihat)^k, kept here only as
+    # the oracle for what roughsim reads off the symbolic expansion
+    closed = {(1, k): 1.0, (0, k - 1): float(-k * Fraction(c))}
+    expected = {key: value for key, value in closed.items() if value != 0}
+    assert renormalised_terms(c, SPEC_H01, [k]) == {k: expected}
+    assert renormalised_terms(c, SPEC_H01, [0]) == {0: {(1, 0): 1.0}}
+
+
+_PROBE = dict(
+    H=0.3, kappa=0.01, n_grid=256, n_paths=6, seed=3,
+    eps_list=(0.125, 0.0625), lambdas=(0.25, 0.125), n_powers=(1, 2),
+)
+
+
+def test_doubled_remainder_coefficient_moves_only_renormalised_outputs(monkeypatch):
+    config = SimConfig(H=0.3, kappa=0.01, n_grid=256, n_paths=3, seed=5, eps_list=(0.125,))
+    wz, probe = wz_experiment(config), model_bound_probe(**_PROBE)
+    expansion = model.bphz_expansion
+
+    def doubled(tree, cov, spec):
+        tau = forest_of(tree)
+        return FormalSum([(r, c if r == tau else 2 * c) for r, c in expansion(tree, cov, spec)])
+
+    monkeypatch.setattr(roughsim.model, "bphz_expansion", doubled)
+    wz2, probe2 = wz_experiment(config), model_bound_probe(**_PROBE)
+    for key in ("I_corr", "I_model"):
+        assert all(a[key] != b[key] for a, b in zip(wz.rows, wz2.rows))
+    for key in ("I_uncorr", "I_ito"):
+        assert [row[key] for row in wz.rows] == [row[key] for row in wz2.rows]
+    for a, b in zip(probe["rows"], probe2["rows"]):
+        assert a["tau"] == b["tau"]
+        moved = a["tau"].startswith("Xi*I(Xihat)")
+        assert (a["rms_pairing"] != b["rms_pairing"]) == moved, a["tau"]
+
+
+def test_model_bound_probe_threaded_matches_serial():
+    serial = model_bound_probe(**_PROBE, threads=1)
+    threaded = model_bound_probe(**_PROBE, threads=4)
+    assert serial["rows"] == threaded["rows"]
+    assert serial["fits"] == threaded["fits"]
 
 
 def test_run_paths_caps_threads_at_cpu_count(monkeypatch):

@@ -9,7 +9,6 @@ from roughrenorm.structure import (
     StructureSpec,
     enumerate_basis,
     generic_spec,
-    project_minus,
     required_power,
     rough_vol_spec,
     tree_survives_plus,
@@ -17,13 +16,11 @@ from roughrenorm.structure import (
 from roughrenorm.trees import (
     EMPTY_FOREST,
     Forest,
-    FormalSum,
     INTEGRATION,
     LEAF,
     branch,
     forest_of,
     noise,
-    parse_symbol,
     tree_product,
 )
 
@@ -70,18 +67,11 @@ def test_rough_vol_spec_validation():
 
 
 def test_spec_text_round_trip():
+    text = "d = 2\nalpha_1 = 49/100\nalpha_2 = 0.29\ntruncation = 1\n"
     spec = rough_vol_spec(Fraction(3, 10), Fraction(1, 100))
-    assert StructureSpec.from_text(spec.to_text()) == spec
-
-
-def test_project_minus_keeps_all_negative_components():
-    spec = rough_vol_spec(Fraction(3, 10), Fraction(1, 100))
-    x = parse_symbol("Xi_1 . Xi_2 + I(Xi_2)", d=2)
-    out = project_minus(x, spec)
-    assert out == parse_symbol("Xi_1 . Xi_2", d=2)
-    assert project_minus(FormalSum.lift(EMPTY_FOREST), spec) == FormalSum.lift(
-        EMPTY_FOREST
-    )
+    assert StructureSpec.from_text(text) == spec
+    default = StructureSpec.from_text(text.replace("truncation = 1\n", ""))
+    assert default == StructureSpec(d=2, alpha=spec.alpha, truncation=8)
 
 
 def test_project_plus_kills_root_noise_factors():
