@@ -11,8 +11,13 @@ import argparse
 import csv
 import hashlib
 import json
+import platform
 import sys
+import time
 from pathlib import Path
+
+import numpy
+import scipy
 
 from . import __version__
 from .coalgebra import delta_minus, delta_plus_ex, twisted_antipode
@@ -29,6 +34,7 @@ from .roughsim import (
     c_eps,
     c_eps_timedep,
     model_bound_probe,
+    usable_cpus,
     wz_experiment,
 )
 
@@ -137,6 +143,13 @@ def _write_manifest(out_dir, command, config_text, seed, outputs, **extra):
         "config": config_text,
         "outputs": {name: _sha256(out_dir / name) for name in outputs},
         **extra,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "platform": platform.platform(),
+            "cpus": usable_cpus(),
+        },
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -155,6 +168,7 @@ def _cmd_wong_zakai(args):
     result = wz_experiment(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
     _write_csv(
         out_dir / "wz.csv",
         ["eps", "path", "I_uncorr", "I_corr", "I_model", "I_ito"],
@@ -162,9 +176,11 @@ def _cmd_wong_zakai(args):
     )
     _write_csv(
         out_dir / "wz_summary.csv",
-        ["eps", "rms_uncorr", "rms_corr", "rms_model", "c_eps"],
+        ["eps", "rms_uncorr", "rms_corr", "rms_model", "c_eps"]
+        + ["se_uncorr", "se_corr", "se_model"],
         result.summary,
     )
+    result.timings["output"] = time.perf_counter() - start
     _write_manifest(
         out_dir, "simulate wong-zakai", config_text, config.seed,
         ["wz.csv", "wz_summary.csv"],
@@ -172,6 +188,7 @@ def _cmd_wong_zakai(args):
             {"eps": e, "value": value, "quad_error": result.c_eps_error[e]}
             for e, value in result.c_eps.items()
         ],
+        timings=result.timings,
     )
     for row in result.summary:
         print(
@@ -211,10 +228,15 @@ def _cmd_bounds(args):
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
     _write_csv(
         out_dir / "bounds.csv", ["tau", "lambda", "eps", "rms_pairing"], report["rows"]
     )
-    _write_manifest(out_dir, "simulate bounds", config_text, config.seed, ["bounds.csv"])
+    report["timings"]["output"] = time.perf_counter() - start
+    _write_manifest(
+        out_dir, "simulate bounds", config_text, config.seed, ["bounds.csv"],
+        timings=report["timings"],
+    )
     ok = True
     for tau, fit in report["fits"].items():
         print(

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, signal
+from scipy import fft, integrate
 
 from . import model
 from .config import ints, read_config, real, reals
@@ -30,6 +32,16 @@ from .errors import ConfigError
 from .gaussian import CovarianceSpec
 from .structure import rough_vol_spec
 from .trees import INTEGRATION, branch, noise, tree_product
+
+
+def __getattr__(name):
+    # perfbench/worker.py's traced runs are the only reader of roughsim.signal
+    # (to span its fftconvolve), so scipy.signal, ~0.4 s to import, loads lazily
+    if name != "signal":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import signal
+
+    return signal
 
 
 # ---------------------------------------------------------------------------
@@ -182,30 +194,44 @@ def brownian_increments(n_steps, dt, seed, path_index):
     return rng.standard_normal(n_steps) * math.sqrt(dt)
 
 
-def _convolve(values, weights, start):
-    """Entries ``start .. start + n - 1`` of the full convolution of
-    ``values`` (a path, or a batch with the grid on the last axis, of
-    ``n`` points) with ``weights``: one FFT convolution."""
-    values = np.asarray(values, dtype=float)
-    rows = values[None, :] if values.ndim == 1 else values
-    n = rows.shape[-1]
-    out = signal.fftconvolve(rows, weights[None, :], mode="full")[:, start : start + n]
-    return out[0] if values.ndim == 1 else out
+def _smoother(n, weights):
+    """Per ``(w, start)`` of ``weights``: entries ``start .. start + n - 1`` of
+    the full convolution of a signal of ``n`` points (grid on the last axis)
+    with ``w``, bit for bit as ``signal.fftconvolve`` gives them.  Each weight's
+    spectrum is taken here, once, at fftconvolve's FFT length; a call takes one
+    ``rfft`` of the signal per distinct length and one ``irfft`` per weight.
+    Calls only read the spectra, so threads may share the returned function."""
+    sizes = [fft.next_fast_len(n + len(w) - 1, True) for w, _ in weights]
+    parts = [(size, fft.rfft(w, size), start) for size, (w, start) in zip(sizes, weights)]
+
+    def smooth(values):
+        spectra = {size: fft.rfft(values, size) for size in set(sizes)}
+        return [fft.irfft(spectra[size] * w_hat, size)[..., start : start + n]
+                for size, w_hat, start in parts]
+
+    return smooth
 
 
-def _causal_convolve(increments, kernel_values):
-    """out[k] = sum_{j < k} kernel[k - j] * increments[j], out[0] = 0."""
-    out = _convolve(increments, kernel_values, 0)
+def _causal(smooth, increments):
+    """out[k] = sum_{j < k} kernel[k - j] * increments[j], out[0] = 0, for
+    ``smooth`` a :func:`_smoother` of the kernel at offset 0."""
+    (out,) = smooth(increments)
     return np.concatenate((np.zeros(out.shape[:-1] + (1,)), out), axis=-1)
+
+
+def _fbm_smoother(n, H, dt):
+    m = np.arange(1, n + 1, dtype=float)
+    return _smoother(n, [(math.sqrt(2.0 * H) * (m * dt) ** (H - 0.5), 0)])
+
+
+def _hat_smoother(n, kernel, dt):
+    return _smoother(n, [(kernel.khat(np.arange(1, n + 1, dtype=float) * dt), 0)])
 
 
 def fbm_rl(increments, H, dt):
     """Riemann-Liouville fractional path driven by given Brownian
     increments (left-point kernel sampling), at n + 1 grid points."""
-    n = np.asarray(increments).shape[-1]
-    m = np.arange(1, n + 1, dtype=float)
-    kern = math.sqrt(2.0 * H) * (m * dt) ** (H - 0.5)
-    return _causal_convolve(increments, kern)
+    return _causal(_fbm_smoother(np.shape(increments)[-1], H, dt), increments)
 
 
 def stationary_hat_process(increments, kernel, dt):
@@ -216,10 +242,7 @@ def stationary_hat_process(increments, kernel, dt):
     (discretely) stationary.  Feeding increments that vanish before some
     time origin reproduces the plain fractional path after that origin.
     """
-    n = np.asarray(increments).shape[-1]
-    m = np.arange(1, n + 1, dtype=float)
-    kern = kernel.khat(m * dt)
-    return _causal_convolve(increments, kern)
+    return _causal(_hat_smoother(np.shape(increments)[-1], kernel, dt), increments)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +280,7 @@ def mollify(values, dt, eps, mollifier):
     alias zero-padding and must be discarded by the caller.
     """
     w, dw, m = mollification_weights(dt, eps, mollifier)
-    return _convolve(values, w, m), _convolve(values, dw, m), m
+    return (*_smoother(np.shape(values)[-1], [(w, m), (dw, m)])(values), m)
 
 
 # ---------------------------------------------------------------------------
@@ -450,18 +473,46 @@ class SimConfig:
         return cls(**{_SIM_KEYS[key][0]: value for key, value in fields.items()})
 
 
+def usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_paths(worker, n_paths, threads):
     """Deterministic per-path map, optionally thread-parallel on at most
     one thread per CPU the process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    threads = min(threads, cpus)
+    threads = min(threads, usable_cpus())
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(worker, range(n_paths)))
     return [worker(idx) for idx in range(n_paths)]
+
+
+def _results(per_path, timings):
+    """The results of per-path ``(result, phase seconds)`` pairs; the
+    seconds are summed into ``timings``."""
+    for _, seconds in per_path:
+        for phase, value in seconds.items():
+            timings[phase] = timings.get(phase, 0.0) + value
+    return [result for result, _ in per_path]
+
+
+@contextmanager
+def _timed(timings, phase):
+    """Add the seconds the ``with`` block takes to ``timings[phase]``."""
+    start = time.perf_counter()
+    yield
+    timings[phase] = timings.get(phase, 0.0) + time.perf_counter() - start
+
+
+def _rms_se(d2, rms):
+    """Delta-method standard error of ``rms = sqrt(mean(d2))`` over the
+    samples ``d2``: nan for a single sample."""
+    if len(d2) < 2:
+        return math.nan
+    return float(np.std(d2, ddof=1) / math.sqrt(len(d2)) / (2.0 * rms))
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +557,7 @@ class WZResult:
     c_eps_error: dict  # eps -> quadrature error estimate of c_eps
     rows: list = field(default_factory=list)
     summary: list = field(default_factory=list)
+    timings: dict = field(default_factory=dict)  # phase -> seconds, summed over paths
 
 
 def wz_experiment(config):
@@ -518,6 +570,7 @@ def wz_experiment(config):
     left-point Ito reference on the unmollified pair.  Both corrections
     read their coefficients from :func:`renormalised_terms` at ``c_eps``,
     for powers up to the truncation of ``rough_vol_spec(H, kappa)``.
+    Each RMS over paths comes with its delta-method standard error.
     """
     dt = config.dt
     n = config.n_grid
@@ -528,43 +581,51 @@ def wz_experiment(config):
     pad = m_max + 2
     n_ext = n + 2 * pad
     spec = _structure_spec(config.H, config.kappa)
-    quadratures = {e: c_eps(e, kernel, moll, with_error=True) for e in config.eps_list}
+    timings = {}
+    with _timed(timings, "c_eps"):
+        quadratures = {e: c_eps(e, kernel, moll, with_error=True) for e in config.eps_list}
     corrections = {e: value for e, (value, _) in quadratures.items()}
     orders = range(spec.truncation + 1)
-    terms = {e: renormalised_terms(c, spec, orders) for e, c in corrections.items()}
+    with _timed(timings, "expansion"):
+        terms = {e: renormalised_terms(c, spec, orders) for e, c in corrections.items()}
     # I_corr's drift: the order-1 term at delta = 0, less the Xi part I_uncorr holds
     drifts = {e: _evaluate(terms[e][1], 0.0, 0.0) for e in config.eps_list}
-    weights = {e: mollification_weights(dt, e, moll) for e in config.eps_list}
+    weights = [mollification_weights(dt, e, moll) for e in config.eps_list]
+    fbm = _fbm_smoother(n_ext - pad, config.H, dt)
+    smooth_w = _smoother(n_ext + 1, [(w, m) for w, _, m in weights])
+    smooth_dw = _smoother(n_ext + 1, [(dw, m) for _, dw, m in weights])
     block = 8
 
     def one_path(p):
-        inc = brownian_increments(n_ext, dt, config.seed, p)
-        w_ext = np.concatenate(([0.0], np.cumsum(inc)))
-        w_ext = w_ext - w_ext[pad]  # path vanishes at time 0
-        wh_pos = fbm_rl(inc[pad:], config.H, dt)  # from time 0 onward
-        wh_ext = np.concatenate((np.zeros(pad), wh_pos))
-        i_ito = float(
-            np.sum(f(wh_ext[pad : pad + n]) * np.diff(w_ext)[pad : pad + n])
-        )
-        out = []
-        for e in config.eps_list:
-            w, dw, m = weights[e]
-            w_dot = _convolve(w_ext, dw, m)
-            wh_sm = _convolve(wh_ext, w, m)
-            sl = slice(pad, pad + n)
-            vals = wh_sm[sl]
-            i_unc = float(np.sum(f(vals) * w_dot[sl]) * dt)
-            i_corr = i_unc + drifts[e] * float(np.sum(f(vals, 1)) * dt)
-            i_model = _model_route(f, wh_sm, w_dot, pad, n, dt, terms[e], block)
-            out.append((e, i_unc, i_corr, i_model, i_ito))
-        return out
+        seconds = {}
+        with _timed(seconds, "paths"):
+            inc = brownian_increments(n_ext, dt, config.seed, p)
+            w_ext = np.concatenate(([0.0], np.cumsum(inc)))
+            w_ext = w_ext - w_ext[pad]  # path vanishes at time 0
+            wh_pos = _causal(fbm, inc[pad:])  # fbm_rl from time 0 onward
+            wh_ext = np.concatenate((np.zeros(pad), wh_pos))
+            smoothed = zip(config.eps_list, smooth_dw(w_ext), smooth_w(wh_ext))
+        with _timed(seconds, "route"):
+            i_ito = float(
+                np.sum(f(wh_ext[pad : pad + n]) * np.diff(w_ext)[pad : pad + n])
+            )
+            out = []
+            for e, w_dot, wh_sm in smoothed:
+                sl = slice(pad, pad + n)
+                vals = wh_sm[sl]
+                i_unc = float(np.sum(f(vals) * w_dot[sl]) * dt)
+                i_corr = i_unc + drifts[e] * float(np.sum(f(vals, 1)) * dt)
+                i_model = _model_route(f, wh_sm, w_dot, pad, n, dt, terms[e], block)
+                out.append((e, i_unc, i_corr, i_model, i_ito))
+        return out, seconds
 
     result = WZResult(
         config=config,
         c_eps=corrections,
         c_eps_error={e: err for e, (_, err) in quadratures.items()},
+        timings=timings,
     )
-    per_path = _run_paths(one_path, config.n_paths, config.threads)
+    per_path = _results(_run_paths(one_path, config.n_paths, config.threads), timings)
     by_eps = {e: [] for e in config.eps_list}
     for p, rows in enumerate(per_path):
         for e, i_unc, i_corr, i_model, i_ito in rows:
@@ -581,16 +642,12 @@ def wz_experiment(config):
             by_eps[e].append((i_unc, i_corr, i_model, i_ito))
     for e in config.eps_list:
         arr = np.array(by_eps[e])
-        rms = lambda col: float(np.sqrt(np.mean((arr[:, col] - arr[:, 3]) ** 2)))
-        result.summary.append(
-            {
-                "eps": e,
-                "rms_uncorr": rms(0),
-                "rms_corr": rms(1),
-                "rms_model": rms(2),
-                "c_eps": corrections[e],
-            }
-        )
+        row = {"eps": e, "c_eps": corrections[e]}
+        for col, name in enumerate(("uncorr", "corr", "model")):
+            d2 = (arr[:, col] - arr[:, 3]) ** 2
+            row["rms_" + name] = float(np.sqrt(np.mean(d2)))
+            row["se_" + name] = _rms_se(d2, row["rms_" + name])
+        result.summary.append(row)
     return result
 
 
@@ -643,7 +700,8 @@ def model_bound_probe(
     a ladder of scales ``lambdas`` and widths ``eps_list``; the
     renormalized ``Xi * I(Xihat)^n`` is :func:`renormalised_terms` at
     ``c_eps``.  Returns the row table and, per symbol, joint log-log
-    regression exponents in lambda and eps.  The fit needs at least two
+    regression exponents in lambda and eps, and the seconds per phase
+    (``timings``, summed over paths).  The fit needs at least two
     distinct values of each, and every lambda must lie in [dt, T/2);
     otherwise ConfigError.
     """
@@ -660,40 +718,46 @@ def model_bound_probe(
     n_ext = n_grid + pad
     s_idx = pad + n_grid // 2
     spec = _structure_spec(H, kappa)
-    corrections = {e: c_eps(e, kernel, moll) for e in eps_list}
-    terms = {e: renormalised_terms(c, spec, n_powers) for e, c in corrections.items()}
-    weights = {e: mollification_weights(dt, e, moll) for e in eps_list}
+    timings = {}
+    with _timed(timings, "c_eps"):
+        corrections = {e: c_eps(e, kernel, moll) for e in eps_list}
+    with _timed(timings, "expansion"):
+        terms = {e: renormalised_terms(c, spec, n_powers) for e, c in corrections.items()}
+    weights = [mollification_weights(dt, e, moll) for e in eps_list]
+    hat_smooth = _hat_smoother(n_ext, kernel, dt)
+    smooth_w = _smoother(n_ext + 1, [(w, m) for w, _, m in weights])
+    smooth_dw = _smoother(n_ext + 1, [(dw, m) for _, dw, m in weights])
     names = {k: f"Xi*I(Xihat)^{k}" if k > 1 else "Xi*I(Xihat)" for k in n_powers}
     taus = ["Xi", "I(Xihat)", *names.values()]
 
     def one_path(p):
-        inc = brownian_increments(n_ext, dt, seed, p)
-        hat = stationary_hat_process(inc, kernel, dt)
-        w_ext = np.concatenate(([0.0], np.cumsum(inc)))
-        per_eps = {}
-        for e in eps_list:
-            w, dw, m = weights[e]
-            per_eps[e] = (_convolve(w_ext, dw, m), _convolve(hat, w, m))
-        vals = {}
-        for lam, half in halves.items():
-            ks = np.arange(s_idx - half, s_idx + half + 1)
-            phi = moll.rho((ks - s_idx) * dt / lam) / lam
-            dw = inc[ks]
-            for e in eps_list:
-                w_dot, hat_sm = per_eps[e]
-                dhat_rough = hat[ks] - hat[s_idx]
-                dhat_sm = hat_sm[ks] - hat_sm[s_idx]
-                pair = {}
-                pair["Xi"] = float(np.sum(phi * (w_dot[ks] * dt - dw)))
-                pair["I(Xihat)"] = float(np.sum(phi * (dhat_sm - dhat_rough)) * dt)
-                for k, name in names.items():
-                    smooth = _evaluate(terms[e][k], w_dot[ks], dhat_sm) * dt
-                    rough = dhat_rough**k * dw
-                    pair[name] = float(np.sum(phi * (smooth - rough)))
-                vals[(lam, e)] = pair
-        return vals
+        seconds = {}
+        with _timed(seconds, "paths"):
+            inc = brownian_increments(n_ext, dt, seed, p)
+            hat = _causal(hat_smooth, inc)  # stationary_hat_process
+            w_ext = np.concatenate(([0.0], np.cumsum(inc)))
+            per_eps = dict(zip(eps_list, zip(smooth_dw(w_ext), smooth_w(hat))))
+        with _timed(seconds, "route"):
+            vals = {}
+            for lam, half in halves.items():
+                ks = np.arange(s_idx - half, s_idx + half + 1)
+                phi = moll.rho((ks - s_idx) * dt / lam) / lam
+                dw = inc[ks]
+                for e in eps_list:
+                    w_dot, hat_sm = per_eps[e]
+                    dhat_rough = hat[ks] - hat[s_idx]
+                    dhat_sm = hat_sm[ks] - hat_sm[s_idx]
+                    pair = {}
+                    pair["Xi"] = float(np.sum(phi * (w_dot[ks] * dt - dw)))
+                    pair["I(Xihat)"] = float(np.sum(phi * (dhat_sm - dhat_rough)) * dt)
+                    for k, name in names.items():
+                        smooth = _evaluate(terms[e][k], w_dot[ks], dhat_sm) * dt
+                        rough = dhat_rough**k * dw
+                        pair[name] = float(np.sum(phi * (smooth - rough)))
+                    vals[(lam, e)] = pair
+        return vals, seconds
 
-    per_path = _run_paths(one_path, n_paths, threads)
+    per_path = _results(_run_paths(one_path, n_paths, threads), timings)
     rows = []
     fits = {}
     logs = {tau: ([], [], []) for tau in taus}
@@ -712,4 +776,4 @@ def model_bound_probe(
         a = np.column_stack([np.ones(len(ll)), ll, le])
         coef, *_ = np.linalg.lstsq(a, np.array(lr), rcond=None)
         fits[tau] = {"lambda_exponent": float(coef[1]), "eps_exponent": float(coef[2])}
-    return {"rows": rows, "fits": fits, "c_eps": corrections}
+    return {"rows": rows, "fits": fits, "c_eps": corrections, "timings": timings}

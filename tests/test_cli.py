@@ -2,8 +2,11 @@
 
 import csv
 import json
+import platform
 
+import numpy
 import pytest
+import scipy
 
 from roughrenorm import cache_info, clear_caches
 from roughrenorm.cli import main
@@ -112,6 +115,19 @@ def wz_config(tmp_path):
     return cfg
 
 
+def _check_run_telemetry(manifest):
+    timings = manifest["timings"]
+    assert set(timings) == {"c_eps", "expansion", "paths", "route", "output"}
+    assert all(seconds >= 0.0 for seconds in timings.values())
+    assert timings["paths"] > 0.0 and timings["route"] > 0.0
+    environment = manifest["environment"]
+    assert set(environment) == {"python", "numpy", "scipy", "platform", "cpus"}
+    assert environment["python"] == platform.python_version()
+    assert environment["numpy"] == numpy.__version__
+    assert environment["scipy"] == scipy.__version__
+    assert environment["cpus"] >= 1
+
+
 def test_wong_zakai_outputs(tmp_path, wz_config, capsys):
     out = tmp_path / "out"
     assert main(
@@ -123,8 +139,12 @@ def test_wong_zakai_outputs(tmp_path, wz_config, capsys):
     assert len(rows) == 2 * 4
     with open(out / "wz_summary.csv") as fh:
         srows = list(csv.DictReader(fh))
-    assert set(srows[0]) == {"eps", "rms_uncorr", "rms_corr", "rms_model", "c_eps"}
+    assert list(srows[0]) == [
+        "eps", "rms_uncorr", "rms_corr", "rms_model", "c_eps", "se_uncorr", "se_corr", "se_model"
+    ]
+    assert all(0.0 < float(srow["se_corr"]) < float(srow["rms_corr"]) for srow in srows)
     manifest = json.loads((out / "manifest.json").read_text())
+    _check_run_telemetry(manifest)
     assert manifest["seed"] == 9
     assert set(manifest["outputs"]) == {"wz.csv", "wz_summary.csv"}
     assert len(manifest["outputs"]["wz.csv"]) == 64
@@ -157,7 +177,7 @@ def test_bounds_outputs(tmp_path, capsys):
     with open(out / "bounds.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert set(rows[0]) == {"tau", "lambda", "eps", "rms_pairing"}
-    assert (out / "manifest.json").exists()
+    _check_run_telemetry(json.loads((out / "manifest.json").read_text()))
 
 
 

@@ -2,7 +2,10 @@
 constant, experiment plumbing."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +120,53 @@ def test_mollify_preserves_constants_and_slopes():
     lin = 3.0 * t + 1.0
     sm, dv, m = mollify(lin, dt, eps, moll)
     assert np.allclose(dv[m:-m], 3.0, atol=1e-8)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 3000),
+    batch=st.integers(0, 3),
+    lengths=st.lists(st.integers(2, 400), min_size=1, max_size=4),
+    repeat=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_smoother_equals_fftconvolve(seed, n, batch, lengths, repeat, data):
+    # scipy.signal.fftconvolve is the old smoothing route, kept as the
+    # oracle; a weight of length 1 is left out, because fftconvolve then
+    # multiplies instead of transforming
+    from scipy import signal
+
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((batch, n) if batch else n)
+    if repeat:  # two weights of one length share the signal's transform
+        lengths = lengths + lengths[:1]
+    weights = [
+        (rng.standard_normal(size), data.draw(st.integers(0, size - 1)))
+        for size in lengths
+    ]
+    outs = roughsim._smoother(n, weights)(values)
+    rows = values[None, :] if values.ndim == 1 else values
+    assert len(outs) == len(weights)
+    for out, (w, start) in zip(outs, weights):
+        expected = signal.fftconvolve(rows, w[None, :], mode="full")[:, start : start + n]
+        assert np.array_equal(out, expected[0] if values.ndim == 1 else expected)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    src = Path(roughsim.__file__).resolve().parents[1]
+    code = (
+        "import sys, roughrenorm\n"
+        "assert 'scipy.signal' not in sys.modules, 'imported scipy.signal'\n"
+        "from roughrenorm import roughsim\n"
+        "assert roughsim.signal is sys.modules['scipy.signal']\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    with pytest.raises(AttributeError):
+        roughsim.no_such_name
 
 
 def test_mollify_rejects_coarse_grid():
@@ -237,6 +287,21 @@ def test_wz_experiment_small():
     # deterministic reruns
     res2 = wz_experiment(cfg)
     assert res.rows == res2.rows
+
+
+def test_wz_summary_standard_errors():
+    base = dict(H=0.3, kappa=0.01, n_grid=256, seed=42, eps_list=(0.125,))
+    res = wz_experiment(SimConfig(**base, n_paths=5))
+    (row,) = res.summary
+    i_ito = np.array([r["I_ito"] for r in res.rows])
+    for name, key in (("uncorr", "I_uncorr"), ("corr", "I_corr"), ("model", "I_model")):
+        d2 = (np.array([r[key] for r in res.rows]) - i_ito) ** 2
+        assert row["rms_" + name] == float(np.sqrt(np.mean(d2)))
+        expected = np.std(d2, ddof=1) / math.sqrt(5) / (2 * row["rms_" + name])
+        assert row["se_" + name] == pytest.approx(expected, rel=1e-12)
+    assert set(res.timings) == {"c_eps", "expansion", "paths", "route"}
+    (single,) = wz_experiment(SimConfig(**base, n_paths=1)).summary
+    assert all(math.isnan(single["se_" + name]) for name in ("uncorr", "corr", "model"))
 
 
 def test_wz_experiment_threaded_matches_serial():
