@@ -106,16 +106,8 @@ def _cmd_g_antipode(args):
     return 0
 
 
-def _cmd_check_bphz(args):
-    spec = generic_spec(args.d, args.nmax)
-    report = check_bphz_plain(spec, args.nmax, SymbolicCovariance(args.d))
-    print(json.dumps(report, indent=2, default=str))
-    return 0 if report["status"] == "pass" else 1
-
-
-def _cmd_check_gamma(args):
-    spec = generic_spec(args.d, args.nmax)
-    report = check_gamma_bphz(spec, args.nmax, SymbolicCovariance(args.d))
+def _cmd_check(args):
+    report = args.check(generic_spec(args.d, args.nmax), args.nmax, SymbolicCovariance(args.d))
     print(json.dumps(report, indent=2, default=str))
     return 0 if report["status"] == "pass" else 1
 
@@ -154,6 +146,11 @@ def _write_manifest(out_dir, command, config_text, seed, outputs, **extra):
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _c_eps_rows(values, errors):
+    """The manifest's ``c_eps`` list: per eps, ``c_eps`` and its quadrature error."""
+    return [{"eps": e, "value": v, "quad_error": errors[e]} for e, v in values.items()]
+
+
 def _write_csv(path, fieldnames, rows):
     with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=fieldnames)
@@ -184,10 +181,7 @@ def _cmd_wong_zakai(args):
     _write_manifest(
         out_dir, "simulate wong-zakai", config_text, config.seed,
         ["wz.csv", "wz_summary.csv"],
-        c_eps=[
-            {"eps": e, "value": value, "quad_error": result.c_eps_error[e]}
-            for e, value in result.c_eps.items()
-        ],
+        c_eps=_c_eps_rows(result.c_eps, result.c_eps_error),
         timings=result.timings,
     )
     for row in result.summary:
@@ -205,7 +199,7 @@ def _cmd_c_eps(args):
         value = c_eps_timedep(args.time, args.eps, args.H, moll)
         print(f"c_eps(t={args.time}) = {value:.12g}")
     else:
-        value, err = c_eps(args.eps, kernel, moll, with_error=True)
+        value, err = c_eps(args.eps, kernel, moll)
         print(f"c_eps = {value:.12g} (quadrature error estimate {err:.3g})")
     return 0
 
@@ -213,19 +207,7 @@ def _cmd_c_eps(args):
 def _cmd_bounds(args):
     config_text = _read_text(args.config)
     config = SimConfig.from_text(config_text)
-    report = model_bound_probe(
-        H=config.H,
-        kappa=config.kappa,
-        n_grid=config.n_grid,
-        n_paths=config.n_paths,
-        seed=config.seed,
-        eps_list=config.eps_list,
-        lambdas=config.lambdas,
-        n_powers=config.powers,
-        mollifier=config.mollifier,
-        T=config.T,
-        threads=config.threads,
-    )
+    report = model_bound_probe(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
@@ -235,6 +217,7 @@ def _cmd_bounds(args):
     report["timings"]["output"] = time.perf_counter() - start
     _write_manifest(
         out_dir, "simulate bounds", config_text, config.seed, ["bounds.csv"],
+        c_eps=_c_eps_rows(report["c_eps"], report["c_eps_error"]),
         timings=report["timings"],
     )
     ok = True
@@ -262,26 +245,26 @@ def build_parser():
     sym = sub.add_parser("symbolic", help="exact tree/forest computations")
     symsub = sym.add_subparsers(dest="subcommand", required=True)
 
-    def add_sym(name, fn, needs_symbol=True, needs_cov=False):
+    def add_sym(name, fn, symbol=True, nmax=True, alpha=True, cov=False, **defaults):
+        # each subcommand takes only the flags its handler reads
         p = symsub.add_parser(name)
-        if needs_symbol:
+        if symbol:
             p.add_argument("symbol", help="symbol expression, e.g. 'Xi_1*I(Xi_2)^3'")
         p.add_argument("--d", type=int, default=2, help="number of noise channels")
-        p.add_argument("--nmax", type=int, default=8, help="power bound")
-        p.add_argument(
-            "--alpha", default=None, help="comma-separated rational exponents"
-        )
-        if needs_cov:
+        if nmax:
+            p.add_argument("--nmax", type=int, default=8, help="power bound")
+        if alpha:
+            p.add_argument("--alpha", default=None, help="comma-separated rational exponents")
+        if cov:
             p.add_argument("--cov", default=None, help="covariance file (text)")
-        p.set_defaults(fn=fn)
-        return p
+        p.set_defaults(fn=fn, **defaults)
 
-    add_sym("delta-minus", _cmd_delta_minus)
+    add_sym("delta-minus", _cmd_delta_minus, nmax=False, alpha=False)
     add_sym("delta-plus", _cmd_delta_plus)
     add_sym("antipode", _cmd_antipode)
-    add_sym("g-antipode", _cmd_g_antipode, needs_cov=True)
-    add_sym("check-bphz", _cmd_check_bphz, needs_symbol=False)
-    add_sym("check-gamma", _cmd_check_gamma, needs_symbol=False)
+    add_sym("g-antipode", _cmd_g_antipode, cov=True)
+    add_sym("check-bphz", _cmd_check, symbol=False, alpha=False, check=check_bphz_plain)
+    add_sym("check-gamma", _cmd_check, symbol=False, alpha=False, check=check_gamma_bphz)
 
     sim = sub.add_parser("simulate", help="stochastic simulation commands")
     simsub = sim.add_subparsers(dest="subcommand", required=True)

@@ -71,13 +71,11 @@ def _factor_arrays(et, sub, path, s_idx):
         if not set2.is_noise:
             raise DomainError("tree lies outside the symbol family")
         base = path.xi[set2.index]
-    if s_idx is None:
-        return base
     return base - base[s_idx, None]
 
 
 def eval_pi(x, s_idx, path):
-    """Evaluation recentered at grid index ``s_idx`` (None: no recentering).
+    """Evaluation recentered at grid index ``s_idx``.
 
     Multiplicative over tree and forest products, linear over formal
     sums (float or Fraction coefficients).  Returns an array on the grid;
@@ -253,8 +251,14 @@ def check_bphz_plain(spec, nmax, cov):
     start = time.perf_counter()
     with coproduct_sizes() as sizes:
         failures, cases = _check_closed_form(spec, nmax, cov)
+    return _check_report("bphz_closed_form", failures, cases, start, sizes)
+
+
+def _check_report(name, failures, cases, start, sizes):
+    """The report of a symbolic check begun at ``perf_counter()`` ``start``,
+    ``sizes`` being the sizes of the coproduct tables it built."""
     return {
-        "name": "bphz_closed_form",
+        "name": name,
         "status": "pass" if not failures else "fail",
         "cases": cases,
         "failures": failures,
@@ -329,14 +333,7 @@ def check_gamma_bphz(spec, nmax, cov):
                     failures.append(
                         f"{tau!r}: coproduct route (twist={twist}) disagrees with direct rules"
                     )
-    return {
-        "name": "gamma_unchanged_by_renormalization",
-        "status": "pass" if not failures else "fail",
-        "cases": cases,
-        "failures": failures,
-        "elapsed_s": time.perf_counter() - start,
-        "max_coproduct_terms": max(sizes, default=0),
-    }
+    return _check_report("gamma_unchanged_by_renormalization", failures, cases, start, sizes)
 
 
 # ---------------------------------------------------------------------------

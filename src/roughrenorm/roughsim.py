@@ -287,8 +287,9 @@ def mollify(values, dt, eps, mollifier):
 # the renormalization constant
 
 
-def c_eps(eps, kernel, mollifier, with_error=False):
-    """Stationary renormalization constant.
+def c_eps(eps, kernel, mollifier):
+    """Stationary renormalization constant and the quadrature's error
+    estimate, as ``(value, error)``.
 
     Computed as the double quadrature of the derivative-of-mollifier
     against the mollified kernel cross-covariance, reduced to a single
@@ -321,10 +322,7 @@ def c_eps(eps, kernel, mollifier, with_error=False):
         return float(kernel.khat(np.array([u]))[0]) * phi(u) * p * v ** (p - 1.0)
 
     hi = upper ** (1.0 / p)
-    value, err = integrate.quad(integrand, 0.0, hi, limit=200)
-    if with_error:
-        return value, err
-    return value
+    return integrate.quad(integrand, 0.0, hi, limit=200)
 
 
 def c_eps_timedep(t, eps, H, mollifier):
@@ -393,6 +391,8 @@ class TestFunction:
 # configuration
 
 
+MAX_TRUNCATION = 64  # the expansions take over a minute at truncation 54
+
 # config key -> (SimConfig field, converter)
 _SIM_KEYS = {
     "H": ("H", real),
@@ -432,6 +432,11 @@ class SimConfig:
             raise ConfigError("H must lie in (0, 1/2)")
         if not (0.0 < self.kappa < self.H):
             raise ConfigError("kappa must lie in (0, H)")
+        if self.spec.truncation > MAX_TRUNCATION:
+            raise ConfigError(
+                f"kappa={self.kappa} is too close to H={self.H}: the model would "
+                f"need powers up to {self.spec.truncation}, above {MAX_TRUNCATION}"
+            )
         if self.n_paths < 1:
             raise ConfigError("P must be >= 1")
         if not 0.0 < self.T < math.inf:
@@ -463,6 +468,12 @@ class SimConfig:
     @property
     def dt(self):
         return self.T / self.n_grid
+
+    @property
+    def spec(self):
+        """``rough_vol_spec`` at the rationals nearest to the float H and kappa."""
+        H, kappa = (Fraction(x).limit_denominator(10**9) for x in (self.H, self.kappa))
+        return rough_vol_spec(H, kappa)
 
     @classmethod
     def from_text(cls, text):
@@ -519,11 +530,6 @@ def _rms_se(d2, rms):
 # the renormalised model, read from the symbolic expansion
 
 
-def _structure_spec(H, kappa):
-    """``rough_vol_spec`` at the rationals nearest to the float H and kappa."""
-    return rough_vol_spec(*(Fraction(x).limit_denominator(10**9) for x in (H, kappa)))
-
-
 def renormalised_terms(c, spec, powers):
     """Per k in ``powers``, :func:`model.bphz_expansion` of ``Xi_1 * I(Xi_2)^k``
     under the covariance ``C[D1][X2] = c``, as a dict from each remainder's
@@ -544,6 +550,43 @@ def renormalised_terms(c, spec, powers):
 def _evaluate(terms, w_dot, delta):
     """The renormalised model: ``c * w_dot**xi * delta**j`` summed over ``terms``."""
     return sum(c * delta**j * w_dot**xi for (xi, j), c in terms.items())
+
+
+# ---------------------------------------------------------------------------
+# the eps ladder, set up once per run by both experiments
+
+
+@dataclass
+class _Ladder:
+    mollifier: MollifierSpec
+    kernel: KernelSpec
+    c_eps: dict  # eps -> correction constant
+    c_eps_error: dict  # eps -> quadrature error estimate of c_eps
+    terms: dict  # eps -> renormalised_terms at c_eps
+    smooth_w: object  # signal -> its smoothing by each eps's mollifier weights
+    smooth_dw: object  # signal -> its smoothing by each eps's derivative weights
+    timings: dict  # phase -> seconds
+
+
+def _ladder(config, powers, n):
+    """Per eps of ``config``: ``c_eps`` and its error, :func:`renormalised_terms`
+    at ``c_eps`` for ``powers``, both timed, and the :func:`_smoother` of
+    signals of ``n`` points by the mollification weights and derivative
+    weights, each aligned with its signal."""
+    moll = MollifierSpec(config.mollifier)
+    kernel = KernelSpec(H=config.H, T=config.T)
+    timings = {}
+    with _timed(timings, "c_eps"):
+        quadratures = {e: c_eps(e, kernel, moll) for e in config.eps_list}
+    corrections = {e: value for e, (value, _) in quadratures.items()}
+    spec = config.spec
+    with _timed(timings, "expansion"):
+        terms = {e: renormalised_terms(c, spec, powers) for e, c in corrections.items()}
+    errors = {e: err for e, (_, err) in quadratures.items()}
+    weights = [mollification_weights(config.dt, e, moll) for e in config.eps_list]
+    smooth_w = _smoother(n, [(w, m) for w, _, m in weights])
+    smooth_dw = _smoother(n, [(dw, m) for _, dw, m in weights])
+    return _Ladder(moll, kernel, corrections, errors, terms, smooth_w, smooth_dw, timings)
 
 
 # ---------------------------------------------------------------------------
@@ -574,26 +617,14 @@ def wz_experiment(config):
     """
     dt = config.dt
     n = config.n_grid
-    moll = MollifierSpec(config.mollifier)
-    kernel = KernelSpec(H=config.H, T=config.T)
     f = TestFunction(config.f_name)
     m_max = max(int(math.floor(e / dt + 1e-9)) for e in config.eps_list)
     pad = m_max + 2
     n_ext = n + 2 * pad
-    spec = _structure_spec(config.H, config.kappa)
-    timings = {}
-    with _timed(timings, "c_eps"):
-        quadratures = {e: c_eps(e, kernel, moll, with_error=True) for e in config.eps_list}
-    corrections = {e: value for e, (value, _) in quadratures.items()}
-    orders = range(spec.truncation + 1)
-    with _timed(timings, "expansion"):
-        terms = {e: renormalised_terms(c, spec, orders) for e, c in corrections.items()}
+    ladder = _ladder(config, range(config.spec.truncation + 1), n_ext + 1)
     # I_corr's drift: the order-1 term at delta = 0, less the Xi part I_uncorr holds
-    drifts = {e: _evaluate(terms[e][1], 0.0, 0.0) for e in config.eps_list}
-    weights = [mollification_weights(dt, e, moll) for e in config.eps_list]
+    drifts = {e: _evaluate(ladder.terms[e][1], 0.0, 0.0) for e in config.eps_list}
     fbm = _fbm_smoother(n_ext - pad, config.H, dt)
-    smooth_w = _smoother(n_ext + 1, [(w, m) for w, _, m in weights])
-    smooth_dw = _smoother(n_ext + 1, [(dw, m) for _, dw, m in weights])
     block = 8
 
     def one_path(p):
@@ -604,7 +635,7 @@ def wz_experiment(config):
             w_ext = w_ext - w_ext[pad]  # path vanishes at time 0
             wh_pos = _causal(fbm, inc[pad:])  # fbm_rl from time 0 onward
             wh_ext = np.concatenate((np.zeros(pad), wh_pos))
-            smoothed = zip(config.eps_list, smooth_dw(w_ext), smooth_w(wh_ext))
+            smoothed = zip(config.eps_list, ladder.smooth_dw(w_ext), ladder.smooth_w(wh_ext))
         with _timed(seconds, "route"):
             i_ito = float(
                 np.sum(f(wh_ext[pad : pad + n]) * np.diff(w_ext)[pad : pad + n])
@@ -615,17 +646,12 @@ def wz_experiment(config):
                 vals = wh_sm[sl]
                 i_unc = float(np.sum(f(vals) * w_dot[sl]) * dt)
                 i_corr = i_unc + drifts[e] * float(np.sum(f(vals, 1)) * dt)
-                i_model = _model_route(f, wh_sm, w_dot, pad, n, dt, terms[e], block)
+                i_model = _model_route(f, wh_sm, w_dot, pad, n, dt, ladder.terms[e], block)
                 out.append((e, i_unc, i_corr, i_model, i_ito))
         return out, seconds
 
-    result = WZResult(
-        config=config,
-        c_eps=corrections,
-        c_eps_error={e: err for e, (_, err) in quadratures.items()},
-        timings=timings,
-    )
-    per_path = _results(_run_paths(one_path, config.n_paths, config.threads), timings)
+    result = WZResult(config, ladder.c_eps, ladder.c_eps_error, timings=ladder.timings)
+    per_path = _results(_run_paths(one_path, config.n_paths, config.threads), ladder.timings)
     by_eps = {e: [] for e in config.eps_list}
     for p, rows in enumerate(per_path):
         for e, i_unc, i_corr, i_model, i_ito in rows:
@@ -642,7 +668,7 @@ def wz_experiment(config):
             by_eps[e].append((i_unc, i_corr, i_model, i_ito))
     for e in config.eps_list:
         arr = np.array(by_eps[e])
-        row = {"eps": e, "c_eps": corrections[e]}
+        row = {"eps": e, "c_eps": ladder.c_eps[e]}
         for col, name in enumerate(("uncorr", "corr", "model")):
             d2 = (arr[:, col] - arr[:, 3]) ** 2
             row["rms_" + name] = float(np.sqrt(np.mean(d2)))
@@ -678,70 +704,51 @@ def _model_route(f, wh_sm, w_dot, pad, n, dt, terms, block):
 # small-scale pairing probe
 
 
-def model_bound_probe(
-    H,
-    kappa,
-    n_grid,
-    n_paths,
-    seed,
-    eps_list,
-    lambdas,
-    n_powers=(1,),
-    mollifier="bump",
-    T=1.0,
-    threads=1,
-):
+def model_bound_probe(config):
     """Pairing decay probe for the renormalized smooth model.
 
-    For symbols ``Xi``, ``I(Xihat)`` and ``Xi * I(Xihat)^n``, computes
-    the root-mean-square pairing of the difference between the
-    renormalized mollified evaluation and the rough (unmollified)
-    evaluation against rescaled bump test functions centred at T/2, over
-    a ladder of scales ``lambdas`` and widths ``eps_list``; the
-    renormalized ``Xi * I(Xihat)^n`` is :func:`renormalised_terms` at
-    ``c_eps``.  Returns the row table and, per symbol, joint log-log
-    regression exponents in lambda and eps, and the seconds per phase
-    (``timings``, summed over paths).  The fit needs at least two
-    distinct values of each, and every lambda must lie in [dt, T/2);
+    For symbols ``Xi``, ``I(Xihat)`` and ``Xi * I(Xihat)^n`` with n in
+    ``config.powers``, computes the root-mean-square pairing of the
+    difference between the renormalized mollified evaluation and the
+    rough (unmollified) evaluation against rescaled bump test functions
+    centred at T/2, over the ladder of scales ``config.lambdas`` and
+    widths ``config.eps_list``; the renormalized ``Xi * I(Xihat)^n`` is
+    :func:`renormalised_terms` at ``c_eps``.  Returns the row table and,
+    per symbol, joint log-log regression exponents in lambda and eps,
+    ``c_eps`` and its quadrature error per eps, and the seconds per phase
+    (``timings``, summed over paths).  The fit needs at least two values
+    of each of eps and lambda, and every lambda must lie in [dt, T/2);
     otherwise ConfigError.
     """
-    dt = T / n_grid
-    if len(set(eps_list)) < 2 or len(set(lambdas)) < 2:
+    dt = config.dt
+    n_grid = config.n_grid
+    eps_list, lambdas = config.eps_list, config.lambdas
+    if len(eps_list) < 2 or len(lambdas) < 2:
         raise ConfigError("the fit needs two distinct eps and two distinct lambda values")
     halves = {lam: int(math.floor(lam / dt + 1e-9)) for lam in lambdas}
     if not all(1 <= half < n_grid // 2 for half in halves.values()):
-        raise ConfigError(f"lambda values must lie in [dt, T/2) = [{dt:g}, {T / 2:g})")
-    moll = MollifierSpec(mollifier)
-    kernel = KernelSpec(H=H, T=T)
+        raise ConfigError(f"lambda values must lie in [dt, T/2) = [{dt:g}, {config.T / 2:g})")
     m_max = max(int(math.floor(e / dt + 1e-9)) for e in eps_list)
-    pad = int(round(2 * T / dt)) + m_max + 2
+    pad = int(round(2 * config.T / dt)) + m_max + 2
     n_ext = n_grid + pad
     s_idx = pad + n_grid // 2
-    spec = _structure_spec(H, kappa)
-    timings = {}
-    with _timed(timings, "c_eps"):
-        corrections = {e: c_eps(e, kernel, moll) for e in eps_list}
-    with _timed(timings, "expansion"):
-        terms = {e: renormalised_terms(c, spec, n_powers) for e, c in corrections.items()}
-    weights = [mollification_weights(dt, e, moll) for e in eps_list]
-    hat_smooth = _hat_smoother(n_ext, kernel, dt)
-    smooth_w = _smoother(n_ext + 1, [(w, m) for w, _, m in weights])
-    smooth_dw = _smoother(n_ext + 1, [(dw, m) for _, dw, m in weights])
-    names = {k: f"Xi*I(Xihat)^{k}" if k > 1 else "Xi*I(Xihat)" for k in n_powers}
+    ladder = _ladder(config, config.powers, n_ext + 1)
+    hat_smooth = _hat_smoother(n_ext, ladder.kernel, dt)
+    names = {k: f"Xi*I(Xihat)^{k}" if k > 1 else "Xi*I(Xihat)" for k in config.powers}
     taus = ["Xi", "I(Xihat)", *names.values()]
 
     def one_path(p):
         seconds = {}
         with _timed(seconds, "paths"):
-            inc = brownian_increments(n_ext, dt, seed, p)
+            inc = brownian_increments(n_ext, dt, config.seed, p)
             hat = _causal(hat_smooth, inc)  # stationary_hat_process
             w_ext = np.concatenate(([0.0], np.cumsum(inc)))
-            per_eps = dict(zip(eps_list, zip(smooth_dw(w_ext), smooth_w(hat))))
+            per_eps = dict(zip(eps_list, zip(ladder.smooth_dw(w_ext), ladder.smooth_w(hat))))
         with _timed(seconds, "route"):
             vals = {}
             for lam, half in halves.items():
                 ks = np.arange(s_idx - half, s_idx + half + 1)
-                phi = moll.rho((ks - s_idx) * dt / lam) / lam
+                phi = ladder.mollifier.rho((ks - s_idx) * dt / lam) / lam
                 dw = inc[ks]
                 for e in eps_list:
                     w_dot, hat_sm = per_eps[e]
@@ -751,20 +758,20 @@ def model_bound_probe(
                     pair["Xi"] = float(np.sum(phi * (w_dot[ks] * dt - dw)))
                     pair["I(Xihat)"] = float(np.sum(phi * (dhat_sm - dhat_rough)) * dt)
                     for k, name in names.items():
-                        smooth = _evaluate(terms[e][k], w_dot[ks], dhat_sm) * dt
+                        smooth = _evaluate(ladder.terms[e][k], w_dot[ks], dhat_sm) * dt
                         rough = dhat_rough**k * dw
                         pair[name] = float(np.sum(phi * (smooth - rough)))
                     vals[(lam, e)] = pair
         return vals, seconds
 
-    per_path = _results(_run_paths(one_path, n_paths, threads), timings)
+    per_path = _results(_run_paths(one_path, config.n_paths, config.threads), ladder.timings)
     rows = []
     fits = {}
     logs = {tau: ([], [], []) for tau in taus}
     for lam in lambdas:
         for e in eps_list:
             for tau in taus:
-                samples = np.array([per_path[p][(lam, e)][tau] for p in range(n_paths)])
+                samples = np.array([path[(lam, e)][tau] for path in per_path])
                 rms = float(np.sqrt(np.mean(samples**2)))
                 rows.append({"tau": tau, "lambda": lam, "eps": e, "rms_pairing": rms})
                 if rms > 0:
@@ -776,4 +783,10 @@ def model_bound_probe(
         a = np.column_stack([np.ones(len(ll)), ll, le])
         coef, *_ = np.linalg.lstsq(a, np.array(lr), rcond=None)
         fits[tau] = {"lambda_exponent": float(coef[1]), "eps_exponent": float(coef[2])}
-    return {"rows": rows, "fits": fits, "c_eps": corrections, "timings": timings}
+    return {
+        "rows": rows,
+        "fits": fits,
+        "c_eps": ladder.c_eps,
+        "c_eps_error": ladder.c_eps_error,
+        "timings": ladder.timings,
+    }

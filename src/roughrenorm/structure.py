@@ -10,10 +10,10 @@ with :class:`fractions.Fraction` so that sign tests are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import rational, read_config
 from .errors import ConfigError, DomainError
 from .trees import (
     INTEGRATION,
@@ -24,8 +24,6 @@ from .trees import (
     tree_product,
 )
 
-DEFAULT_TRUNCATION = 8
-
 _DEGREE_CACHE = {}  # (spec, tree) -> exact degree
 
 
@@ -35,7 +33,7 @@ class StructureSpec:
 
     d: int
     alpha: tuple
-    truncation: int = DEFAULT_TRUNCATION
+    truncation: int = 8
 
     def __post_init__(self):
         if self.d < 1:
@@ -82,28 +80,6 @@ class StructureSpec:
             total += self.degree_tree(t)
         return total
 
-    # -- serialization ----------------------------------------------------
-
-    @classmethod
-    def from_text(cls, text):
-        """Read ``d``, ``alpha_1`` .. ``alpha_d`` and optional ``truncation``."""
-
-        def converter(key):
-            if key in ("d", "truncation"):
-                return int
-            return rational if key.startswith("alpha_") else None
-
-        fields = read_config(text, converter)
-        try:
-            d = fields.pop("d")
-            alpha = tuple(fields.pop(f"alpha_{i}") for i in range(1, d + 1))
-        except KeyError as exc:
-            raise ConfigError(f"missing field {exc}") from exc
-        truncation = fields.pop("truncation", DEFAULT_TRUNCATION)
-        if fields:
-            raise ConfigError(f"unknown key {min(fields)!r} for d={d}")
-        return cls(d=d, alpha=alpha, truncation=truncation)
-
 
 def generic_spec(d, nmax):
     """Spec with small distinct exponents keeping all noise monomials of
@@ -137,13 +113,10 @@ def rough_vol_spec(H, kappa, truncation=None):
 
 
 def required_power(H, kappa):
-    """Smallest m with (m + 1) * (H - kappa) - 1/2 - kappa > 0."""
+    """Smallest m >= 1 with (m + 1) * (H - kappa) - 1/2 - kappa > 0."""
     H = Fraction(H)
     kappa = Fraction(kappa)
-    m = 1
-    while (m + 1) * (H - kappa) - Fraction(1, 2) - kappa <= 0:
-        m += 1
-    return m
+    return max(1, math.floor((Fraction(1, 2) + kappa) / (H - kappa)))
 
 
 # ---------------------------------------------------------------------------

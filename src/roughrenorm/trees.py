@@ -169,16 +169,15 @@ def forest_product(*forests):
 # symbol family predicate
 
 
-def in_symbol_family(tree, d=None, truncation=None):
+def in_symbol_family(tree, d=None):
     """Whether ``tree`` is a valid symbol.
 
     Valid symbols are depth <= 2 trees: at most one noise edge at the
     root (to a leaf), any number of integration branches that are either
     bare or carry exactly one noise edge to a leaf.  ``d`` bounds noise
-    indices, ``truncation`` bounds the number of integration branches.
+    indices.
     """
     n_noise = 0
-    n_int = 0
     for et, sub in tree.children:
         if et.is_noise:
             n_noise += 1
@@ -186,10 +185,7 @@ def in_symbol_family(tree, d=None, truncation=None):
                 return False
             if d is not None and et.index > d:
                 return False
-        else:
-            n_int += 1
-            if sub.is_leaf:
-                continue
+        elif not sub.is_leaf:
             if len(sub.children) != 1:
                 return False
             set2, sub2 = sub.children[0]
@@ -197,8 +193,6 @@ def in_symbol_family(tree, d=None, truncation=None):
                 return False
             if d is not None and set2.index > d:
                 return False
-    if truncation is not None and n_int > truncation:
-        return False
     return True
 
 
@@ -554,22 +548,22 @@ def _parse_noise(tok, d):
     return noise(idx)
 
 
-def _parse_tree(tok, d, truncation):
+def _parse_tree(tok, d):
     t, pos = _parse_atom(tok, d)
     while tok.peek() == "*":
         tok.pos += 1
         t2, _ = _parse_atom(tok, d)
         t = tree_product(t, t2)
-    if not in_symbol_family(t, d=d, truncation=truncation):
+    if not in_symbol_family(t, d=d):
         raise ParseError("tree product is not a valid symbol", pos)
     return t
 
 
-def _parse_forest(tok, d, truncation):
-    trees = [_parse_tree(tok, d, truncation)]
+def _parse_forest(tok, d):
+    trees = [_parse_tree(tok, d)]
     while tok.peek() == ".":
         tok.pos += 1
-        trees.append(_parse_tree(tok, d, truncation))
+        trees.append(_parse_tree(tok, d))
     return Forest(trees)
 
 
@@ -601,7 +595,7 @@ def _is_coeff_one(tok):
     return j < len(text) and text[j] in "/*"
 
 
-def parse_symbol(text, d=None, truncation=None):
+def parse_symbol(text, d=None):
     """Parse symbol text into a forest-keyed FormalSum.
 
     Grammar: sums of optionally rational-scaled forests, where a forest
@@ -644,7 +638,7 @@ def parse_symbol(text, d=None, truncation=None):
                 result += FormalSum.lift(EMPTY_FOREST, coeff)
                 first = False
                 continue
-        f = _parse_forest(tok, d, truncation)
+        f = _parse_forest(tok, d)
         result += FormalSum.lift(f, coeff)
         first = False
     return result

@@ -206,7 +206,7 @@ def test_08_correction_constant_scaling():
     kernel = KernelSpec(H=H, T=1.0)
     moll = MollifierSpec("bump")
     eps = [2.0**-k for k in range(3, 8)]
-    vals = [c_eps(e, kernel, moll) for e in eps]
+    vals = [c_eps(e, kernel, moll)[0] for e in eps]
     slope = np.polyfit(np.log(eps), np.log(vals), 1)[0]
     elapsed = time.time() - t0
     assert abs(slope - (H - 0.5)) <= 0.05
@@ -267,7 +267,7 @@ def test_10_renormalized_difference_exact_arrays():
         xi={1: w[sl], 2: hat_sm[sl]},
         xid={1: w_dot[sl], 2: hat_dot[sl]},
     )
-    correction = c_eps(eps, kernel, moll)
+    correction, _ = c_eps(eps, kernel, moll)
     cov = CovarianceSpec(2, {(D1, X2): Fraction(correction)})
     s_idx = n // 2
     for nn in range(1, M + 1):
@@ -311,15 +311,17 @@ def test_11_model_axioms():
 def test_12_model_bound_probe():
     t0 = time.time()
     report = model_bound_probe(
-        H=0.3,
-        kappa=0.01,
-        n_grid=2**10,
-        n_paths=100,
-        seed=33,
-        eps_list=tuple(2.0**-k for k in range(3, 7)),
-        lambdas=(0.25, 0.125, 0.0625),
-        n_powers=(1,),
-        threads=4,
+        SimConfig(
+            H=0.3,
+            kappa=0.01,
+            n_grid=2**10,
+            n_paths=100,
+            seed=33,
+            eps_list=tuple(2.0**-k for k in range(3, 7)),
+            lambdas=(0.25, 0.125, 0.0625),
+            powers=(1,),
+            threads=4,
+        )
     )
     elapsed = time.time() - t0
     for tau in ("Xi", "I(Xihat)", "Xi*I(Xihat)"):

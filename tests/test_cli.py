@@ -160,6 +160,22 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert main(["simulate", "wong-zakai", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta-minus", "Xi_1", "--nmax", "2"],
+        ["delta-minus", "Xi_1", "--alpha", "1/3,1/5"],
+        ["check-bphz", "--alpha", "1/3,1/5"],
+        ["check-gamma", "--nmax", "2", "--alpha", "1/3,1/5"],
+    ],
+)
+def test_unread_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["symbolic", *argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_c_eps_command(capsys):
     assert main(["simulate", "c-eps", "--H", "0.3", "--eps", "0.125"]) == 0
     assert "c_eps = 0.762966975" in capsys.readouterr().out
@@ -177,7 +193,14 @@ def test_bounds_outputs(tmp_path, capsys):
     with open(out / "bounds.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert set(rows[0]) == {"tau", "lambda", "eps", "rms_pairing"}
-    _check_run_telemetry(json.loads((out / "manifest.json").read_text()))
+    manifest = json.loads((out / "manifest.json").read_text())
+    _check_run_telemetry(manifest)
+    assert [row["eps"] for row in manifest["c_eps"]] == [0.125, 0.0625]
+    for row in manifest["c_eps"]:
+        assert set(row) == {"eps", "value", "quad_error"}
+        assert 0.0 < row["quad_error"] < 1e-6 * row["value"]
+    # the same constants as the Wong-Zakai run writes for these eps
+    assert manifest["c_eps"][1]["value"] == pytest.approx(0.8764189091348921, rel=1e-12)
 
 
 
@@ -219,6 +242,7 @@ _C_EPS = ["simulate", "c-eps", "--H", "0.3", "--eps"]
         (_WZ, _SIM + "eps = 1/16,0.0625\n"),  # one eps twice
         (_BOUNDS, _SIM + "eps = 1/8,1/16\nlambda = 1/4,1/4,1/8\n"),
         (_BOUNDS, _SIM + "eps = 1/8,1/16\npowers = 1,2,1\n"),
+        (_WZ, _SIM.replace("0.01", "0.2999999999") + "eps = 1/8\n"),  # truncation ~8e9
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv, text):

@@ -1,4 +1,4 @@
-"""The shared ``key = value`` config reader, fuzzed through all three
+"""The shared ``key = value`` config reader, fuzzed through both
 ``from_text`` readers."""
 
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from roughrenorm.errors import ConfigError
 from roughrenorm.gaussian import CovarianceSpec
 from roughrenorm.roughsim import SimConfig
-from roughrenorm.structure import StructureSpec
 
 KEYS = [
     "d", "alpha_1", "alpha_2", "alpha_3", "truncation", "D1,X2", "X2,X2", "D3,X1",
@@ -26,7 +25,7 @@ LINES = st.one_of(
 )
 
 
-@pytest.mark.parametrize("reader", [StructureSpec, CovarianceSpec, SimConfig])
+@pytest.mark.parametrize("reader", [CovarianceSpec, SimConfig])
 @given(lines=st.lists(LINES, max_size=12))
 @settings(max_examples=150, deadline=None)
 def test_readers_raise_only_config_error(reader, lines):

@@ -178,7 +178,7 @@ def test_c_eps_scaling_exponent():
     kernel = KernelSpec(H=0.3, T=1.0)
     moll = MollifierSpec("bump")
     eps = [2.0**-k for k in range(3, 8)]
-    vals = [c_eps(e, kernel, moll) for e in eps]
+    vals = [c_eps(e, kernel, moll)[0] for e in eps]
     slope = np.polyfit(np.log(eps), np.log(vals), 1)[0]
     assert slope == pytest.approx(0.3 - 0.5, abs=0.01)
 
@@ -187,7 +187,7 @@ def test_c_eps_timedep_matches_constant_away_from_origin():
     moll = MollifierSpec("bump")
     kernel = KernelSpec(H=0.3, T=1.0)
     eps = 1 / 16
-    const = c_eps(eps, kernel, moll)
+    const, _ = c_eps(eps, kernel, moll)
     late = c_eps_timedep(0.5, eps, 0.3, moll)
     assert late == pytest.approx(const, rel=1e-4)
     # pinned, so that a change to the quadrature cannot move c_eps unseen
@@ -211,7 +211,7 @@ def test_c_eps_monte_carlo_cross_check():
     moll = MollifierSpec("bump")
     kernel = KernelSpec(H=0.35, T=1.0)
     eps = 1 / 8
-    exact = c_eps(eps, kernel, moll)
+    exact, _ = c_eps(eps, kernel, moll)
     rng = np.random.default_rng(12)
     n = 400_000
     a = rng.uniform(-eps, eps, n)
@@ -245,6 +245,15 @@ def test_sim_config_validation():
         SimConfig(
             H=0.3, kappa=0.01, n_grid=256, n_paths=2, seed=1, eps_list=(1 / 256,)
         )
+
+
+def test_sim_config_caps_the_truncation():
+    base = dict(n_grid=256, n_paths=2, seed=1, eps_list=(0.125,))
+    assert SimConfig(H=0.05, kappa=0.04, **base).spec.truncation == 54
+    assert SimConfig(H=0.3, kappa=0.2878, **base).spec.truncation == 64
+    for kappa in (0.2879, 0.2999999999):  # truncation 65 and about 8e9
+        with pytest.raises(ConfigError, match="too close to H"):
+            SimConfig(H=0.3, kappa=kappa, **base)
 
 
 def test_sim_config_text_round_trip():
@@ -368,13 +377,13 @@ def test_renormalised_terms_are_the_closed_form(c, k):
 
 _PROBE = dict(
     H=0.3, kappa=0.01, n_grid=256, n_paths=6, seed=3,
-    eps_list=(0.125, 0.0625), lambdas=(0.25, 0.125), n_powers=(1, 2),
+    eps_list=(0.125, 0.0625), lambdas=(0.25, 0.125), powers=(1, 2),
 )
 
 
 def test_doubled_remainder_coefficient_moves_only_renormalised_outputs(monkeypatch):
     config = SimConfig(H=0.3, kappa=0.01, n_grid=256, n_paths=3, seed=5, eps_list=(0.125,))
-    wz, probe = wz_experiment(config), model_bound_probe(**_PROBE)
+    wz, probe = wz_experiment(config), model_bound_probe(SimConfig(**_PROBE))
     expansion = model.bphz_expansion
 
     def doubled(tree, cov, spec):
@@ -382,7 +391,7 @@ def test_doubled_remainder_coefficient_moves_only_renormalised_outputs(monkeypat
         return FormalSum([(r, c if r == tau else 2 * c) for r, c in expansion(tree, cov, spec)])
 
     monkeypatch.setattr(roughsim.model, "bphz_expansion", doubled)
-    wz2, probe2 = wz_experiment(config), model_bound_probe(**_PROBE)
+    wz2, probe2 = wz_experiment(config), model_bound_probe(SimConfig(**_PROBE))
     for key in ("I_corr", "I_model"):
         assert all(a[key] != b[key] for a, b in zip(wz.rows, wz2.rows))
     for key in ("I_uncorr", "I_ito"):
@@ -394,8 +403,8 @@ def test_doubled_remainder_coefficient_moves_only_renormalised_outputs(monkeypat
 
 
 def test_model_bound_probe_threaded_matches_serial():
-    serial = model_bound_probe(**_PROBE, threads=1)
-    threaded = model_bound_probe(**_PROBE, threads=4)
+    serial = model_bound_probe(SimConfig(**_PROBE, threads=1))
+    threaded = model_bound_probe(SimConfig(**_PROBE, threads=4))
     assert serial["rows"] == threaded["rows"]
     assert serial["fits"] == threaded["fits"]
 
@@ -433,14 +442,16 @@ def test_run_paths_caps_threads_at_cpu_count(monkeypatch):
 
 def test_model_bound_probe_shapes():
     rep = model_bound_probe(
-        H=0.3,
-        kappa=0.01,
-        n_grid=256,
-        n_paths=8,
-        seed=3,
-        eps_list=(0.125, 0.0625),
-        lambdas=(0.25, 0.125),
-        n_powers=(1,),
+        SimConfig(
+            H=0.3,
+            kappa=0.01,
+            n_grid=256,
+            n_paths=8,
+            seed=3,
+            eps_list=(0.125, 0.0625),
+            lambdas=(0.25, 0.125),
+            powers=(1,),
+        )
     )
     taus = {row["tau"] for row in rep["rows"]}
     assert taus == {"Xi", "I(Xihat)", "Xi*I(Xihat)"}

@@ -1,12 +1,13 @@
 """Degree grading, named specs, projections, basis enumeration."""
 
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from roughrenorm.errors import ConfigError
 from roughrenorm.structure import (
-    StructureSpec,
     enumerate_basis,
     generic_spec,
     required_power,
@@ -52,6 +53,31 @@ def test_required_power_values():
     assert required_power(Fraction(1, 10), Fraction(1, 100)) == 5
 
 
+def _required_power_loop(H, kappa):
+    """The defining search: smallest m >= 1 with (m + 1)(H - kappa) > 1/2 + kappa."""
+    m = 1
+    while (m + 1) * (H - kappa) - Fraction(1, 2) - kappa <= 0:
+        m += 1
+    return m
+
+
+@given(
+    H=st.fractions(0, Fraction(1, 2), max_denominator=100),
+    kappa=st.fractions(0, Fraction(1, 2), max_denominator=100),
+)
+@settings(max_examples=300, deadline=None)
+def test_required_power_matches_the_search(H, kappa):
+    assume(0 < kappa < H < Fraction(1, 2))
+    assert required_power(H, kappa) == _required_power_loop(H, kappa)
+
+
+def test_required_power_near_the_diagonal_returns_at_once():
+    start = time.perf_counter()
+    # (1/2 + kappa) / (H - kappa) = 0.7999999999 / 1e-10 = 7,999,999,999 exactly
+    assert required_power(Fraction(3, 10), Fraction(2999999999, 10**10)) == 7999999999
+    assert time.perf_counter() - start < 0.1
+
+
 def test_rough_vol_spec_default_truncation():
     assert rough_vol_spec(Fraction(2, 5), Fraction(1, 100)).truncation == 1
     assert rough_vol_spec(Fraction(1, 10), Fraction(1, 100)).truncation == 5
@@ -64,14 +90,6 @@ def test_rough_vol_spec_validation():
         rough_vol_spec(Fraction(1, 4), Fraction(1, 4))
     with pytest.raises(ConfigError):
         rough_vol_spec(Fraction(1, 4), Fraction(0))
-
-
-def test_spec_text_round_trip():
-    text = "d = 2\nalpha_1 = 49/100\nalpha_2 = 0.29\ntruncation = 1\n"
-    spec = rough_vol_spec(Fraction(3, 10), Fraction(1, 100))
-    assert StructureSpec.from_text(text) == spec
-    default = StructureSpec.from_text(text.replace("truncation = 1\n", ""))
-    assert default == StructureSpec(d=2, alpha=spec.alpha, truncation=8)
 
 
 def test_project_plus_kills_root_noise_factors():
