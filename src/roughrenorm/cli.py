@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 when a verification command finds a failing
 identity, 2 on usage/configuration errors, 3 on domain errors (inputs
-outside the mathematical domain of an operation).
+outside the mathematical domain of an operation, or a ``c_eps`` that is
+not finite), 141 when the reader of stdout closed it early (128 +
+SIGPIPE, as a shell reports a tool killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import platform
 import sys
 import time
@@ -295,7 +298,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone; send what is still buffered to devnull,
+        # or the flush at interpreter exit fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ from scipy import fft, integrate
 
 from . import model
 from .config import ints, read_config, real, reals
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .gaussian import CovarianceSpec
 from .structure import rough_vol_spec
 from .trees import INTEGRATION, branch, noise, tree_product
@@ -322,7 +322,8 @@ def c_eps(eps, kernel, mollifier):
         return float(kernel.khat(np.array([u]))[0]) * phi(u) * p * v ** (p - 1.0)
 
     hi = upper ** (1.0 / p)
-    return integrate.quad(integrand, 0.0, hi, limit=200)
+    value, error = integrate.quad(integrand, 0.0, hi, limit=200)
+    return _finite(value, eps), error
 
 
 def c_eps_timedep(t, eps, H, mollifier):
@@ -344,16 +345,21 @@ def c_eps_timedep(t, eps, H, mollifier):
             return c * 0.0
         return c * (v ** (H + 0.5) - max(v - mn, 0.0) ** (H + 0.5))
 
-    val, _ = integrate.dblquad(
-        lambda a, b: _drho_eps_at(a, eps, norm) * _rho_eps_at(b, eps, norm) * cross(a, b),
-        -eps,
-        eps,
-        -eps,
-        eps,
-        epsabs=1e-9,
-        epsrel=1e-7,
-    )
-    return val
+    try:
+        val, _ = integrate.dblquad(
+            lambda a, b: _drho_eps_at(a, eps, norm) * _rho_eps_at(b, eps, norm) * cross(a, b),
+            -eps, eps, -eps, eps, epsabs=1e-9, epsrel=1e-7,
+        )
+    except ZeroDivisionError:  # eps * eps underflowed to 0
+        val = math.nan
+    return _finite(val, eps)
+
+
+def _finite(value, eps):
+    """A renormalisation constant, or a DomainError if it is inf or nan."""
+    if not math.isfinite(value):
+        raise DomainError(f"c_eps at eps={eps:g} is {value}, not a finite double")
+    return value
 
 
 # ---------------------------------------------------------------------------

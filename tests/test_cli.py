@@ -2,12 +2,17 @@
 
 import csv
 import json
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy
 import pytest
 import scipy
 
+import roughrenorm
 from roughrenorm import cache_info, clear_caches
 from roughrenorm.cli import main
 
@@ -243,6 +248,12 @@ _C_EPS = ["simulate", "c-eps", "--H", "0.3", "--eps"]
         (_BOUNDS, _SIM + "eps = 1/8,1/16\nlambda = 1/4,1/4,1/8\n"),
         (_BOUNDS, _SIM + "eps = 1/8,1/16\npowers = 1,2,1\n"),
         (_WZ, _SIM.replace("0.01", "0.2999999999") + "eps = 1/8\n"),  # truncation ~8e9
+        (["symbolic", "delta-minus", "Xi_1^0"], None),  # power below 1
+        (["symbolic", "delta-minus", "2/0*Xi_1"], None),  # zero denominator
+        (["symbolic", "delta-minus", "I(1)"], None),  # I( takes only a noise
+        (["symbolic", "delta-minus", "Xi_3", "--d", "2"], None),  # index above d
+        (["symbolic", "delta-minus", "Xi_1 +"], None),  # sign without a term
+        (["symbolic", "delta-minus", "1 2"], None),  # unit atom, then a stray digit
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv, text):
@@ -254,3 +265,27 @@ def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra", [[], ["--time", "0.5"]])
+def test_non_finite_c_eps_exits_3_with_one_line_error(capsys, extra):
+    # at eps = 1e-300 the quadrature overflows, and eps * eps underflows
+    assert main(_C_EPS + ["1e-300"] + extra) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    src = Path(roughrenorm.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes anything
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "roughrenorm.cli", "symbolic", "check-bphz", "--nmax", "4"],
+            cwd=src, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141, done.stderr
+    assert "Traceback" not in done.stderr
