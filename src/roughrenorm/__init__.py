@@ -73,6 +73,7 @@ def _memo_tables():
     return {
         "trees._EXTRACT_CACHE": _trees._EXTRACT_CACHE,
         "coalgebra._REPAIRED_CACHE": _coalgebra._REPAIRED_CACHE,
+        "coalgebra._EVEN_CACHE": _coalgebra._EVEN_CACHE,
         "coalgebra._ANTIPODE_CACHE": _coalgebra._ANTIPODE_CACHE,
         "gaussian._G_ANTIPODE_CACHE": _gaussian._G_ANTIPODE_CACHE,
         "gaussian._SYMBOLIC._moment_cache": _gaussian._SYMBOLIC._moment_cache,
@@ -83,12 +84,13 @@ def _memo_tables():
 def cache_info():
     """Entry count of each of the package's process-wide memo tables.
 
-    The tables hold the plain and repaired extraction tables (one entry
-    per tree), the twisted antipode and g∘A values (per tree and spec),
-    the symbolic Gaussian moments (per monomial) and the degrees (per
-    spec and tree).  None is bounded: each grows with the distinct trees
-    a process sees.  A ``CovarianceSpec`` keeps its own moment cache,
-    which lives and dies with that object.
+    The tables hold the plain and repaired extraction tables and the
+    repaired ones pruned for g∘A (one entry per tree; see
+    ``coalgebra.delta_minus_ex_even``), the twisted antipode and g∘A
+    values (per tree and spec), the symbolic Gaussian moments (per
+    monomial) and the degrees (per spec and tree).  None is bounded: each
+    grows with the distinct trees a process sees.  A ``CovarianceSpec``
+    keeps its own moment cache, which lives and dies with that object.
 
     The tables are plain dicts with no lock.  Every entry is a pure
     function of its key, so threads sharing them under CPython get the

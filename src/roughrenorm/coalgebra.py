@@ -24,6 +24,12 @@ finishers read those states:
 After projecting the left leg onto negative-degree forests the two
 variants agree, so everything downstream (the twisted antipode, the
 renormalization characters) is variant-independent.
+
+The BPHZ character g∘A (``gaussian``) reads a third, pruned table,
+:func:`delta_minus_ex_even`: the repaired, projected coproduct less every
+term whose left leg holds a tree with an odd number of noise edges.
+g∘A is 0 on such a tree for every centred Gaussian covariance, so those
+terms contribute nothing to g∘A or to ``model.bphz_expansion``.
 """
 
 from __future__ import annotations
@@ -61,23 +67,28 @@ def _finish_repaired(aoff, chosen, rem):
     """Repaired contraction of a ``trees._extract`` state: riders fill the
     remainder's root up to one noise edge (smallest first); the rest go
     back into the extracted component of the edge they rode in on."""
-    fixed = sum(1 for b in rem if b[0].is_noise)
-    rider_slots = sorted(
-        (r[0].sort_key(), r[1].key, idx, r)
-        for idx, entry in enumerate(chosen)
-        for r in entry[2]
-    )
-    capacity = max(0, 1 - fixed)
-    pulled_by_entry = {}
-    for _, _, idx, r in rider_slots[capacity:]:
-        pulled_by_entry.setdefault(idx, []).append(r)
+    stay = (None, 0)  # (entry index, rider index) of the rider kept at the root
+    if not any(b[0].is_noise for b in rem):
+        slots = [
+            (r[0].sort_key(), r[1].key, idx, j)
+            for idx, entry in enumerate(chosen)
+            for j, r in enumerate(entry[2])
+        ]
+        if slots:
+            stay = min(slots)[2:]
+    kept = ()
+    grown = {}  # equal entries (adjacent in ``chosen``) grow one tree
     root_branches = []
-    for idx, (et, aroot, _) in enumerate(chosen):
-        extra = pulled_by_entry.get(idx)
-        if extra:
-            aroot = Tree(aroot.children + tuple(extra))
+    for idx, (et, aroot, riders) in enumerate(chosen):
+        if idx == stay[0]:
+            j = stay[1]
+            kept, riders = riders[j:j + 1], riders[:j] + riders[j + 1:]
+        if riders:
+            key = (aroot, riders)
+            if key not in grown:
+                grown[key] = Tree(aroot.children + riders)
+            aroot = grown[key]
         root_branches.append((et, aroot))
-    kept = tuple(r for _, _, _, r in rider_slots[:capacity])
     return aoff, Tree(root_branches), Tree(rem + kept)
 
 
@@ -132,9 +143,9 @@ _TABLE_SIZES = ContextVar("coproduct_table_sizes", default=None)
 
 @contextmanager
 def coproduct_sizes():
-    """Collect the number of terms of every ``delta_minus_ex`` table built
-    inside the block, in a list, for reports; the context variable keeps
-    threads and nested blocks apart."""
+    """Collect the number of terms of every ``delta_minus_ex`` or
+    ``delta_minus_ex_even`` table built inside the block, in a list, for
+    reports; the context variable keeps threads and nested blocks apart."""
     sizes = []
     token = _TABLE_SIZES.set(sizes)
     try:
@@ -143,15 +154,50 @@ def coproduct_sizes():
         _TABLE_SIZES.reset(token)
 
 
-def delta_minus_ex(x, spec, repair=True):
-    """Coproduct with the left leg projected onto negative-degree forests."""
-    out = FormalSum(
-        [((a, r), c) for (a, r), c in delta_minus(x, repair=repair) if is_negative_forest(a, spec)]
-    )
+def _record_size(table):
     sizes = _TABLE_SIZES.get()
     if sizes is not None:
-        sizes.append(len(out))
-    return out
+        sizes.append(len(table))
+    return table
+
+
+def delta_minus_ex(x, spec, repair=True):
+    """Coproduct with the left leg projected onto negative-degree forests."""
+    return _record_size(FormalSum(
+        [((a, r), c) for (a, r), c in delta_minus(x, repair=repair) if is_negative_forest(a, spec)]
+    ))
+
+
+_EVEN_CACHE = {}
+
+
+def delta_minus_ex_even(tree, spec):
+    """The terms of ``delta_minus_ex(tree, spec)`` whose left leg holds no
+    tree with an odd number of noise edges, with the same coefficients.
+
+    These are all the terms on which the BPHZ character g∘A can be
+    non-zero.  A centred Gaussian character is 0 on a monomial of odd
+    degree, and the repaired finisher conserves noise edges, so by
+    induction on the edge count g∘A(t) = 0 whenever ``t`` has an odd
+    noise count: in each antipode term either a left-leg tree or the
+    remainder carries an odd count.  That holds for every covariance.
+
+    An off-root component is final once it detaches, so the extraction
+    never builds one of odd noise count (``trees._extract`` with
+    ``even=True``, cached in ``_EVEN_CACHE``); the root component is
+    final only once finished, and is dropped here.
+    """
+    if not in_symbol_family(tree):
+        raise DomainError(f"tree {tree!r} lies outside the symbol family")
+    pairs = {}
+    for (aoff, aroot, rem), m in _extract(tree, _finish_repaired, _EVEN_CACHE, even=True).items():
+        if aroot.num_noises % 2:
+            continue
+        a = Forest(aoff + (aroot,))
+        if is_negative_forest(a, spec):
+            key = (a, forest_of(rem))
+            pairs[key] = pairs.get(key, 0) + Fraction(m)
+    return _record_size(FormalSum(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +264,19 @@ def twisted_antipode(x, spec):
     return out
 
 
-def antipode_terms(tree, spec):
+def antipode_terms(tree, spec, even=False):
     """The terms ``((a, r), c)`` of ``delta_minus_ex(tree) - tree (x) 1``
     over which the antipode recursion runs; defined on negative-degree
-    trees only."""
+    trees only.  With ``even=True``, only those of
+    :func:`delta_minus_ex_even`, the ones the BPHZ character can see."""
     if spec.degree_tree(tree) >= 0:
         raise DomainError(
             f"antipode is defined on negative-degree trees; {tree!r} has degree "
             f"{spec.degree_tree(tree)}"
         )
     full = forest_of(tree)
-    return [((a, r), c) for (a, r), c in delta_minus_ex(tree, spec) if a != full]
+    table = delta_minus_ex_even(tree, spec) if even else delta_minus_ex(tree, spec)
+    return [((a, r), c) for (a, r), c in table if a != full]
 
 
 def _antipode_tree(tree, spec):

@@ -186,7 +186,9 @@ def g_antipode(x, cov, spec):
     twisted negative antipode A, linear and multiplicative over forests.
 
     On a tree, g∘A(tau) = -sum c * g∘A(a) * g(r) over the terms
-    ``((a, r), c)`` of ``antipode_terms(tau, spec)``.  Tree values are
+    ``((a, r), c)`` of ``antipode_terms(tau, spec)``; the terms whose
+    left leg holds a tree of odd noise count, where g∘A is 0, are never
+    built (``antipode_terms(tau, spec, even=True)``).  Tree values are
     cached by ``(tree.key, spec)`` as polynomials in the entries
     ``C[u][v]``, one cache for every covariance.  Returns the polynomial
     for a ``SymbolicCovariance``, its value (a Fraction) for a
@@ -208,7 +210,7 @@ def _g_antipode_tree(tree, spec):
     value = _G_ANTIPODE_CACHE.get(key)
     if value is None:
         value = Poly()
-        for (a, r), c in antipode_terms(tree, spec):
+        for (a, r), c in antipode_terms(tree, spec, even=True):
             term = -c * g_minus(r, _SYMBOLIC)
             for t in a.trees:
                 term = term * _g_antipode_tree(t, spec)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coalgebra import coproduct_sizes, delta_minus_ex, delta_plus_ex
+from .coalgebra import coproduct_sizes, delta_minus_ex, delta_minus_ex_even, delta_plus_ex
 from .errors import DomainError
 from .gaussian import g_antipode, g_minus
 from .poly import Poly
@@ -210,9 +210,11 @@ def eval_gamma(t_idx, s_idx, path):
 def bphz_expansion(tree, cov, spec):
     """Exact expansion of the renormalized evaluation of ``tree``:
     a forest-keyed FormalSum whose keys are the remainder legs and whose
-    coefficients multiply their recentred evaluations."""
+    coefficients multiply their recentred evaluations.  Only the terms of
+    ``delta_minus_ex`` on which g∘A can be non-zero are built
+    (:func:`~roughrenorm.coalgebra.delta_minus_ex_even`)."""
     out = FormalSum()
-    for (a, r), c in delta_minus_ex(tree, spec):
+    for (a, r), c in delta_minus_ex_even(tree, spec):
         coeff = c * g_antipode(a, cov, spec)
         if coeff:
             out += FormalSum.lift(r, coeff)
@@ -246,7 +248,8 @@ def check_bphz_plain(spec, nmax, cov):
     and the pure integrated powers must be untouched.  Returns a report
     dict with status "pass"/"fail", the run time ``elapsed_s`` and
     ``max_coproduct_terms``, the number of terms of the largest
-    ``delta_minus_ex`` table built.
+    extraction table built: here every table is a pruned one, from
+    :func:`~roughrenorm.coalgebra.delta_minus_ex_even`.
     """
     start = time.perf_counter()
     with coproduct_sizes() as sizes:

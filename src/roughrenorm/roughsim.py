@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -322,8 +323,9 @@ def c_eps(eps, kernel, mollifier):
         return float(kernel.khat(np.array([u]))[0]) * phi(u) * p * v ** (p - 1.0)
 
     hi = upper ** (1.0 / p)
-    value, error = integrate.quad(integrand, 0.0, hi, limit=200)
-    return _finite(value, eps), error
+    with warnings.catch_warnings(record=True) as caught:
+        value, error = integrate.quad(integrand, 0.0, hi, limit=200)
+    return _finite(value, eps, caught), error
 
 
 def c_eps_timedep(t, eps, H, mollifier):
@@ -345,20 +347,28 @@ def c_eps_timedep(t, eps, H, mollifier):
             return c * 0.0
         return c * (v ** (H + 0.5) - max(v - mn, 0.0) ** (H + 0.5))
 
-    try:
-        val, _ = integrate.dblquad(
-            lambda a, b: _drho_eps_at(a, eps, norm) * _rho_eps_at(b, eps, norm) * cross(a, b),
-            -eps, eps, -eps, eps, epsabs=1e-9, epsrel=1e-7,
-        )
-    except ZeroDivisionError:  # eps * eps underflowed to 0
-        val = math.nan
-    return _finite(val, eps)
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            val, _ = integrate.dblquad(
+                lambda a, b: _drho_eps_at(a, eps, norm) * _rho_eps_at(b, eps, norm) * cross(a, b),
+                -eps, eps, -eps, eps, epsabs=1e-9, epsrel=1e-7,
+            )
+        except ZeroDivisionError:  # eps * eps underflowed to 0
+            val = math.nan
+    return _finite(val, eps, caught)
 
 
-def _finite(value, eps):
-    """A renormalisation constant, or a DomainError if it is inf or nan."""
+def _finite(value, eps, caught):
+    """A renormalisation constant, or a DomainError if it is inf or nan.
+
+    ``caught`` holds the warnings recorded while the quadrature ran.  They
+    are shown, unchanged, only with a finite value: a non-finite one ends
+    in the DomainError's one line alone.
+    """
     if not math.isfinite(value):
         raise DomainError(f"c_eps at eps={eps:g} is {value}, not a finite double")
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     return value
 
 

@@ -83,17 +83,23 @@ class Tree:
 
     ``children`` is a tuple of ``(EdgeType, Tree)`` pairs sorted by a
     canonical key, so structural equality is plain equality of keys.
+    ``num_edges`` and ``num_noises`` count all edges and the noise edges.
     """
 
-    __slots__ = ("children", "key", "num_edges", "_hash")
+    __slots__ = ("children", "key", "num_edges", "num_noises", "_hash")
 
     def __init__(self, children=()):
         children = tuple(sorted(children, key=_branch_sort_key))
         self.children = children
-        self.key = tuple(
-            (et.kind, et.index, sub.key) for et, sub in children
-        )
-        self.num_edges = sum(1 + sub.num_edges for _, sub in children)
+        key = []
+        edges = noises = 0
+        for et, sub in children:
+            key.append((et.kind, et.index, sub.key))
+            edges += 1 + sub.num_edges
+            noises += et.is_noise + sub.num_noises
+        self.key = tuple(key)
+        self.num_edges = edges
+        self.num_noises = noises
         self._hash = hash(self.key)
 
     @property
@@ -336,7 +342,7 @@ def _finish_plain(aoff, chosen, rem):
     return aoff, Tree((et, aroot) for et, aroot, _ in chosen), Tree(rem + riders)
 
 
-def _extract(tree, finish=_finish_plain, cache=_EXTRACT_CACHE):
+def _extract(tree, finish=_finish_plain, cache=_EXTRACT_CACHE, even=False):
     """All edge-subset extractions of ``tree``.
 
     Returns a dict mapping ``(off_root, root_part, remainder)`` to a
@@ -360,13 +366,19 @@ def _extract(tree, finish=_finish_plain, cache=_EXTRACT_CACHE):
     one-branch-at-a-time walk reaches the same state.  ``finish`` turns
     a final state into an output key, and subtrees are extracted with
     the same finisher.  Only finished tables are cached, in ``cache``.
+
+    With ``even=True`` a kept edge whose detaching root part has an odd
+    number of noise edges is not a choice, so no state holds an off-root
+    tree of odd noise count; the finisher never moves edges into the
+    off-root trees, so the table is the full one less exactly those
+    entries.  Its ``cache`` must hold only tables built the same way.
     """
     cached = cache.get(tree)
     if cached is not None:
         return cached
     states = {((), (), ()): 1}
     for (et, sub), copies in groupby(tree.children):
-        choices = _branch_choices(et, _extract(sub, finish, cache))
+        choices = _branch_choices(et, _extract(sub, finish, cache, even), even)
         group = _distribute(choices, len(list(copies)))
         nxt = {}
         for (aoff, chosen, rem), m in states.items():
@@ -386,15 +398,17 @@ def _extract(tree, finish=_finish_plain, cache=_EXTRACT_CACHE):
     return out
 
 
-def _branch_choices(et, sub_ext):
+def _branch_choices(et, sub_ext, even):
     """The state parts one root branch ``(et, sub)`` can add, with weights:
-    per entry of the subtree's table, the edge kept or extracted."""
+    per entry of the subtree's table, the edge kept or extracted (kept
+    only if the detaching part has even noise count, when ``even``)."""
     choices = {}
     for (s_off, s_root, s_rem), sm in sub_ext.items():
         # edge kept: the sub-extraction's root component detaches
-        off = _msort(s_off + ((s_root,) if s_root.children else ()))
-        part = (off, (), ((et, s_rem),))
-        choices[part] = choices.get(part, 0) + sm
+        if not (even and s_root.num_noises % 2):
+            off = _msort(s_off + ((s_root,) if s_root.children else ()))
+            part = (off, (), ((et, s_rem),))
+            choices[part] = choices.get(part, 0) + sm
         # edge extracted: endpoints identified, remainder splices up
         riders = tuple(b for b in s_rem.children if b[0].is_noise)
         others = tuple(b for b in s_rem.children if not b[0].is_noise)

@@ -78,7 +78,8 @@ def test_check_commands_pass(capsys):
     assert report["status"] == "pass"
     assert list(report) == _REPORT_KEYS
     assert report["elapsed_s"] > 0
-    assert report["max_coproduct_terms"] == 14  # delta_minus_ex of Xi_i*I(Xi_j)^3
+    # the pruned table of Xi_i*I(Xi_j)^3: left legs 1, I(Xi_j)*Xi_i and the tree
+    assert report["max_coproduct_terms"] == 3
     assert main(["symbolic", "check-gamma", "--nmax", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "pass"
@@ -101,7 +102,7 @@ def test_check_bphz_same_after_clear_caches(capsys):
     assert main(["symbolic", "check-bphz", "--nmax", "6"]) == 0
     assert _without_elapsed(capsys.readouterr().out) == first
     filled = cache_info()
-    assert filled["coalgebra._REPAIRED_CACHE"] > 0
+    assert filled["coalgebra._EVEN_CACHE"] > 0
     assert filled["gaussian._G_ANTIPODE_CACHE"] > 0
     assert filled["structure._DEGREE_CACHE"] > 0
     # a cold run fills the same entries every time
@@ -274,6 +275,19 @@ def test_non_finite_c_eps_exits_3_with_one_line_error(capsys, extra):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["1e-320"], ["1e-160", "--time", "0.5"]])
+def test_non_finite_c_eps_prints_no_quadrature_warning(argv):
+    # the quadratures warn on their way to nan; only the error line is shown
+    src = Path(roughrenorm.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "roughrenorm.cli"] + _C_EPS + argv,
+        cwd=src, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
 
 
 def test_closed_stdout_exits_141_without_traceback():

@@ -7,6 +7,7 @@ import pytest
 from roughrenorm.coalgebra import (
     delta_minus,
     delta_minus_ex,
+    delta_minus_ex_even,
     delta_plus_ex,
     twisted_antipode,
 )
@@ -133,6 +134,23 @@ def test_projected_coproduct_grading():
         target = SPEC.degree_tree(tree)
         for (a, b), _ in dm:
             assert SPEC.degree(a) + SPEC.degree(b) == target
+
+
+@pytest.mark.parametrize("i, j", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_full_projected_coproduct_size(i, j):
+    # the full table stays whole; only g∘A's consumers read the pruned one
+    tree = parse_symbol(f"Xi_{i}*I(Xi_{j})^3", d=2)
+    assert len(delta_minus_ex(tree, generic_spec(2, 3))) == 14
+
+
+@pytest.mark.parametrize("spec", [SPEC, rough_vol_spec(Fraction(1, 20), Fraction(1, 50), 6)])
+def test_even_table_is_the_full_table_less_odd_left_legs(spec):
+    for tree in enumerate_basis(spec):
+        full = delta_minus_ex(tree, spec)
+        even = FormalSum(
+            [((a, r), c) for (a, r), c in full if not any(t.num_noises % 2 for t in a.trees)]
+        )
+        assert delta_minus_ex_even(tree, spec) == even, tree
 
 
 def test_delta_plus_binomial():

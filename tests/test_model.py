@@ -4,9 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roughrenorm import model
-from roughrenorm.gaussian import CovarianceSpec, SymbolicCovariance
+from roughrenorm.coalgebra import delta_minus_ex, twisted_antipode
+from roughrenorm.errors import DomainError
+from roughrenorm.gaussian import (
+    CovarianceSpec,
+    SymbolicCovariance,
+    g_antipode,
+    g_minus,
+    variable_order,
+)
 from roughrenorm.model import (
     SamplePath,
     bphz_expansion,
@@ -21,8 +30,8 @@ from roughrenorm.model import (
     gamma_via_coproduct,
 )
 from roughrenorm.poly import Poly
-from roughrenorm.structure import enumerate_basis, generic_spec
-from roughrenorm.trees import forest_of, parse_symbol
+from roughrenorm.structure import StructureSpec, enumerate_basis, generic_spec
+from roughrenorm.trees import FormalSum, forest_of, parse_symbol
 
 SPEC = generic_spec(2, 6)
 
@@ -163,6 +172,57 @@ def test_bphz_expansion_two_terms():
             forest_of(tree): 1,
             base: -n * Fraction(3, 7),
         }
+
+
+@st.composite
+def specs_and_covariances(draw):
+    """A small spec (d, exponents, truncation) and a covariance over its
+    variables: free entries, or rationals with a random zero pattern."""
+    d, truncation = draw(st.sampled_from([(1, 6), (2, 4), (3, 2)]))
+    exponents = st.sampled_from([Fraction(1, 40), Fraction(1, 10), Fraction(1, 4), Fraction(3, 5)])
+    alpha = tuple(draw(st.lists(exponents, min_size=d, max_size=d)))
+    spec = StructureSpec(d=d, alpha=alpha, truncation=truncation)
+    if draw(st.booleans()):
+        return spec, SymbolicCovariance(d)
+    order = variable_order(d)
+    entries = {}
+    for a, u in enumerate(order):
+        for v in order[a:]:
+            if draw(st.booleans()):
+                entries[(u, v)] = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
+    return spec, CovarianceSpec(d, entries)
+
+
+def _oracle(x, cov, spec):
+    """g∘A of ``x`` by the full route: g of the expanded twisted antipode,
+    a Poly for free entries and a Fraction for rational ones."""
+    value = g_minus(twisted_antipode(x, spec), cov)
+    return Poly() + value if isinstance(cov, SymbolicCovariance) else value
+
+
+@given(specs_and_covariances())
+@settings(max_examples=20, deadline=None)
+def test_pruned_bphz_character_equals_full_route(spec_cov):
+    """bphz_expansion and g∘A, which build only the coproduct terms whose
+    left legs have even noise counts, equal the routes through the whole
+    delta_minus_ex table and the expanded twisted antipode."""
+    spec, cov = spec_cov
+    for tree in enumerate_basis(spec):
+        expected = FormalSum()
+        for (a, r), c in delta_minus_ex(tree, spec):
+            coeff = c * _oracle(a, cov, spec)
+            if coeff:
+                expected += FormalSum.lift(r, coeff)
+        got = bphz_expansion(tree, cov, spec)
+        assert got == expected, tree
+        kind = Poly if isinstance(cov, SymbolicCovariance) else Fraction
+        assert all(type(c) is kind for _, c in got), tree
+        if tree.children and spec.degree_tree(tree) >= 0:
+            with pytest.raises(DomainError):
+                g_antipode(tree, cov, spec)
+        else:
+            value = g_antipode(tree, cov, spec)
+            assert type(value) is kind and value == _oracle(tree, cov, spec), tree
 
 
 def test_eval_pi_bphz_closed_form(path):
