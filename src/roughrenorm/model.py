@@ -150,18 +150,23 @@ def _gamma_char(x):
     return _monomial("g", factors)
 
 
-def gamma_via_coproduct(tree, spec, cov, twist=True):
+def gamma_via_coproduct(tree, spec, cov, twist=True, minus_tables=None):
     """Transport via the positive coproduct composed with the
     renormalization character on the inner leg.
 
     With ``twist=True`` the inner character is the Gaussian character
     composed with the twisted antipode; with ``twist=False`` it is the
     plain Gaussian character.  Both must reproduce :func:`gamma_direct`.
+    ``minus_tables``, a dict, keeps each right leg's ``delta_minus_ex``
+    table across calls with the same ``spec``.
     """
+    tables = {} if minus_tables is None else minus_tables
     out = FormalSum()
     for (t1, t2), c in delta_plus_ex(tree, spec):
+        if t2 not in tables:
+            tables[t2] = delta_minus_ex(t2, spec)
         inner = Poly.const(0)
-        for (a, r), c2 in delta_minus_ex(t2, spec):
+        for (a, r), c2 in tables[t2]:
             if twist:
                 charval = g_antipode(a, cov, spec)
             else:
@@ -182,24 +187,58 @@ def compile_transport(tree, spec):
     return table
 
 
-def eval_transport(table, increments):
-    """A compiled transport at float increments (:func:`eval_gamma`):
-    a dict target -> coefficient."""
-    out = {}
-    for target, value, names in table:
-        for name in names:
-            value *= increments[name]
-        out[target] = out.get(target, 0.0) + value
-    return out
+@dataclass(frozen=True)
+class TransportMatrices:
+    """The compiled transports of a basis closed under transport, as flat
+    arrays over their entries (:func:`compile_transport`): ``flat`` is an
+    entry's position ``row * size + column`` in a ``(size, size)``
+    transport matrix, ``factors`` its float factor, and ``powers[e, i]``
+    the exponent of increment ``names[i]`` in entry ``e``."""
+
+    size: int
+    flat: np.ndarray
+    factors: np.ndarray
+    names: tuple
+    powers: np.ndarray
+
+    @classmethod
+    def compile(cls, basis, spec):
+        """Compile every symbol of ``basis`` once; row and column ``k``
+        stand for ``basis[k]``."""
+        index = {tau: k for k, tau in enumerate(basis)}
+        entries = [
+            (k * len(basis) + index[target], factor, incs)
+            for k, tau in enumerate(basis)
+            for target, factor, incs in compile_transport(tau, spec)
+        ]
+        names = tuple(sorted({name for _, _, incs in entries for name in incs}))
+        powers = np.zeros((len(entries), len(names)), dtype=int)
+        for e, (_, _, incs) in enumerate(entries):
+            for name in incs:
+                powers[e, names.index(name)] += 1
+        flat = np.array([pos for pos, _, _ in entries], dtype=int)
+        factors = np.array([factor for _, factor, _ in entries])
+        return cls(len(basis), flat, factors, names, powers)
+
+    def at(self, increments):
+        """The transport matrices ``G[i, k, j]``, the coefficient of
+        symbol ``j`` in the transport of symbol ``k``, at the increments of
+        :func:`eval_gamma` (name -> array over ``i``)."""
+        inc = np.stack([increments[name] for name in self.names], axis=-1)
+        values = self.factors * np.prod(inc[:, None, :] ** self.powers, axis=-1)
+        out = np.zeros((len(inc), self.size * self.size))
+        np.add.at(out, (slice(None), self.flat), values)
+        return out.reshape(len(inc), self.size, self.size)
 
 
 def eval_gamma(t_idx, s_idx, path):
     """The transport increments between grid indices ``s_idx`` and
-    ``t_idx``, by the names :func:`gamma_direct` gives them."""
-    values = {_factor_name("g", INTEGRATION, LEAF): float(path.t[t_idx] - path.t[s_idx])}
+    ``t_idx``, by the names :func:`gamma_direct` gives them; given index
+    arrays, one increment per pair of indices."""
+    values = {_factor_name("g", INTEGRATION, LEAF): path.t[t_idx] - path.t[s_idx]}
     for j in path.xi:
         name = _factor_name("g", INTEGRATION, branch(noise(j)))
-        values[name] = float(path.xi[j][t_idx] - path.xi[j][s_idx])
+        values[name] = path.xi[j][t_idx] - path.xi[j][s_idx]
     return values
 
 
@@ -326,12 +365,13 @@ def check_gamma_bphz(spec, nmax, cov):
     failures = []
     cases = 0
     small = type(spec)(d=spec.d, alpha=spec.alpha, truncation=min(spec.truncation, nmax))
+    minus_tables = {}  # one delta_minus_ex table per right leg, across twists and symbols
     with coproduct_sizes() as sizes:
         for tau in enumerate_basis(small):
             direct = gamma_direct(tau, small)
             for twist in (True, False):
                 cases += 1
-                via = gamma_via_coproduct(tau, small, cov, twist=twist)
+                via = gamma_via_coproduct(tau, small, cov, twist=twist, minus_tables=minus_tables)
                 if via != direct:
                     failures.append(
                         f"{tau!r}: coproduct route (twist={twist}) disagrees with direct rules"
@@ -343,6 +383,27 @@ def check_gamma_bphz(spec, nmax, cov):
 # numeric model-axiom checks
 
 
+# Bytes of the stacked arrays of one batch of triples in check_model_axioms
+_BATCH_BYTES = 2**20
+
+
+def _triples_per_batch(symbols, points):
+    """How many triples of :func:`check_model_axioms` share a batch: as
+    many as fit their arrays in ``_BATCH_BYTES``, at least one.  A triple
+    holds Π at s and at t and Γ_ts Π_t, three (symbols, points) float
+    arrays, and Γ_ts, Γ_tu, Γ_us and Γ_us Γ_tu, four (symbols, symbols)
+    ones."""
+    return max(1, _BATCH_BYTES // (8 * symbols * (3 * points + 4 * symbols)))
+
+
+def _triples(points, n_triples, seed):
+    """The random grid-index triples s < u < t of :func:`check_model_axioms`,
+    one row each."""
+    rng = np.random.default_rng(seed)
+    rows = [np.sort(rng.choice(points, size=3, replace=False)) for _ in range(n_triples)]
+    return np.array(rows, dtype=int).reshape(n_triples, 3)
+
+
 def check_model_axioms(path, spec, n_triples, seed, rtol=1e-10):
     """Check recentring consistency and the transport cocycle numerically.
 
@@ -350,50 +411,50 @@ def check_model_axioms(path, spec, n_triples, seed, rtol=1e-10):
     ``eval_pi(tau, s) == eval_pi(Gamma_ts tau, t)`` up to
     relative error ``rtol``, and the transport must compose:
     ``Gamma_ts == Gamma_tu . Gamma_us`` on basis symbols.  Each basis
-    symbol's transport is compiled once (:func:`compile_transport`) and
-    evaluated per triple as float products.
+    symbol's transport is compiled once (:class:`TransportMatrices`).  The
+    triples go in batches (:func:`_triples_per_batch`): per batch, Γ_ts,
+    Γ_tu and Γ_us are stacked (symbols, symbols) matrices, Π at s and at t
+    stacked (symbols, points) arrays from one ``eval_pi`` call per symbol,
+    and both checks are stacked matrix products.
     """
     start = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    n = len(path.t)
+    points = len(path.t)
     basis = enumerate_basis(spec)
-    index = {tau: k for k, tau in enumerate(basis)}  # closed under transport
-    tables = [
-        [(index[target], factor, names) for target, factor, names in compile_transport(tau, spec)]
-        for tau in basis
-    ]
+    transport = TransportMatrices.compile(basis, spec)
+    triples = _triples(points, n_triples, seed)
+    per_batch = _triples_per_batch(len(basis), points)
     worst = 0.0
     failures = []
-    for _ in range(n_triples):
-        s, u, t = sorted(rng.choice(n, size=3, replace=False))
-        inc_ts = eval_gamma(t, s, path)
-        inc_tu = eval_gamma(t, u, path)
-        inc_us = eval_gamma(u, s, path)
-        g_tu = [eval_transport(table, inc_tu) for table in tables]
-        pi = [eval_pi(tau, [s, t], path) for tau in basis]  # rows: base s, base t
+    for lo in range(0, n_triples, per_batch):
+        s, u, t = triples[lo:lo + per_batch].T
+        m = len(s)
+        g_ts = transport.at(eval_gamma(t, s, path))
+        bases = np.concatenate([s, t])
+        pi = np.empty((2 * m, len(basis), points))  # rows: base s, then base t
         for k, tau in enumerate(basis):
-            one_step = eval_transport(tables[k], inc_ts)
-            lhs = pi[k][0]
-            rhs = sum(c * pi[j][1] for j, c in one_step.items())
-            scale = max(float(np.max(np.abs(lhs))), 1e-30)
-            err = float(np.max(np.abs(lhs - rhs))) / scale
-            worst = max(worst, err)
-            if err > rtol:
-                failures.append(f"recentring: {tau!r} at (s={s}, t={t}): rel err {err:.3e}")
-            two_step = {}
-            for j, c in eval_transport(tables[k], inc_us).items():
-                for rho, c2 in g_tu[j].items():
-                    two_step[rho] = two_step.get(rho, 0.0) + c2 * c
-            cscale = max((abs(c) for c in one_step.values()), default=1.0)
-            cerr = max(
-                abs(one_step.get(key, 0.0) - two_step.get(key, 0.0))
-                for key in one_step.keys() | two_step.keys()
-            )
-            cerr /= max(cscale, 1e-30)
-            worst = max(worst, cerr)
-            if cerr > rtol:
+            pi[:, k] = eval_pi(tau, bases, path)
+        pi_s = pi[:m]
+        scale = np.maximum(np.maximum(pi_s.max(axis=2), -pi_s.min(axis=2)), 1e-30)
+        diff = np.matmul(g_ts, pi[m:])
+        diff -= pi_s
+        err = np.abs(diff, out=diff).max(axis=2) / scale
+        two_step = np.matmul(
+            transport.at(eval_gamma(u, s, path)), transport.at(eval_gamma(t, u, path))
+        )
+        cscale = np.maximum(np.abs(g_ts).max(axis=2), 1e-30)
+        cerr = np.abs(g_ts - two_step).max(axis=2) / cscale
+        worst = float(np.max([worst, err.max(), cerr.max()]))
+        # a NaN error fails too; argwhere keeps the order triple, then symbol
+        for i, k in np.argwhere(~(err <= rtol) | ~(cerr <= rtol)):
+            tau = basis[k]
+            if not err[i, k] <= rtol:
                 failures.append(
-                    f"cocycle: {tau!r} at (s={s}, u={u}, t={t}): rel err {cerr:.3e}"
+                    f"recentring: {tau!r} at (s={s[i]}, t={t[i]}): rel err {err[i, k]:.3e}"
+                )
+            if not cerr[i, k] <= rtol:
+                failures.append(
+                    f"cocycle: {tau!r} at (s={s[i]}, u={u[i]}, t={t[i]}): "
+                    f"rel err {cerr[i, k]:.3e}"
                 )
     return {
         "name": "model_axioms",
@@ -402,6 +463,6 @@ def check_model_axioms(path, spec, n_triples, seed, rtol=1e-10):
         "worst_rel_err": worst,
         "failures": failures[:10],
         "symbols": len(basis),
-        "transport_entries": sum(len(table) for table in tables),
+        "transport_entries": len(transport.flat),
         "elapsed_s": time.perf_counter() - start,
     }

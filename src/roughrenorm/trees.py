@@ -32,7 +32,7 @@ from .errors import ParseError
 class EdgeType:
     """Type tag of an edge: integration ("I") or noise ("Xi", index)."""
 
-    __slots__ = ("kind", "index", "_key")
+    __slots__ = ("kind", "index", "_key", "_hash")
 
     def __init__(self, kind, index=0):
         if kind not in ("I", "Xi"):
@@ -44,6 +44,7 @@ class EdgeType:
         self.kind = kind
         self.index = index
         self._key = (0, 0) if kind == "I" else (1, index)
+        self._hash = hash(self._key)
 
     @property
     def is_noise(self):
@@ -56,7 +57,7 @@ class EdgeType:
         return isinstance(other, EdgeType) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return "I" if self.kind == "I" else f"Xi_{self.index}"

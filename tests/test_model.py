@@ -18,14 +18,13 @@ from roughrenorm.gaussian import (
 )
 from roughrenorm.model import (
     SamplePath,
+    TransportMatrices,
     bphz_expansion,
     check_bphz_plain,
     check_gamma_bphz,
     check_model_axioms,
-    compile_transport,
     eval_pi,
     eval_pi_bphz,
-    eval_transport,
     gamma_direct,
     gamma_via_coproduct,
 )
@@ -96,16 +95,19 @@ def test_gamma_routes_agree_symbolically():
 def test_numeric_transport_matches_symbolic():
     rng = np.random.default_rng(5)
     names = ["g[I]", "g[I(Xi_1)]", "g[I(Xi_2)]"]
+    basis = enumerate_basis(SPEC)
+    transport = TransportMatrices.compile(basis, SPEC)
     for _ in range(3):
         values = dict(zip(names, rng.normal(size=len(names))))
-        for tau in enumerate_basis(SPEC):
-            numeric = eval_transport(compile_transport(tau, SPEC), values)
+        (matrix,) = transport.at({name: np.array([v]) for name, v in values.items()})
+        for k, tau in enumerate(basis):
             symbolic = gamma_direct(tau, SPEC)
-            assert set(numeric) == set(symbolic.terms), tau
+            assert {basis[j] for j in np.flatnonzero(matrix[k])} == set(symbolic.terms), tau
             for key, c in symbolic:
                 # the untransported term's coefficient is the integer 1
                 ref = (Poly() + c).substitute(values)
-                assert numeric[key] == pytest.approx(ref, rel=1e-12, abs=0), tau
+                numeric = matrix[k, basis.index(key)]
+                assert numeric == pytest.approx(ref, rel=1e-12, abs=0), tau
 
 
 def test_check_bphz_plain_passes():
@@ -148,6 +150,17 @@ def test_model_axioms(path, monkeypatch):
     assert report["elapsed_s"] > 0
 
 
+def test_model_axioms_do_not_depend_on_the_batch_size(path, monkeypatch):
+    reports = []
+    for budget in (1, model._BATCH_BYTES):  # one triple per batch, then the default
+        monkeypatch.setattr(model, "_BATCH_BYTES", budget)
+        reports.append(check_model_axioms(path, SPEC, n_triples=7, seed=5))
+    single, batched = reports
+    assert model._triples_per_batch(57, len(path.t)) > 1
+    assert single["status"] == batched["status"] == "pass"
+    assert single["worst_rel_err"] == batched["worst_rel_err"]
+
+
 def test_model_axioms_catch_offset_increments(path, monkeypatch):
     exact = model.eval_gamma
 
@@ -160,6 +173,69 @@ def test_model_axioms_catch_offset_increments(path, monkeypatch):
     assert report["status"] == "fail"
     assert any(f.startswith("recentring: ") for f in report["failures"])
     assert any(f.startswith("cocycle: ") for f in report["failures"])
+
+
+def test_model_axioms_fail_on_nan(path, monkeypatch):
+    exact = model.eval_gamma
+
+    def nan_increment(t_idx, s_idx, p):
+        return {**exact(t_idx, s_idx, p), "g[I]": np.full(np.shape(t_idx), np.nan)}
+
+    monkeypatch.setattr(model, "eval_gamma", nan_increment)
+    report = check_model_axioms(path, SPEC, n_triples=2, seed=3)
+    assert report["status"] == "fail"
+    assert report["failures"][0].endswith("rel err nan")
+
+
+def test_model_axioms_report_failures_in_order(path, monkeypatch):
+    exact = model.eval_gamma
+
+    def offset(t_idx, s_idx, p):
+        values = exact(t_idx, s_idx, p)
+        return {**values, "g[I]": values["g[I]"] + 1e-6}
+
+    # an offset on every triple's g[I] breaks only the symbols with a root I,
+    # so the first ten failures span more than one triple
+    monkeypatch.setattr(model, "eval_gamma", offset)
+    spec = generic_spec(2, 1)
+    report = check_model_axioms(path, spec, n_triples=3, seed=3)
+    order = []  # triple by triple, then symbol by symbol, recentring first
+    for s, u, t in model._triples(len(path.t), 3, seed=3):
+        for tau in enumerate_basis(spec):
+            order += [
+                f"recentring: {tau!r} at (s={s}, t={t})",
+                f"cocycle: {tau!r} at (s={s}, u={u}, t={t})",
+            ]
+    heads = [f[: f.index(": rel err ")] for f in report["failures"]]
+    assert len(set(heads)) == len(heads) == 10
+    assert heads == sorted(heads, key=order.index)
+    assert order.index(heads[-1]) >= len(order) // 3  # past the first triple
+
+
+def test_model_axioms_catch_one_faulty_triple_in_a_partial_batch(path, monkeypatch):
+    per_batch = model._triples_per_batch(len(enumerate_basis(SPEC)), len(path.t))
+    assert per_batch > 1
+    n_triples = per_batch + per_batch // 2 + 1  # the last batch is a partial one
+    assert n_triples % per_batch
+    triples = model._triples(len(path.t), n_triples, seed=4)
+    s0, u0, t0 = triples[-1]
+    # no other triple's Gamma_ts, Gamma_tu or Gamma_us spans (s0, t0)
+    assert (t0, s0) not in [p for s, u, t in triples[:-1] for p in ((t, s), (t, u), (u, s))]
+    exact = model.eval_gamma
+
+    def offset(t_idx, s_idx, p):
+        # only Gamma_ts of the last triple moves
+        faulty = 1e-6 * ((t_idx == t0) & (s_idx == s0))
+        return {name: value + faulty for name, value in exact(t_idx, s_idx, p).items()}
+
+    monkeypatch.setattr(model, "eval_gamma", offset)
+    report = check_model_axioms(path, SPEC, n_triples=n_triples, seed=4)
+    assert report["status"] == "fail"
+    assert any(f.startswith("recentring: ") for f in report["failures"])
+    assert any(f.startswith("cocycle: ") for f in report["failures"])
+    at = (f" at (s={s0}, t={t0}): rel err ", f" at (s={s0}, u={u0}, t={t0}): rel err ")
+    for f in report["failures"]:
+        assert at[f.startswith("cocycle: ")] in f, f
 
 
 def test_bphz_expansion_two_terms():
