@@ -20,7 +20,6 @@ from .trees import (
     format_tree,
     noise,
     parse_symbol,
-    subforest_extractions,
     tree_product,
 )
 from .structure import (
@@ -52,7 +51,6 @@ from .model import (
 )
 from .roughsim import (
     KernelSpec,
-    MollifierSpec,
     SimConfig,
     TestFunction,
     brownian_increments,

@@ -32,7 +32,6 @@ from .structure import StructureSpec, generic_spec
 from .trees import LEAF, FormalSum, format_forest, format_symbol, format_tree, parse_symbol
 from .roughsim import (
     KernelSpec,
-    MollifierSpec,
     SimConfig,
     c_eps,
     c_eps_timedep,
@@ -164,7 +163,7 @@ def _write_csv(path, fieldnames, rows):
 
 def _cmd_wong_zakai(args):
     config_text = _read_text(args.config)
-    config = SimConfig.from_text(config_text)
+    config = SimConfig.from_text(config_text, bounds=False)
     result = wz_experiment(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -196,13 +195,12 @@ def _cmd_wong_zakai(args):
 
 
 def _cmd_c_eps(args):
-    moll = MollifierSpec(args.mollifier)
     kernel = KernelSpec(H=args.H, T=args.T)
     if args.time is not None:
-        value = c_eps_timedep(args.time, args.eps, args.H, moll)
+        value = c_eps_timedep(args.time, args.eps, args.H)
         print(f"c_eps(t={args.time}) = {value:.12g}")
     else:
-        value, err = c_eps(args.eps, kernel, moll)
+        value, err = c_eps(args.eps, kernel)
         print(f"c_eps = {value:.12g} (quadrature error estimate {err:.3g})")
     return 0
 
@@ -254,10 +252,15 @@ def build_parser():
         if symbol:
             p.add_argument("symbol", help="symbol expression, e.g. 'Xi_1*I(Xi_2)^3'")
         p.add_argument("--d", type=int, default=2, help="number of noise channels")
+        # --alpha fixes the spec, so --nmax beside it would go unread.  argparse
+        # converts a str default; an int 8 would let "--nmax 8" pass as unset
+        spec_flags = p.add_mutually_exclusive_group() if alpha else p
         if nmax:
-            p.add_argument("--nmax", type=int, default=8, help="power bound")
+            spec_flags.add_argument("--nmax", type=int, default="8", help="power bound")
         if alpha:
-            p.add_argument("--alpha", default=None, help="comma-separated rational exponents")
+            spec_flags.add_argument(
+                "--alpha", default=None, help="comma-separated rational exponents"
+            )
         if cov:
             p.add_argument("--cov", default=None, help="covariance file (text)")
         p.set_defaults(fn=fn, **defaults)
@@ -281,7 +284,6 @@ def build_parser():
     ce.add_argument("--H", type=float, required=True)
     ce.add_argument("--eps", type=float, required=True)
     ce.add_argument("--T", type=float, default=1.0)
-    ce.add_argument("--mollifier", default="bump")
     ce.add_argument("--time", type=float, default=None,
                     help="evaluate the time-dependent form at this time")
     ce.set_defaults(fn=_cmd_c_eps)

@@ -96,9 +96,23 @@ def _finish_repaired(aoff, chosen, rem):
 # negative-space coproduct
 
 
-def delta_minus_tree(tree, repair=True):
-    """Extraction coproduct of a single symbol tree, as a FormalSum keyed
-    by ``(extracted forest, remainder forest)`` pairs.
+def _pair_sum(entries, keep=lambda a: True):
+    """The FormalSum over ``(extracted forest, remainder forest)`` pairs of
+    the ``((off_root, root_part, remainder), multiplicity)`` entries of a
+    ``trees._extract`` table whose extracted forest passes ``keep``."""
+    pairs = {}
+    for (aoff, aroot, rem), m in entries:
+        a = Forest(aoff + (aroot,))
+        if keep(a):
+            key = (a, forest_of(rem))
+            pairs[key] = pairs.get(key, 0) + Fraction(m)
+    return FormalSum(pairs)
+
+
+def delta_minus(x, repair=True):
+    """Extraction coproduct, as a FormalSum keyed by ``(extracted forest,
+    remainder forest)`` pairs, multiplicative over forest components and
+    linear over formal sums.
 
     The repaired variant reroutes stranded root noises into the extracted
     component, keeping every term inside the symbol family; it therefore
@@ -106,26 +120,15 @@ def delta_minus_tree(tree, repair=True):
     on arbitrary depth-bounded trees (the family is not closed under
     plain contraction) and is the one that is coassociative.
     """
-    if repair and not in_symbol_family(tree):
-        raise DomainError(f"tree {tree!r} lies outside the symbol family")
-    ext = _extract(tree, _finish_repaired, _REPAIRED_CACHE) if repair else _extract(tree)
-    pairs = {}
-    for (aoff, aroot, rem), m in ext.items():
-        a = Forest(aoff + ((aroot,) if aroot.children else ()))
-        key = (a, forest_of(rem))
-        pairs[key] = pairs.get(key, 0) + Fraction(m)
-    return FormalSum(pairs)
-
-
-def delta_minus(x, repair=True):
-    """Extraction coproduct, multiplicative over forest components and
-    linear over formal sums."""
     x = as_formal_sum(x)
     out = FormalSum()
     for f, c in x:
         term = FormalSum.lift((EMPTY_FOREST, EMPTY_FOREST))
         for i, t in enumerate(f.trees):
-            tree_terms = delta_minus_tree(t, repair=repair)
+            if repair and not in_symbol_family(t):
+                raise DomainError(f"tree {t!r} lies outside the symbol family")
+            table = _extract(t, _finish_repaired, _REPAIRED_CACHE) if repair else _extract(t)
+            tree_terms = _pair_sum(table.items())
             # the unit pair is the identity of the product: start from the first tree
             term = tree_terms if i == 0 else term.combine(
                 tree_terms,
@@ -189,15 +192,10 @@ def delta_minus_ex_even(tree, spec):
     """
     if not in_symbol_family(tree):
         raise DomainError(f"tree {tree!r} lies outside the symbol family")
-    pairs = {}
-    for (aoff, aroot, rem), m in _extract(tree, _finish_repaired, _EVEN_CACHE, even=True).items():
-        if aroot.num_noises % 2:
-            continue
-        a = Forest(aoff + (aroot,))
-        if is_negative_forest(a, spec):
-            key = (a, forest_of(rem))
-            pairs[key] = pairs.get(key, 0) + Fraction(m)
-    return _record_size(FormalSum(pairs))
+    table = _extract(tree, _finish_repaired, _EVEN_CACHE, even=True)
+    # a state is (off_root, root_part, remainder); drop an odd root part
+    even = ((state, m) for state, m in table.items() if not state[1].num_noises % 2)
+    return _record_size(_pair_sum(even, lambda a: is_negative_forest(a, spec)))
 
 
 # ---------------------------------------------------------------------------

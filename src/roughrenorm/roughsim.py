@@ -15,6 +15,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -46,7 +47,8 @@ def __getattr__(name):
 
 
 # ---------------------------------------------------------------------------
-# mollifiers
+# the mollifier: the bump exp(-1 / (1 - x^2)) on (-1, 1), scaled to unit
+# integral, rescaled to (-eps, eps) as rho_eps(x) = rho(x / eps) / eps
 
 
 def _bump_raw(x):
@@ -58,14 +60,28 @@ def _bump_raw(x):
     return out
 
 
-def _bump_draw(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = np.abs(x) < 1.0
-    xs = x[inside]
-    denom = 1.0 - xs * xs
-    out[inside] = np.exp(-1.0 / denom) * (-2.0 * xs / (denom * denom))
-    return out
+@functools.cache
+def _bump_norm():
+    """The integral of :func:`_bump_raw`, by quadrature on first use: at
+    import it would add to the start-up of every command."""
+    z, _ = integrate.quad(lambda x: float(_bump_raw(x)), -1.0, 1.0)
+    return z
+
+
+def _rho_eps(x, eps):
+    """The mollifier at each point of ``x``."""
+    return _bump_raw(np.asarray(x) / eps) / _bump_norm() / eps
+
+
+def _drho_eps(x, eps):
+    """The mollifier's derivative at each point of ``x``."""
+    y = np.asarray(x) / eps
+    out = np.zeros_like(y)
+    inside = np.abs(y) < 1.0
+    ys = y[inside]
+    denom = 1.0 - ys * ys
+    out[inside] = np.exp(-1.0 / denom) * (-2.0 * ys / (denom * denom))
+    return out / _bump_norm() / (eps * eps)
 
 
 # The quadrature integrands call these once per point, so they stay in plain
@@ -74,8 +90,7 @@ def _bump_draw(x):
 
 
 def _rho_eps_at(x, eps, norm):
-    """``MollifierSpec("bump").rho_eps(x, eps)`` at one float; ``norm`` is
-    the spec's ``norm``."""
+    """:func:`_rho_eps` at one float; ``norm`` is :func:`_bump_norm`."""
     y = x / eps
     if abs(y) >= 1.0:
         return 0.0
@@ -83,47 +98,12 @@ def _rho_eps_at(x, eps, norm):
 
 
 def _drho_eps_at(x, eps, norm):
-    """``MollifierSpec("bump").drho_eps(x, eps)`` at one float."""
+    """:func:`_drho_eps` at one float."""
     y = x / eps
     if abs(y) >= 1.0:
         return 0.0
     denom = 1.0 - y * y
     return math.exp(-1.0 / denom) * (-2.0 * y / (denom * denom)) / norm / (eps * eps)
-
-
-_MOLLIFIER_NORMS = {}
-
-
-@dataclass(frozen=True)
-class MollifierSpec:
-    """Named smooth symmetric mollifier supported on [-1, 1], with an
-    analytic derivative.  Currently only the classical bump."""
-
-    name: str = "bump"
-
-    def __post_init__(self):
-        if self.name != "bump":
-            raise ConfigError(f"unknown mollifier {self.name!r}")
-
-    @property
-    def norm(self):
-        z = _MOLLIFIER_NORMS.get(self.name)
-        if z is None:
-            z, _ = integrate.quad(lambda x: float(_bump_raw(x)), -1.0, 1.0)
-            _MOLLIFIER_NORMS[self.name] = z
-        return z
-
-    def rho(self, x):
-        return _bump_raw(x) / self.norm
-
-    def drho(self, x):
-        return _bump_draw(x) / self.norm
-
-    def rho_eps(self, x, eps):
-        return self.rho(np.asarray(x) / eps) / eps
-
-    def drho_eps(self, x, eps):
-        return self.drho(np.asarray(x) / eps) / (eps * eps)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +230,7 @@ def stationary_hat_process(increments, kernel, dt):
 # mollification
 
 
-def mollification_weights(dt, eps, mollifier):
+def mollification_weights(dt, eps):
     """Discrete mollifier and derivative-of-mollifier weights.
 
     Returns ``(w, dw, m)`` with offsets ``j = -m .. m``; ``w`` sums to 1
@@ -264,23 +244,23 @@ def mollification_weights(dt, eps, mollifier):
             f"mollification width eps={eps} must cover at least 4 grid steps (dt={dt})"
         )
     u = np.arange(-m, m + 1, dtype=float) * dt
-    w = mollifier.rho_eps(u, eps) * dt
+    w = _rho_eps(u, eps) * dt
     w = w / w.sum()
-    dw = mollifier.drho_eps(u, eps) * dt
+    dw = _drho_eps(u, eps) * dt
     dw = dw - dw.mean()
     scale = -(dw * u).sum()
     dw = dw / scale
     return w, dw, m
 
 
-def mollify(values, dt, eps, mollifier):
+def mollify(values, dt, eps):
     """Mollified path and its derivative.
 
     ``values`` is a path (or batch of paths, last axis = grid).  Returns
     ``(smooth, deriv, m)``; entries within ``m`` points of either end
     alias zero-padding and must be discarded by the caller.
     """
-    w, dw, m = mollification_weights(dt, eps, mollifier)
+    w, dw, m = mollification_weights(dt, eps)
     return (*_smoother(np.shape(values)[-1], [(w, m), (dw, m)])(values), m)
 
 
@@ -288,7 +268,7 @@ def mollify(values, dt, eps, mollifier):
 # the renormalization constant
 
 
-def c_eps(eps, kernel, mollifier):
+def c_eps(eps, kernel):
     """Stationary renormalization constant and the quadrature's error
     estimate, as ``(value, error)``.
 
@@ -301,7 +281,7 @@ def c_eps(eps, kernel, mollifier):
     if not 0.0 < eps < math.inf:
         raise ConfigError("eps must be positive and finite")
     H = kernel.H
-    norm = mollifier.norm
+    norm = _bump_norm()
 
     def phi(u):
         lo, hi = -eps, eps - u
@@ -328,16 +308,21 @@ def c_eps(eps, kernel, mollifier):
     return _finite(value, eps, caught), error
 
 
-def c_eps_timedep(t, eps, H, mollifier):
+def c_eps_timedep(t, eps, H):
     """Time-dependent correction E[dot(W^eps)(t) W^(H,eps)(t)] for the
     one-sided fractional path started at time 0 (no cutoff).  Reduces to
     the stationary constant once t exceeds the mollification width."""
     if not (0.0 < eps < math.inf and 0.0 < t < math.inf):
         raise ConfigError("eps and t must be positive and finite")
     c = math.sqrt(2.0 * H) / (H + 0.5)
-    norm = mollifier.norm
+    norm = _bump_norm()
 
     def cross(a, b):
+        if t >= eps:
+            # a, b <= t, so cross = c * ((t - b) ** (H + 1/2) - (a - b)_+ ** (H + 1/2)).
+            # The first term integrates to 0 against drho_eps(a); left in, it
+            # cancels against the second and loses its digits at large t.
+            return -c * max(a - b, 0.0) ** (H + 0.5)
         v = t - b
         if v <= 0:
             return 0.0
@@ -409,6 +394,14 @@ class TestFunction:
 
 MAX_TRUNCATION = 64  # the expansions take over a minute at truncation 54
 
+
+def _bump_only(name):
+    """The ``mollifier`` key's converter: the bump is the only mollifier."""
+    if name != "bump":
+        raise ValueError(f"unknown mollifier {name!r}")
+    return name
+
+
 # config key -> (SimConfig field, converter)
 _SIM_KEYS = {
     "H": ("H", real),
@@ -418,7 +411,7 @@ _SIM_KEYS = {
     "seed": ("seed", int),
     "eps": ("eps_list", reals),
     "f": ("f_name", str),
-    "mollifier": ("mollifier", str),
+    "mollifier": (None, _bump_only),  # no field: the bump is the only mollifier
     "T": ("T", real),
     "threads": ("threads", int),
     "lambda": ("lambdas", reals),
@@ -435,7 +428,6 @@ class SimConfig:
     seed: int
     eps_list: tuple
     f_name: str = "sine"
-    mollifier: str = "bump"
     T: float = 1.0
     threads: int = 1
     lambdas: tuple = (0.25, 0.125, 0.0625)  # bounds only: test-function scales
@@ -479,7 +471,6 @@ class SimConfig:
             if len(set(values)) < len(values):
                 raise ConfigError(f"{key} lists a value twice")
         TestFunction(self.f_name)
-        MollifierSpec(self.mollifier)
 
     @property
     def dt(self):
@@ -492,12 +483,21 @@ class SimConfig:
         return rough_vol_spec(H, kappa)
 
     @classmethod
-    def from_text(cls, text):
+    def from_text(cls, text, bounds=True):
+        """The SimConfig of a config file's text.  ``lambda`` and ``powers``
+        are read by :func:`model_bound_probe` alone, so with ``bounds=False``
+        either key is a ConfigError."""
         fields = read_config(text, lambda key: _SIM_KEYS.get(key, (None, None))[1])
         for key in ("H", "kappa", "N", "P", "seed", "eps"):
             if key not in fields:
                 raise ConfigError(f"missing config field {key!r}")
-        return cls(**{_SIM_KEYS[key][0]: value for key, value in fields.items()})
+        if not bounds:
+            for key in ("lambda", "powers"):
+                if key in fields:
+                    raise ConfigError(f"{key!r} is read by simulate bounds only")
+        return cls(**{
+            _SIM_KEYS[key][0]: value for key, value in fields.items() if _SIM_KEYS[key][0]
+        })
 
 
 def usable_cpus():
@@ -574,7 +574,6 @@ def _evaluate(terms, w_dot, delta):
 
 @dataclass
 class _Ladder:
-    mollifier: MollifierSpec
     kernel: KernelSpec
     c_eps: dict  # eps -> correction constant
     c_eps_error: dict  # eps -> quadrature error estimate of c_eps
@@ -589,20 +588,19 @@ def _ladder(config, powers, n):
     at ``c_eps`` for ``powers``, both timed, and the :func:`_smoother` of
     signals of ``n`` points by the mollification weights and derivative
     weights, each aligned with its signal."""
-    moll = MollifierSpec(config.mollifier)
     kernel = KernelSpec(H=config.H, T=config.T)
     timings = {}
     with _timed(timings, "c_eps"):
-        quadratures = {e: c_eps(e, kernel, moll) for e in config.eps_list}
+        quadratures = {e: c_eps(e, kernel) for e in config.eps_list}
     corrections = {e: value for e, (value, _) in quadratures.items()}
     spec = config.spec
     with _timed(timings, "expansion"):
         terms = {e: renormalised_terms(c, spec, powers) for e, c in corrections.items()}
     errors = {e: err for e, (_, err) in quadratures.items()}
-    weights = [mollification_weights(config.dt, e, moll) for e in config.eps_list]
+    weights = [mollification_weights(config.dt, e) for e in config.eps_list]
     smooth_w = _smoother(n, [(w, m) for w, _, m in weights])
     smooth_dw = _smoother(n, [(dw, m) for _, dw, m in weights])
-    return _Ladder(moll, kernel, corrections, errors, terms, smooth_w, smooth_dw, timings)
+    return _Ladder(kernel, corrections, errors, terms, smooth_w, smooth_dw, timings)
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +762,7 @@ def model_bound_probe(config):
             vals = {}
             for lam, half in halves.items():
                 ks = np.arange(s_idx - half, s_idx + half + 1)
-                phi = ladder.mollifier.rho((ks - s_idx) * dt / lam) / lam
+                phi = _rho_eps((ks - s_idx) * dt, lam)
                 dw = inc[ks]
                 for e in eps_list:
                     w_dot, hat_sm = per_eps[e]

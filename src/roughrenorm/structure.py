@@ -168,10 +168,4 @@ def enumerate_basis(spec):
             out.append(pw)
             for xi in xis:
                 out.append(tree_product(xi, pw))
-    seen = set()
-    uniq = []
-    for t in out:
-        if t.key not in seen:
-            seen.add(t.key)
-            uniq.append(t)
-    return uniq
+    return out

@@ -136,13 +136,12 @@ def tree_product(*trees):
 class Forest:
     """Commutative multiset of trees; single-node trees are dropped (unit)."""
 
-    __slots__ = ("trees", "key", "num_edges", "_hash")
+    __slots__ = ("trees", "key", "_hash")
 
     def __init__(self, trees=()):
         ts = tuple(sorted((t for t in trees if t.children), key=lambda t: t.key))
         self.trees = ts
         self.key = tuple(t.key for t in ts)
-        self.num_edges = sum(t.num_edges for t in ts)
         self._hash = hash(self.key)
 
     @property
@@ -448,23 +447,6 @@ def _merge(a, b, sort):
     if not b:
         return a
     return sort(a + b)
-
-
-def subforest_extractions(tree):
-    """Enumerate every edge subset of ``tree`` as (extracted, remainder, mult).
-
-    ``extracted`` collects the connected components of the chosen edge
-    set as a Forest; ``remainder`` is the contraction of the chosen
-    edges.  Multiplicities over all entries sum to ``2 ** tree.num_edges``.
-    """
-    merged = {}
-    for (aoff, aroot, rem), m in _extract(tree).items():
-        a = Forest(aoff + ((aroot,) if aroot.children else ()))
-        merged[(a, rem)] = merged.get((a, rem), 0) + m
-    return sorted(
-        ((a, r, m) for (a, r), m in merged.items()),
-        key=lambda e: (e[0].key, e[1].key),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from roughrenorm.model import (
 from roughrenorm.poly import Poly
 from roughrenorm.roughsim import (
     KernelSpec,
-    MollifierSpec,
     SimConfig,
     brownian_increments,
     c_eps,
@@ -204,9 +203,8 @@ def test_08_correction_constant_scaling():
     t0 = time.time()
     H = 0.3
     kernel = KernelSpec(H=H, T=1.0)
-    moll = MollifierSpec("bump")
     eps = [2.0**-k for k in range(3, 8)]
-    vals = [c_eps(e, kernel, moll)[0] for e in eps]
+    vals = [c_eps(e, kernel)[0] for e in eps]
     slope = np.polyfit(np.log(eps), np.log(vals), 1)[0]
     elapsed = time.time() - t0
     assert abs(slope - (H - 0.5)) <= 0.05
@@ -252,22 +250,21 @@ def test_10_renormalized_difference_exact_arrays():
     n, T = 2**10, 1.0
     dt = T / n
     kernel = KernelSpec(H=float(H), T=T)
-    moll = MollifierSpec("bump")
     eps = 1 / 16
     m = int(eps / dt)
     pad = int(round(2 * T / dt)) + m + 2
     inc = brownian_increments(n + pad, dt, 7, 0)
     w = np.concatenate(([0.0], np.cumsum(inc)))
     hat = stationary_hat_process(inc, kernel, dt)
-    _, w_dot, _ = mollify(w, dt, eps, moll)
-    hat_sm, hat_dot, _ = mollify(hat, dt, eps, moll)
+    _, w_dot, _ = mollify(w, dt, eps)
+    hat_sm, hat_dot, _ = mollify(hat, dt, eps)
     sl = slice(pad, pad + n + 1)
     path = SamplePath(
         t=dt * np.arange(n + 1),
         xi={1: w[sl], 2: hat_sm[sl]},
         xid={1: w_dot[sl], 2: hat_dot[sl]},
     )
-    correction, _ = c_eps(eps, kernel, moll)
+    correction, _ = c_eps(eps, kernel)
     cov = CovarianceSpec(2, {(D1, X2): Fraction(correction)})
     s_idx = n // 2
     for nn in range(1, M + 1):

@@ -1,6 +1,8 @@
 """Command-line interface: output formats, files, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import platform
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy
 import pytest
 import scipy
+from hypothesis import given, settings, strategies as st
 
 import roughrenorm
 from roughrenorm import cache_info, clear_caches
@@ -169,17 +172,27 @@ def test_bad_config_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["delta-minus", "Xi_1", "--nmax", "2"],
-        ["delta-minus", "Xi_1", "--alpha", "1/3,1/5"],
-        ["check-bphz", "--alpha", "1/3,1/5"],
-        ["check-gamma", "--nmax", "2", "--alpha", "1/3,1/5"],
+        ["symbolic", "delta-minus", "Xi_1", "--nmax", "2"],
+        ["symbolic", "delta-minus", "Xi_1", "--alpha", "1/3,1/5"],
+        ["symbolic", "check-bphz", "--alpha", "1/3,1/5"],
+        ["symbolic", "check-gamma", "--nmax", "2", "--alpha", "1/3,1/5"],
+        ["simulate", "c-eps", "--H", "0.3", "--eps", "0.125", "--mollifier", "bump"],
     ],
 )
 def test_unread_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["symbolic", *argv])
+        main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["delta-plus", "antipode", "g-antipode"])
+@pytest.mark.parametrize("nmax", ["0", "8"])  # 8 is the default
+def test_nmax_is_unread_beside_alpha(capsys, command, nmax):
+    with pytest.raises(SystemExit) as exc:
+        main(["symbolic", command, "Xi_1*I(Xi_2)", "--alpha", "1/3,1/5", "--nmax", nmax])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_c_eps_command(capsys):
@@ -255,6 +268,9 @@ _C_EPS = ["simulate", "c-eps", "--H", "0.3", "--eps"]
         (["symbolic", "delta-minus", "Xi_3", "--d", "2"], None),  # index above d
         (["symbolic", "delta-minus", "Xi_1 +"], None),  # sign without a term
         (["symbolic", "delta-minus", "1 2"], None),  # unit atom, then a stray digit
+        (_WZ, _SIM + "eps = 1/8\npowers = 7\n"),  # read by bounds only
+        (_WZ, _SIM + "eps = 1/8\nlambda = 1/4,1/8\n"),
+        (_WZ, _SIM + "eps = 1/8\nmollifier = gauss\n"),
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv, text):
@@ -303,3 +319,100 @@ def test_closed_stdout_exits_141_without_traceback():
         os.close(write_end)
     assert done.returncode == 141, done.stderr
     assert "Traceback" not in done.stderr
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every command line ends in a documented exit code
+
+
+def _term(coefficient, root, factors):
+    atoms = ([root] if root else []) + [f"{atom}^{power}" for atom, power in factors]
+    return coefficient + ("*".join(atoms) or "1")
+
+
+# a term is a coefficient, at most one root noise and at most six powered
+# integration factors, which keeps every expansion cheap
+_FACTORS = st.lists(
+    st.tuples(st.sampled_from(["I(Xi_2)", "I(Xi_1)", "I", "I(Xi_3)"]), st.integers(1, 6)),
+    max_size=2,
+).filter(lambda factors: sum(power for _, power in factors) <= 6)
+_TERMS = st.builds(
+    _term,
+    st.sampled_from(["", "2*", "1/3*"]),
+    st.sampled_from(["Xi_1", "", "Xi_2", "Xi_3"]),
+    _FACTORS,
+)
+_SYMBOLS = st.tuples(
+    st.lists(_TERMS, min_size=1, max_size=2), st.sampled_from([" + ", " - ", " . "])
+).map(lambda t: t[1].join(t[0]))
+_COV_FILES = {
+    "d2.txt": "d = 2\nD1,X2 = 1/3\n",
+    "d3.txt": "d = 3\nD1,X2 = 1/3\nX3,X3 = 1/2\n",
+    "bad.txt": "d = x\n",
+}
+_READS = {  # each command and the flags it reads, besides c-eps' --H and --eps
+    "delta-minus": ["--d"],
+    "delta-plus": ["--d", "--nmax", "--alpha"],
+    "antipode": ["--d", "--nmax", "--alpha"],
+    "g-antipode": ["--d", "--nmax", "--alpha", "--cov"],
+    "check-bphz": ["--d"],  # and --nmax, always given: its default 8 is slow here
+    "check-gamma": ["--d"],
+    "c-eps": ["--T", "--time"],
+}
+
+
+@st.composite
+def _argvs(draw, cov_dir):
+    """Mostly command lines the parser takes; one in ten times free text
+    for the symbol, a flag the command does not read, or a last token
+    left out."""
+    values = {
+        "--d": ["2", "3", "1", "0", "x"],
+        "--nmax": [str(n) for n in range(6, -2, -1)],
+        "--alpha": ["1/3,1/5", "1/7,1/9", "1/7,1/9,1/11", "1/2", "0,1/2", "1/3,x"],
+        "--cov": [str(cov_dir / name) for name in [*_COV_FILES, "none.txt"]],
+        "--T": ["1", "0.1", "nan"],
+        "--time": ["0.5", "0.01", "1e16", "0", "-1"],
+    }
+    rarely = st.integers(0, 9).map(lambda n: n == 9)  # Hypothesis favours 0
+    command = draw(st.sampled_from(sorted(_READS)))
+    if command == "c-eps":
+        argv = ["simulate", command]
+        argv += ["--H", draw(st.sampled_from(["0.3", "0.1", "0.49", "0.7", "nan", "x"]))]
+        argv += ["--eps", draw(st.sampled_from(["0.125", "0.1", "0.5", "1e-300", "0", "inf"]))]
+    elif command.startswith("check-"):
+        argv = ["symbolic", command, "--nmax", draw(st.sampled_from(values["--nmax"]))]
+    else:
+        text = st.text(alphabet="Xi_I()^*+-./12 ", max_size=8)
+        argv = ["symbolic", command, draw(text if draw(rarely) else _SYMBOLS)]
+    for flag, choices in values.items():
+        if draw(st.booleans()) and (flag in _READS[command] or draw(rarely)):
+            argv += [flag, draw(st.sampled_from(choices))]
+    if draw(rarely):
+        argv = argv[:-1]  # a flag without its value, or a command without its symbol
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cov_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cov")
+    for name, text in _COV_FILES.items():
+        (path / name).write_text(text)
+    return path
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_fuzzed_command_lines_end_in_a_documented_exit_code(cov_dir, data):
+    argv = data.draw(_argvs(cov_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert code != 1 or argv[1].startswith("check-")  # 1 means a verification failed
+    if code in (2, 3):
+        assert "Traceback" not in err.getvalue()
+        assert sum("error: " in line for line in err.getvalue().splitlines()) == 1

@@ -15,7 +15,6 @@ from roughrenorm import model, roughsim
 from roughrenorm.errors import ConfigError
 from roughrenorm.roughsim import (  # noqa: F401
     KernelSpec,
-    MollifierSpec,
     SimConfig,
     TestFunction as FunctionSpec,
     brownian_increments,
@@ -100,8 +99,7 @@ def test_kernel_cutoff_shape():
 
 def test_mollifier_weight_identities():
     dt, eps = 1 / 512, 1 / 16
-    moll = MollifierSpec("bump")
-    w, dw, m = mollification_weights(dt, eps, moll)
+    w, dw, m = mollification_weights(dt, eps)
     assert m >= 4
     assert w.sum() == pytest.approx(1.0, abs=1e-14)
     assert dw.sum() == pytest.approx(0.0, abs=1e-12)
@@ -111,14 +109,13 @@ def test_mollifier_weight_identities():
 
 def test_mollify_preserves_constants_and_slopes():
     n, dt, eps = 512, 1 / 512, 1 / 16
-    moll = MollifierSpec("bump")
     t = dt * np.arange(n + 1)
     const = np.full(n + 1, 2.5)
-    sm, dv, m = mollify(const, dt, eps, moll)
+    sm, dv, m = mollify(const, dt, eps)
     assert np.allclose(sm[m:-m], 2.5, atol=1e-12)
     assert np.allclose(dv[m:-m], 0.0, atol=1e-10)
     lin = 3.0 * t + 1.0
-    sm, dv, m = mollify(lin, dt, eps, moll)
+    sm, dv, m = mollify(lin, dt, eps)
     assert np.allclose(dv[m:-m], 3.0, atol=1e-8)
 
 
@@ -171,52 +168,51 @@ def test_import_leaves_scipy_signal_unloaded():
 
 def test_mollify_rejects_coarse_grid():
     with pytest.raises(ConfigError):
-        mollification_weights(1 / 8, 1 / 8, MollifierSpec("bump"))
+        mollification_weights(1 / 8, 1 / 8)
 
 
 def test_c_eps_scaling_exponent():
     kernel = KernelSpec(H=0.3, T=1.0)
-    moll = MollifierSpec("bump")
     eps = [2.0**-k for k in range(3, 8)]
-    vals = [c_eps(e, kernel, moll)[0] for e in eps]
+    vals = [c_eps(e, kernel)[0] for e in eps]
     slope = np.polyfit(np.log(eps), np.log(vals), 1)[0]
     assert slope == pytest.approx(0.3 - 0.5, abs=0.01)
 
 
 def test_c_eps_timedep_matches_constant_away_from_origin():
-    moll = MollifierSpec("bump")
     kernel = KernelSpec(H=0.3, T=1.0)
     eps = 1 / 16
-    const, _ = c_eps(eps, kernel, moll)
-    late = c_eps_timedep(0.5, eps, 0.3, moll)
+    const, _ = c_eps(eps, kernel)
+    late = c_eps_timedep(0.5, eps, 0.3)
     assert late == pytest.approx(const, rel=1e-4)
+    # at large t no term of size t ** (H + 1/2) may cancel the digits away
+    assert c_eps_timedep(1e16, eps, 0.3) == pytest.approx(late, rel=1e-6)
     # pinned, so that a change to the quadrature cannot move c_eps unseen
     assert const == pytest.approx(0.8764189091348921, rel=1e-12)
 
 
 @pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 0.3])
 def test_scalar_mollifier_matches_array_mollifier(eps):
-    moll = MollifierSpec("bump")
+    norm = roughsim._bump_norm()
     edge = np.nextafter(1.0, 0.0)
     y = np.concatenate((np.linspace(-1.5, 1.5, 241), [-1.0, 1.0, -edge, edge, 0.0]))
     x = np.concatenate((y * eps, [-eps, eps]))
-    rho, drho = moll.rho_eps(x, eps), moll.drho_eps(x, eps)
+    rho, drho = roughsim._rho_eps(x, eps), roughsim._drho_eps(x, eps)
     for xi, r, d in zip(x, rho, drho):
-        assert roughsim._rho_eps_at(xi, eps, moll.norm) == pytest.approx(r, rel=1e-15, abs=0)
-        assert roughsim._drho_eps_at(xi, eps, moll.norm) == pytest.approx(d, rel=1e-15, abs=0)
+        assert roughsim._rho_eps_at(xi, eps, norm) == pytest.approx(r, rel=1e-15, abs=0)
+        assert roughsim._drho_eps_at(xi, eps, norm) == pytest.approx(d, rel=1e-15, abs=0)
 
 
 def test_c_eps_monte_carlo_cross_check():
     # independent estimate of \int\int rho(a) rho(b) khat(a-b) da db
-    moll = MollifierSpec("bump")
     kernel = KernelSpec(H=0.35, T=1.0)
     eps = 1 / 8
-    exact, _ = c_eps(eps, kernel, moll)
+    exact, _ = c_eps(eps, kernel)
     rng = np.random.default_rng(12)
     n = 400_000
     a = rng.uniform(-eps, eps, n)
     b = rng.uniform(-eps, eps, n)
-    weights = moll.rho_eps(a, eps) * moll.rho_eps(b, eps) * (2 * eps) ** 2
+    weights = roughsim._rho_eps(a, eps) * roughsim._rho_eps(b, eps) * (2 * eps) ** 2
     vals = weights * kernel.khat(a - b)
     est = vals.mean()
     se = vals.std(ddof=1) / math.sqrt(n)

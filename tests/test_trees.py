@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_symbols
-from roughrenorm.coalgebra import _finish_repaired
+from roughrenorm.coalgebra import _finish_repaired, delta_minus
 from roughrenorm.errors import ParseError
 from roughrenorm.structure import enumerate_basis, generic_spec
 from roughrenorm.trees import (
@@ -30,7 +30,6 @@ from roughrenorm.trees import (
     in_symbol_family,
     noise,
     parse_symbol,
-    subforest_extractions,
     tree_product,
 )
 
@@ -113,7 +112,7 @@ def _brute_force(branches):
         if root_part:
             pieces.append(tree_product(*root_part))
         forest = Forest(tuple(pieces))
-        remainder = tree_product(*rem) if rem else LEAF
+        remainder = forest_of(tree_product(*rem))
         key = (forest, remainder)
         counts[key] = counts.get(key, 0) + 1
     return counts
@@ -133,14 +132,14 @@ CASES = [
 @pytest.mark.parametrize("branches", CASES)
 def test_extractions_match_brute_force(branches):
     tree = tree_product(*[branch(et, branch(s) if s else LEAF) for et, s in branches])
-    got = {(f, r): m for f, r, m in subforest_extractions(tree)}
+    got = {(f, r): m for (f, r), m in delta_minus(tree, repair=False)}
     assert got == _brute_force(branches)
 
 
 @pytest.mark.parametrize("branches", CASES)
 def test_extraction_multiplicities_sum_to_power_of_two(branches):
     tree = tree_product(*[branch(et, branch(s) if s else LEAF) for et, s in branches])
-    total = sum(m for _, _, m in subforest_extractions(tree))
+    total = sum(m for _, m in delta_minus(tree, repair=False))
     assert total == 2**tree.num_edges
 
 
@@ -365,5 +364,5 @@ def test_random_forest_round_trip(trees):
 @given(family_trees())
 @settings(max_examples=40, deadline=None)
 def test_random_tree_multiplicity_sum(tree):
-    total = sum(m for _, _, m in subforest_extractions(tree))
+    total = sum(m for _, m in delta_minus(tree, repair=False))
     assert total == 2**tree.num_edges
