@@ -341,6 +341,11 @@ def _check_closed_form(spec, nmax, cov):
     return failures, cases
 
 
+def _power(tree):
+    """The number of integration factors at the root of a basis symbol."""
+    return sum(not et.is_noise for et, _ in tree.children)
+
+
 def _integrated(j):
     return branch(INTEGRATION, branch(noise(j)))
 
@@ -364,10 +369,13 @@ def check_gamma_bphz(spec, nmax, cov):
     start = time.perf_counter()
     failures = []
     cases = 0
-    small = type(spec)(d=spec.d, alpha=spec.alpha, truncation=min(spec.truncation, nmax))
+    # a spec's truncation is at least 1, as in generic_spec; nmax 0 keeps the
+    # symbols of power 0 (the unit and the noises), as check_bphz_plain does
+    small = type(spec)(d=spec.d, alpha=spec.alpha, truncation=max(min(spec.truncation, nmax), 1))
+    symbols = [tau for tau in enumerate_basis(small) if _power(tau) <= nmax]
     minus_tables = {}  # one delta_minus_ex table per right leg, across twists and symbols
     with coproduct_sizes() as sizes:
-        for tau in enumerate_basis(small):
+        for tau in symbols:
             direct = gamma_direct(tau, small)
             for twist in (True, False):
                 cases += 1

@@ -84,9 +84,9 @@ def _drho_eps(x, eps):
     return out / _bump_norm() / (eps * eps)
 
 
-# The quadrature integrands call these once per point, so they stay in plain
-# float arithmetic: a one-element array per point costs more than the
-# quadrature itself.
+# The quadrature integrands call these once per point (c_eps inlines the
+# product of two _rho_eps_at), so they stay in plain float arithmetic: a
+# one-element array per point costs more than the quadrature itself.
 
 
 def _rho_eps_at(x, eps, norm):
@@ -163,6 +163,22 @@ class KernelSpec:
         pos = (u > 0) & (u < 2.0 * self.T)
         out[pos] = self.raw(u[pos]) * self.cutoff(u[pos])
         return out
+
+
+def _khat_at(kernel, u):
+    """``kernel.khat`` at one float, as the quadrature integrand needs it.
+
+    On (0, T] the cut-off is exactly 1.0, so this is the raw kernel alone.
+    Its power stays the ``np.power`` ufunc: Python's ``**`` rounds
+    differently from numpy's array power at some points (952 of 20,000
+    uniform points in (0, 1) at H = 0.3, on an AVX-512 CPU), and a 0-d
+    ufunc call runs the same loop as the one-element array of
+    :meth:`KernelSpec.khat`.  Elsewhere it falls back to that method.
+    """
+    if 0.0 < u <= kernel.T:
+        return math.sqrt(2.0 * kernel.H) * float(np.power(u, kernel.H - 0.5))
+    return float(kernel.khat(np.array([u]))[0])
+
 
 # ---------------------------------------------------------------------------
 # path generation
@@ -287,12 +303,16 @@ def c_eps(eps, kernel):
         lo, hi = -eps, eps - u
         if hi <= lo:
             return 0.0
-        val, _ = integrate.quad(
-            lambda b: _rho_eps_at(b, eps, norm) * _rho_eps_at(b + u, eps, norm),
-            lo,
-            hi,
-            limit=100,
-        )
+
+        def pair(b):
+            # _rho_eps_at(b) * _rho_eps_at(b + u), inlined: the same float
+            # operations in the same order, without two calls per point
+            y, z = b / eps, (b + u) / eps
+            at_b = 0.0 if abs(y) >= 1.0 else math.exp(-1.0 / (1.0 - y * y)) / norm / eps
+            at_bu = 0.0 if abs(z) >= 1.0 else math.exp(-1.0 / (1.0 - z * z)) / norm / eps
+            return at_b * at_bu
+
+        val, _ = integrate.quad(pair, lo, hi, limit=100)
         return val
 
     p = 1.0 / (H + 0.5)
@@ -300,7 +320,7 @@ def c_eps(eps, kernel):
 
     def integrand(v):
         u = v**p
-        return float(kernel.khat(np.array([u]))[0]) * phi(u) * p * v ** (p - 1.0)
+        return _khat_at(kernel, u) * phi(u) * p * v ** (p - 1.0)
 
     hi = upper ** (1.0 / p)
     with warnings.catch_warnings(record=True) as caught:
@@ -507,23 +527,43 @@ def usable_cpus():
     return os.cpu_count() or 1
 
 
-def _run_paths(worker, n_paths, threads):
-    """Deterministic per-path map, optionally thread-parallel on at most
-    one thread per CPU the process may run on."""
-    threads = min(threads, usable_cpus())
+# Bytes of one stacked (paths, points) float array of a chunk of paths: 4
+# Wong-Zakai paths at N = 4096, 7 bounds paths at N = 1024, one path at
+# N = 2^16.  Larger chunks save little time and add to the peak memory.
+_CHUNK_BYTES = 192 * 2**10
+
+
+def _path_chunks(n_paths, points):
+    """The path indices ``0 .. n_paths - 1`` in runs of consecutive paths,
+    each as many as fit one ``(paths, points)`` float array in
+    ``_CHUNK_BYTES``, at least one."""
+    size = max(1, _CHUNK_BYTES // (8 * points))
+    return [range(start, min(start + size, n_paths)) for start in range(0, n_paths, size)]
+
+
+def _increments(chunk, n_steps, dt, seed):
+    """The :func:`brownian_increments` of each path of ``chunk``, stacked."""
+    return np.stack([brownian_increments(n_steps, dt, seed, p) for p in chunk])
+
+
+def _run_paths(worker, count, threads):
+    """Deterministic map of ``worker`` over ``range(count)`` (the chunks of
+    paths), optionally thread-parallel on at most one thread per CPU the
+    process may run on and per chunk."""
+    threads = min(threads, usable_cpus(), count)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, range(n_paths)))
-    return [worker(idx) for idx in range(n_paths)]
+            return list(pool.map(worker, range(count)))
+    return [worker(idx) for idx in range(count)]
 
 
-def _results(per_path, timings):
-    """The results of per-path ``(result, phase seconds)`` pairs; the
+def _results(per_chunk, timings):
+    """The results of per-chunk ``(result, phase seconds)`` pairs; the
     seconds are summed into ``timings``."""
-    for _, seconds in per_path:
+    for _, seconds in per_chunk:
         for phase, value in seconds.items():
             timings[phase] = timings.get(phase, 0.0) + value
-    return [result for result, _ in per_path]
+    return [result for result, _ in per_chunk]
 
 
 @contextmanager
@@ -617,6 +657,9 @@ class WZResult:
     timings: dict = field(default_factory=dict)  # phase -> seconds, summed over paths
 
 
+_WZ_COLUMNS = ("I_uncorr", "I_corr", "I_model", "I_ito")
+
+
 def wz_experiment(config):
     """Corrected Wong-Zakai experiment.
 
@@ -628,6 +671,9 @@ def wz_experiment(config):
     read their coefficients from :func:`renormalised_terms` at ``c_eps``,
     for powers up to the truncation of ``rough_vol_spec(H, kappa)``.
     Each RMS over paths comes with its delta-method standard error.
+    The paths go in chunks of :func:`_path_chunks`, each a stacked array
+    with the grid on the last axis; every result depends only on
+    ``(seed, path)``, not on the chunk or the thread count.
     """
     dt = config.dt
     n = config.n_grid
@@ -640,51 +686,43 @@ def wz_experiment(config):
     drifts = {e: _evaluate(ladder.terms[e][1], 0.0, 0.0) for e in config.eps_list}
     fbm = _fbm_smoother(n_ext - pad, config.H, dt)
     block = 8
+    chunks = _path_chunks(config.n_paths, n_ext + 1)
+    sl = slice(pad, pad + n)
 
-    def one_path(p):
+    def one_chunk(i):
         seconds = {}
         with _timed(seconds, "paths"):
-            inc = brownian_increments(n_ext, dt, config.seed, p)
-            w_ext = np.concatenate(([0.0], np.cumsum(inc)))
-            w_ext = w_ext - w_ext[pad]  # path vanishes at time 0
-            wh_pos = _causal(fbm, inc[pad:])  # fbm_rl from time 0 onward
-            wh_ext = np.concatenate((np.zeros(pad), wh_pos))
+            inc = _increments(chunks[i], n_ext, dt, config.seed)
+            rows = len(inc)
+            w_ext = np.concatenate((np.zeros((rows, 1)), np.cumsum(inc, axis=-1)), axis=-1)
+            w_ext = w_ext - w_ext[:, pad : pad + 1]  # paths vanish at time 0
+            wh_pos = _causal(fbm, inc[:, pad:])  # fbm_rl from time 0 onward
+            wh_ext = np.concatenate((np.zeros((rows, pad)), wh_pos), axis=-1)
             smoothed = zip(config.eps_list, ladder.smooth_dw(w_ext), ladder.smooth_w(wh_ext))
         with _timed(seconds, "route"):
-            i_ito = float(
-                np.sum(f(wh_ext[pad : pad + n]) * np.diff(w_ext)[pad : pad + n])
-            )
+            i_ito = np.sum(f(wh_ext[:, sl]) * np.diff(w_ext)[:, sl], axis=-1)
             out = []
             for e, w_dot, wh_sm in smoothed:
-                sl = slice(pad, pad + n)
-                vals = wh_sm[sl]
-                i_unc = float(np.sum(f(vals) * w_dot[sl]) * dt)
-                i_corr = i_unc + drifts[e] * float(np.sum(f(vals, 1)) * dt)
+                vals = wh_sm[:, sl]
+                i_unc = np.sum(f(vals) * w_dot[:, sl], axis=-1) * dt
+                i_corr = i_unc + drifts[e] * (np.sum(f(vals, 1), axis=-1) * dt)
                 i_model = _model_route(f, wh_sm, w_dot, pad, n, dt, ladder.terms[e], block)
-                out.append((e, i_unc, i_corr, i_model, i_ito))
-        return out, seconds
+                out.append((i_unc, i_corr, i_model, i_ito))
+        return np.array(out), seconds
 
     result = WZResult(config, ladder.c_eps, ladder.c_eps_error, timings=ladder.timings)
-    per_path = _results(_run_paths(one_path, config.n_paths, config.threads), ladder.timings)
-    by_eps = {e: [] for e in config.eps_list}
-    for p, rows in enumerate(per_path):
-        for e, i_unc, i_corr, i_model, i_ito in rows:
+    per_chunk = _results(_run_paths(one_chunk, len(chunks), config.threads), ladder.timings)
+    table = np.concatenate(per_chunk, axis=-1)  # (eps, _WZ_COLUMNS, path)
+    listed = table.tolist()
+    for p in range(config.n_paths):
+        for e, columns in zip(config.eps_list, listed):
             result.rows.append(
-                {
-                    "eps": e,
-                    "path": p,
-                    "I_uncorr": i_unc,
-                    "I_corr": i_corr,
-                    "I_model": i_model,
-                    "I_ito": i_ito,
-                }
+                {"eps": e, "path": p, **{key: col[p] for key, col in zip(_WZ_COLUMNS, columns)}}
             )
-            by_eps[e].append((i_unc, i_corr, i_model, i_ito))
-    for e in config.eps_list:
-        arr = np.array(by_eps[e])
+    for e, arr in zip(config.eps_list, table):
         row = {"eps": e, "c_eps": ladder.c_eps[e]}
         for col, name in enumerate(("uncorr", "corr", "model")):
-            d2 = (arr[:, col] - arr[:, 3]) ** 2
+            d2 = (arr[col] - arr[3]) ** 2
             row["rms_" + name] = float(np.sqrt(np.mean(d2)))
             row["se_" + name] = _rms_se(d2, row["rms_" + name])
         result.summary.append(row)
@@ -700,18 +738,22 @@ def _model_route(f, wh_sm, w_dot, pad, n, dt, terms, block):
     ``terms[m]`` of :func:`renormalised_terms` (m = 0, 1, ... ascending).
     All blocks are evaluated at once, in the arithmetic order of a
     block-by-block loop: ascending order, block sums, then a
-    left-to-right sum.
+    left-to-right sum.  The grid is the last axis: a path gives a float,
+    a stack of paths an array of one value per path, each the float of
+    its row alone.
     """
-    blocks = wh_sm[pad : pad + n].reshape(-1, block)
-    base = blocks[:, 0].copy()  # contiguous, as the loop's one-point arrays were
-    delta = blocks - base[:, None]
-    w_blocks = w_dot[pad : pad + n].reshape(-1, block)
+    lead = np.shape(wh_sm)[:-1]
+    blocks = wh_sm[..., pad : pad + n].reshape(lead + (-1, block))
+    base = blocks[..., 0].copy()  # contiguous, as the loop's one-point arrays were
+    delta = blocks - base[..., None]
+    w_blocks = w_dot[..., pad : pad + n].reshape(lead + (-1, block))
     acc = np.zeros_like(delta)
     for m, expansion in terms.items():
         fm = f(base, m) / math.factorial(m)
-        acc += fm[:, None] * _evaluate(expansion, w_blocks, delta)
+        acc += fm[..., None] * _evaluate(expansion, w_blocks, delta)
     # cumsum adds the block sums left to right, as a running total would
-    return float(np.cumsum(np.sum(acc, axis=1) * dt)[-1])
+    total = np.cumsum(np.sum(acc, axis=-1) * dt, axis=-1)[..., -1]
+    return float(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +772,8 @@ def model_bound_probe(config):
     :func:`renormalised_terms` at ``c_eps``.  Returns the row table and,
     per symbol, joint log-log regression exponents in lambda and eps,
     ``c_eps`` and its quadrature error per eps, and the seconds per phase
-    (``timings``, summed over paths).  The fit needs at least two values
+    (``timings``, summed over paths).  The paths go in chunks, as in
+    :func:`wz_experiment`.  The fit needs at least two values
     of each of eps and lambda, and every lambda must lie in [dt, T/2);
     otherwise ConfigError.
     """
@@ -750,42 +793,48 @@ def model_bound_probe(config):
     hat_smooth = _hat_smoother(n_ext, ladder.kernel, dt)
     names = {k: f"Xi*I(Xihat)^{k}" if k > 1 else "Xi*I(Xihat)" for k in config.powers}
     taus = ["Xi", "I(Xihat)", *names.values()]
+    chunks = _path_chunks(config.n_paths, n_ext + 1)
+    centre = slice(s_idx, s_idx + 1)
+    # per lambda: its window of grid points (a slice: a fancy index would give
+    # an F-ordered array, whose row sums round differently) and test function
+    windows = {
+        lam: (slice(s_idx - h, s_idx + h + 1), _rho_eps(np.arange(-h, h + 1) * dt, lam))
+        for lam, h in halves.items()
+    }
 
-    def one_path(p):
+    def one_chunk(i):
         seconds = {}
         with _timed(seconds, "paths"):
-            inc = brownian_increments(n_ext, dt, config.seed, p)
+            inc = _increments(chunks[i], n_ext, dt, config.seed)
             hat = _causal(hat_smooth, inc)  # stationary_hat_process
-            w_ext = np.concatenate(([0.0], np.cumsum(inc)))
+            w_ext = np.concatenate((np.zeros((len(inc), 1)), np.cumsum(inc, axis=-1)), axis=-1)
             per_eps = dict(zip(eps_list, zip(ladder.smooth_dw(w_ext), ladder.smooth_w(hat))))
         with _timed(seconds, "route"):
             vals = {}
-            for lam, half in halves.items():
-                ks = np.arange(s_idx - half, s_idx + half + 1)
-                phi = _rho_eps((ks - s_idx) * dt, lam)
-                dw = inc[ks]
+            for lam, (ks, phi) in windows.items():
+                dw = inc[:, ks]
+                dhat_rough = hat[:, ks] - hat[:, centre]
                 for e in eps_list:
                     w_dot, hat_sm = per_eps[e]
-                    dhat_rough = hat[ks] - hat[s_idx]
-                    dhat_sm = hat_sm[ks] - hat_sm[s_idx]
+                    dhat_sm = hat_sm[:, ks] - hat_sm[:, centre]
                     pair = {}
-                    pair["Xi"] = float(np.sum(phi * (w_dot[ks] * dt - dw)))
-                    pair["I(Xihat)"] = float(np.sum(phi * (dhat_sm - dhat_rough)) * dt)
+                    pair["Xi"] = np.sum(phi * (w_dot[:, ks] * dt - dw), axis=-1)
+                    pair["I(Xihat)"] = np.sum(phi * (dhat_sm - dhat_rough), axis=-1) * dt
                     for k, name in names.items():
-                        smooth = _evaluate(ladder.terms[e][k], w_dot[ks], dhat_sm) * dt
+                        smooth = _evaluate(ladder.terms[e][k], w_dot[:, ks], dhat_sm) * dt
                         rough = dhat_rough**k * dw
-                        pair[name] = float(np.sum(phi * (smooth - rough)))
+                        pair[name] = np.sum(phi * (smooth - rough), axis=-1)
                     vals[(lam, e)] = pair
         return vals, seconds
 
-    per_path = _results(_run_paths(one_path, config.n_paths, config.threads), ladder.timings)
+    per_chunk = _results(_run_paths(one_chunk, len(chunks), config.threads), ladder.timings)
     rows = []
     fits = {}
     logs = {tau: ([], [], []) for tau in taus}
     for lam in lambdas:
         for e in eps_list:
             for tau in taus:
-                samples = np.array([path[(lam, e)][tau] for path in per_path])
+                samples = np.concatenate([chunk[(lam, e)][tau] for chunk in per_chunk])
                 rms = float(np.sqrt(np.mean(samples**2)))
                 rows.append({"tau": tau, "lambda": lam, "eps": e, "rms_pairing": rms})
                 if rms > 0:

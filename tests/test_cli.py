@@ -91,6 +91,27 @@ def test_check_commands_pass(capsys):
     assert report["max_coproduct_terms"] > 0
 
 
+@pytest.mark.parametrize("command", ["check-bphz", "check-gamma"])
+def test_checks_pass_at_nmax_zero(capsys, command):
+    # both checks read nmax 0 as the symbols of power 0: the unit and the noises
+    assert main(["symbolic", command, "--nmax", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "pass"
+    assert report["cases"] == (3 if command == "check-bphz" else 6)
+
+
+def test_symbol_with_a_leading_minus(capsys):
+    # after "--" argparse reads "-Xi_1" as the symbol, not as an option
+    assert main(["symbolic", "antipode", "--", "-Xi_1"]) == 0
+    assert capsys.readouterr().out.strip() == "Xi_1"
+    with pytest.raises(SystemExit) as exc:
+        main(["symbolic", "antipode", "-Xi_1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "the following arguments are required: symbol" in err
+    assert "Traceback" not in err
+
+
 def _without_elapsed(text):
     report = json.loads(text)
     del report["elapsed_s"]

@@ -123,6 +123,17 @@ def test_check_gamma_bphz_passes():
     assert report["failures"] == []
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_checks_agree_at_nmax_zero(d):
+    # the unit and the d noises, once per check and, for transport, per twist
+    spec, cov = generic_spec(d, 0), SymbolicCovariance(d)
+    plain = check_bphz_plain(spec, 0, cov)
+    gamma = check_gamma_bphz(spec, 0, cov)
+    assert plain["status"] == gamma["status"] == "pass"
+    assert plain["cases"] == 1 + d
+    assert gamma["cases"] == 2 * (1 + d)
+
+
 def test_eval_pi_at_many_base_points(path):
     x = parse_symbol("Xi_1*I(Xi_2)^2*I + 1/3*I(Xi_1) . Xi_2", d=2)
     rows = eval_pi(x, [3, 40, 3], path)

@@ -1,6 +1,7 @@
 """Simulation harness: fractional paths, mollification, correction
 constant, experiment plumbing."""
 
+import functools
 import math
 import subprocess
 import sys
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import integrate
 
 from roughrenorm import model, roughsim
 from roughrenorm.errors import ConfigError
@@ -191,6 +193,79 @@ def test_c_eps_timedep_matches_constant_away_from_origin():
     assert const == pytest.approx(0.8764189091348921, rel=1e-12)
 
 
+# float.hex of c_eps(eps, KernelSpec(0.3)) and of its error estimate, as the
+# integrand with one-element arrays per point gave them (numpy 2.4, scipy
+# 1.17, x86-64 with AVX-512); eps = 0.7 > T/2 reaches the kernel's cut-off
+_C_EPS_BITS = {
+    1 / 8: ("0x1.86a39b7b5ec7cp-1", "0x1.36a04f3d046a8p-27"),
+    1 / 16: ("0x1.c0b9fab0a9249p-1", "0x1.64d0e9da87e78p-27"),
+    1 / 32: ("0x1.01b9c6875b77cp+0", "0x1.99dfd408f6050p-27"),
+    1 / 64: ("0x1.280c8feb74df9p+0", "0x1.d6d26cf429c30p-27"),
+    1 / 128: ("0x1.5412325bab49cp+0", "0x1.0e6a8cd5c4ba8p-26"),
+    0.7: ("0x1.14c8257d44e89p-1", "0x1.1356bb2a4f4c0p-27"),
+}
+
+
+def _avx512_power():
+    """Whether numpy may take its AVX-512 power loop, as when the bits
+    above were recorded: a CPU without it rounds some powers differently."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        return False
+    return bool(__cpu_features__.get("AVX512_SKX"))
+
+
+@pytest.mark.skipif(not _avx512_power(), reason="bits recorded with numpy's AVX-512 power")
+@pytest.mark.parametrize("eps", sorted(_C_EPS_BITS))
+def test_c_eps_bits_are_pinned(eps):
+    value, error = c_eps(eps, KernelSpec(0.3))
+    assert (value.hex(), error.hex()) == _C_EPS_BITS[eps]
+
+
+def _c_eps_by_arrays(eps, kernel):
+    """c_eps with the integrand it had before :func:`roughsim._khat_at`:
+    ``kernel.khat`` of a one-element array and two ``_rho_eps_at`` calls."""
+    norm = roughsim._bump_norm()
+    rho = functools.partial(roughsim._rho_eps_at, eps=eps, norm=norm)
+
+    def phi(u):
+        if eps - u <= -eps:
+            return 0.0
+        return integrate.quad(lambda b: rho(b) * rho(b + u), -eps, eps - u, limit=100)[0]
+
+    p = 1.0 / (kernel.H + 0.5)
+
+    def integrand(v):
+        u = v**p
+        return float(kernel.khat(np.array([u]))[0]) * phi(u) * p * v ** (p - 1.0)
+
+    hi = min(2.0 * eps, 2.0 * kernel.T) ** (1.0 / p)
+    return integrate.quad(integrand, 0.0, hi, limit=200)
+
+
+@pytest.mark.parametrize(
+    "H, T, eps", [(0.3, 1.0, 1 / 8), (0.1, 1.0, 1 / 64), (0.45, 0.5, 0.3), (0.2, 3.0, 1.3)]
+)
+def test_c_eps_equals_the_array_integrand(H, T, eps):
+    kernel = KernelSpec(H, T)
+    assert c_eps(eps, kernel) == _c_eps_by_arrays(eps, kernel)
+
+
+@given(
+    H=st.floats(0.01, 0.49),
+    T=st.floats(1e-3, 1e3),
+    frac=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+)
+@example(H=0.3, T=1.0, frac=1.0)  # u = T, the last point without the cut-off
+@example(H=0.3, T=1.0, frac=float(np.nextafter(1.0, 2.0)))
+@settings(max_examples=200, deadline=None)
+def test_khat_at_equals_array_khat(H, T, frac):
+    kernel = KernelSpec(H, T)
+    u = frac * T
+    assert roughsim._khat_at(kernel, u) == float(kernel.khat(np.array([u]))[0])
+
+
 @pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 0.3])
 def test_scalar_mollifier_matches_array_mollifier(eps):
     norm = roughsim._bump_norm()
@@ -343,18 +418,27 @@ def _loop_model_route(f, wh_sm, w_dot, pad, n, dt, correction, order_max, block)
     correction=st.floats(-5.0, 5.0),
     scale=st.floats(1e-3, 3.0),
     T=st.floats(0.1, 10.0),
+    rows=st.integers(1, 4),
 )
 @settings(max_examples=150, deadline=None)
-def test_model_route_equals_block_loop(seed, log_n, pad, order, name, correction, scale, T):
+def test_model_route_equals_block_loop(seed, log_n, pad, order, name, correction, scale, T, rows):
     n = 2**log_n
     rng = np.random.default_rng(seed)
-    wh_sm = scale * np.cumsum(rng.standard_normal(n + 2 * pad + 1))
-    w_dot = rng.standard_normal(n + 2 * pad + 1) / scale
-    args = (FunctionSpec(name), wh_sm, w_dot, pad, n, T / n)
+    wh_sm = scale * np.cumsum(rng.standard_normal((rows, n + 2 * pad + 1)), axis=-1)
+    w_dot = rng.standard_normal((rows, n + 2 * pad + 1)) / scale
+    f = FunctionSpec(name)
     terms = renormalised_terms(correction, SPEC_H01, range(order + 1))
-    assert roughsim._model_route(*args, terms, 8) == _loop_model_route(
-        *args, correction, order, 8
-    )
+    singles = []
+    for wh_row, w_row in zip(wh_sm, w_dot):
+        args = (f, wh_row, w_row, pad, n, T / n)
+        single = roughsim._model_route(*args, terms, 8)
+        assert type(single) is float
+        assert single == _loop_model_route(*args, correction, order, 8)
+        singles.append(single)
+    # a stack of paths gives each row's float, as its own 1-D call does
+    stacked = roughsim._model_route(f, wh_sm, w_dot, pad, n, T / n, terms, 8)
+    assert stacked.shape == (rows,)
+    assert stacked.tolist() == singles
 
 
 @given(
@@ -405,6 +489,54 @@ def test_model_bound_probe_threaded_matches_serial():
     assert serial["fits"] == threaded["fits"]
 
 
+def _run_in_chunks(monkeypatch, experiment, config, paths):
+    """``experiment(config)`` with the byte budget set to give chunks of
+    ``paths`` paths, and the chunk sizes it used."""
+    sizes = []
+    chunks = roughsim._path_chunks
+
+    def budgeted(n_paths, points):
+        monkeypatch.setattr(roughsim, "_CHUNK_BYTES", 8 * points * paths)
+        out = chunks(n_paths, points)
+        sizes.append([len(chunk) for chunk in out])
+        return out
+
+    monkeypatch.setattr(roughsim, "_path_chunks", budgeted)
+    result = experiment(config)
+    monkeypatch.setattr(roughsim, "_path_chunks", chunks)
+    return result, sizes
+
+
+def test_path_chunks_cover_the_paths_in_order(monkeypatch):
+    monkeypatch.setattr(roughsim, "_CHUNK_BYTES", 8 * 100 * 3)
+    assert roughsim._path_chunks(7, 100) == [range(0, 3), range(3, 6), range(6, 7)]
+    assert roughsim._path_chunks(7, 301) == [range(p, p + 1) for p in range(7)]  # at least one
+    assert roughsim._path_chunks(2, 1) == [range(0, 2)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_chunks_change_no_result(monkeypatch, threads):
+    # 7 paths in chunks of 1, of 3 (3, 3, 1) and of all 7: every result is
+    # bit for bit the one-path-at-a-time result, with one thread or two
+    base = dict(H=0.3, kappa=0.01, n_grid=256, n_paths=7, seed=11, eps_list=(0.125, 0.0625))
+    probe = SimConfig(**{**_PROBE, "n_paths": 7, "threads": threads})
+    wz_serial, _ = _run_in_chunks(monkeypatch, wz_experiment, SimConfig(**base), 1)
+    probe_serial, _ = _run_in_chunks(
+        monkeypatch, model_bound_probe, SimConfig(**{**_PROBE, "n_paths": 7}), 1
+    )
+    for paths, sizes in ((1, [1] * 7), (3, [3, 3, 1]), (7, [7])):
+        wz, used = _run_in_chunks(
+            monkeypatch, wz_experiment, SimConfig(**base, threads=threads), paths
+        )
+        assert used == [sizes]
+        assert wz.rows == wz_serial.rows
+        assert wz.summary == wz_serial.summary
+        bounds, used = _run_in_chunks(monkeypatch, model_bound_probe, probe, paths)
+        assert used == [sizes]
+        assert bounds["rows"] == probe_serial["rows"]
+        assert bounds["fits"] == probe_serial["fits"]
+
+
 def test_run_paths_caps_threads_at_cpu_count(monkeypatch):
     pools = []
 
@@ -430,6 +562,9 @@ def test_run_paths_caps_threads_at_cpu_count(monkeypatch):
     # without an affinity call, the CPU count caps the pool
     monkeypatch.delattr(roughsim.os, "sched_getaffinity")
     assert roughsim._run_paths(lambda p: p * p, 5, 1000) == [0, 1, 4, 9, 16]
+    assert pools == [3]
+    # a single chunk of paths starts no pool either
+    assert roughsim._run_paths(lambda p: p - 1, 1, 1000) == [-1]
     assert pools == [3]
     monkeypatch.setattr(roughsim.os, "cpu_count", lambda: None)
     assert roughsim._run_paths(lambda p: -p, 3, 1000) == [0, -1, -2]
