@@ -1,19 +1,22 @@
 """Path evaluation of symbols, transport coefficients, and the
 renormalized evaluation pipeline.
 
-The numeric layer evaluates symbols against a :class:`SamplePath`
-(smooth channel paths with analytic derivatives on a common grid).  The
-symbolic layer re-runs the same constructions with path values,
-transport increments, and covariances kept as free polynomial
-indeterminates, which turns the structural identities into exact
-polynomial identities that can be checked mechanically.  The transport
-rule :func:`gamma_direct` is written once, with free increment symbols.
+The symbolic layer keeps path values, transport increments, and
+covariances as free polynomial indeterminates, which turns the
+structural identities into exact polynomial identities that can be
+checked mechanically.  Π (:func:`pi_symbolic`) and the transport rule
+(:func:`gamma_direct`) are each written once, as monomials in named root
+factors and increments.  The numeric layer substitutes into them: one
+exponent-table evaluator (:class:`_Monomials`) gives Π rows on a
+:class:`SamplePath` (smooth channel paths with analytic derivatives on a
+common grid) and the entries of the transport matrices.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -26,7 +29,6 @@ from .trees import (
     Forest,
     INTEGRATION,
     LEAF,
-    Tree,
     branch,
     format_atom,
     in_symbol_family,
@@ -36,7 +38,7 @@ from .trees import (
 from .structure import enumerate_basis
 
 # ---------------------------------------------------------------------------
-# numeric sample paths
+# numeric sample paths and compiled monomials
 
 
 @dataclass
@@ -44,7 +46,7 @@ class SamplePath:
     """Smooth channel paths xi_i on a common grid, with derivatives.
 
     ``t`` is the grid; ``xi[i]`` and ``xid[i]`` are the path and its
-    derivative for channel i (1-based).
+    derivative for channel i, and both hold the channels 1..d.
     """
 
     t: np.ndarray
@@ -52,6 +54,9 @@ class SamplePath:
     xid: dict
 
     def __post_init__(self):
+        channels = set(range(1, len(self.xi) + 1))
+        if set(self.xi) != channels or set(self.xid) != channels:
+            raise ValueError("xi and xid must hold the same channels 1..d")
         for i, arr in self.xi.items():
             if arr.shape != self.t.shape or self.xid[i].shape != self.t.shape:
                 raise ValueError("channel arrays must match the grid")
@@ -61,41 +66,69 @@ class SamplePath:
         return len(self.xi)
 
 
-def _factor_arrays(et, sub, path, s_idx):
-    if et.is_noise:
-        return path.xid[et.index]
-    if sub.is_leaf:
-        base = path.t
-    else:
-        set2, _ = sub.children[0]
-        if not set2.is_noise:
-            raise DomainError("tree lies outside the symbol family")
-        base = path.xi[set2.index]
-    return base - base[s_idx, None]
+@dataclass(frozen=True)
+class _Monomials:
+    """Monomials, sorted tuples of names repeated for powers, compiled to an
+    exponent table: ``powers[r, i]`` is the exponent of ``names[i]`` in
+    monomial ``r``."""
+
+    names: tuple
+    powers: np.ndarray
+
+    @classmethod
+    def compile(cls, monomials):
+        names = tuple(sorted({name for mono in monomials for name in mono}))
+        powers = [[mono.count(name) for name in names] for mono in monomials]
+        return cls(names, np.array(powers, dtype=int).reshape(len(monomials), len(names)))
+
+    def at(self, values):
+        """The monomials at ``values`` (name -> array, all broadcasting to
+        one shape ``(..., n)``), stacked as an array ``(..., monomials, n)``.
+        A monomial is the product, in name order, of its names' powers, and
+        a power is built by repeated multiplication."""
+        *lead, n = np.broadcast_shapes(*(np.shape(v) for v in values.values()))
+        out = np.ones((*lead, len(self.powers), n))
+        for name, column in zip(self.names, self.powers.T):
+            value = values[name]
+            table = [np.ones_like(value), value]
+            while len(table) <= column.max():
+                table.append(table[-1] * value)
+            out *= np.stack(table, axis=-2)[..., column, :]
+        return out
+
+
+def _pi_values(path, s_idx):
+    """The root-factor arrays recentred at grid index ``s_idx``, by the names
+    :func:`pi_symbolic` gives them; given index arrays, one row per index."""
+    values = {_factor_name("P", INTEGRATION, LEAF): path.t - path.t[s_idx, None]}
+    for j, xi in path.xi.items():
+        values[_factor_name("P", INTEGRATION, branch(noise(j)))] = xi - xi[s_idx, None]
+        values[_factor_name("P", noise(j), LEAF)] = path.xid[j]
+    return values
+
+
+def _pi_table(keys):
+    """The :func:`pi_symbolic` monomials of trees or forests, compiled."""
+    return _Monomials.compile([mono for key in keys for mono, _ in pi_symbolic(key)])
 
 
 def eval_pi(x, s_idx, path):
-    """Evaluation recentered at grid index ``s_idx``.
+    """Evaluation recentered at grid index ``s_idx``: :func:`pi_symbolic`
+    at the recentred root-factor arrays.
 
     Multiplicative over tree and forest products, linear over formal
     sums (float or Fraction coefficients).  Returns an array on the grid;
-    given a sequence of grid indices, one such row per index.
+    given a sequence of grid indices, one such row per index.  A tree
+    outside the symbol family of the path's channels is a DomainError.
     """
-    shape = np.shape(s_idx) + path.t.shape
-    if isinstance(x, Tree):
-        out = np.ones(shape)
-        for et, sub in x.children:
-            out = out * _factor_arrays(et, sub, path, s_idx)
-        return out
-    if isinstance(x, Forest):
-        out = np.ones(shape)
-        for t in x.trees:
-            out = out * eval_pi(t, s_idx, path)
-        return out
-    acc = np.zeros(shape)
-    for key, c in x.sorted_terms():
-        acc = acc + float(c) * eval_pi(key, s_idx, path)
-    return acc
+    terms = x.sorted_terms() if isinstance(x, FormalSum) else [(x, 1)]
+    for key, _ in terms:
+        for tree in _trees(key):
+            if not in_symbol_family(tree, d=path.d):
+                raise DomainError(f"tree {tree!r} lies outside the symbol family")
+    rows = _pi_table([key for key, _ in terms]).at(_pi_values(path, s_idx))
+    zero = np.zeros(np.shape(s_idx) + path.t.shape)
+    return sum((float(c) * rows[..., r, :] for r, (_, c) in enumerate(terms)), zero)
 
 
 # ---------------------------------------------------------------------------
@@ -108,16 +141,26 @@ def _factor_name(prefix, et, sub):
     return f"{prefix}[{format_atom(et, sub)}]"
 
 
+def _trees(x):
+    """The trees of a forest, or a tree alone."""
+    return x.trees if isinstance(x, Forest) else (x,)
+
+
 def _root_factors(x):
     """The root factors ``(edge type, subtree)`` of a tree or of every tree
     of a forest."""
-    trees = x.trees if isinstance(x, Forest) else (x,)
-    return [factor for t in trees for factor in t.children]
+    return [factor for t in _trees(x) for factor in t.children]
 
 
 def _monomial(prefix, factors):
     """The monomial of the named root factors, as a Poly."""
     return Poly.lift(tuple(sorted(_factor_name(prefix, et, sub) for et, sub in factors)))
+
+
+def pi_symbolic(x):
+    """Recentred evaluation with path values as free symbols: the
+    monomial of the root factors of a tree or forest."""
+    return _monomial("P", _root_factors(x))
 
 
 def gamma_direct(tree, spec):
@@ -145,9 +188,7 @@ def _gamma_char(x):
     """The transport character on a tree or forest: the monomial of its
     root factors' increments; zero if a root factor is a noise."""
     factors = _root_factors(x)
-    if any(et.is_noise for et, _ in factors):
-        return Poly()
-    return _monomial("g", factors)
+    return Poly() if any(et.is_noise for et, _ in factors) else _monomial("g", factors)
 
 
 def gamma_via_coproduct(tree, spec, cov, twist=True, minus_tables=None):
@@ -167,30 +208,16 @@ def gamma_via_coproduct(tree, spec, cov, twist=True, minus_tables=None):
             tables[t2] = delta_minus_ex(t2, spec)
         inner = Poly.const(0)
         for (a, r), c2 in tables[t2]:
-            if twist:
-                charval = g_antipode(a, cov, spec)
-            else:
-                charval = g_minus(a, cov)
+            charval = g_antipode(a, cov, spec) if twist else g_minus(a, cov)
             inner = inner + c2 * charval * _gamma_char(r)
         out += FormalSum.lift(t1, c * inner)
     return out
 
 
-def compile_transport(tree, spec):
-    """:func:`gamma_direct` of ``tree`` as a list of entries ``(target
-    tree, factor, increment names)``; a target's coefficient is the sum
-    over its entries of the float factor times the named increments."""
-    table = []
-    for target, coeff in gamma_direct(tree, spec):
-        for names, factor in Poly() + coeff:  # the integer 1 as a constant Poly
-            table.append((target, float(factor), names))
-    return table
-
-
 @dataclass(frozen=True)
 class TransportMatrices:
-    """The compiled transports of a basis closed under transport, as flat
-    arrays over their entries (:func:`compile_transport`): ``flat`` is an
+    """The :func:`gamma_direct` transports of a basis closed under
+    transport, compiled as flat arrays over their entries: ``flat`` is an
     entry's position ``row * size + column`` in a ``(size, size)``
     transport matrix, ``factors`` its float factor, and ``powers[e, i]``
     the exponent of increment ``names[i]`` in entry ``e``."""
@@ -207,28 +234,24 @@ class TransportMatrices:
         stand for ``basis[k]``."""
         index = {tau: k for k, tau in enumerate(basis)}
         entries = [
-            (k * len(basis) + index[target], factor, incs)
+            (k * len(basis) + index[target], float(factor), incs)
             for k, tau in enumerate(basis)
-            for target, factor, incs in compile_transport(tau, spec)
+            for target, coeff in gamma_direct(tau, spec)
+            for incs, factor in Poly() + coeff  # the integer 1 as a constant Poly
         ]
-        names = tuple(sorted({name for _, _, incs in entries for name in incs}))
-        powers = np.zeros((len(entries), len(names)), dtype=int)
-        for e, (_, _, incs) in enumerate(entries):
-            for name in incs:
-                powers[e, names.index(name)] += 1
-        flat = np.array([pos for pos, _, _ in entries], dtype=int)
-        factors = np.array([factor for _, factor, _ in entries])
-        return cls(len(basis), flat, factors, names, powers)
+        flat, factors, monomials = zip(*entries)
+        table = _Monomials.compile(monomials)
+        return cls(len(basis), np.array(flat), np.array(factors), table.names, table.powers)
 
     def at(self, increments):
         """The transport matrices ``G[i, k, j]``, the coefficient of
         symbol ``j`` in the transport of symbol ``k``, at the increments of
         :func:`eval_gamma` (name -> array over ``i``)."""
-        inc = np.stack([increments[name] for name in self.names], axis=-1)
-        values = self.factors * np.prod(inc[:, None, :] ** self.powers, axis=-1)
-        out = np.zeros((len(inc), self.size * self.size))
+        columns = {name: np.asarray(value)[:, None] for name, value in increments.items()}
+        values = self.factors * _Monomials(self.names, self.powers).at(columns)[..., 0]
+        out = np.zeros((len(values), self.size * self.size))
         np.add.at(out, (slice(None), self.flat), values)
-        return out.reshape(len(inc), self.size, self.size)
+        return out.reshape(len(values), self.size, self.size)
 
 
 def eval_gamma(t_idx, s_idx, path):
@@ -269,12 +292,6 @@ def eval_pi_bphz(tree, s_idx, path, cov, spec):
 # symbolic identity checks
 
 
-def pi_symbolic(x):
-    """Recentred evaluation with path values as free symbols: the
-    monomial of the root factors of a tree or forest."""
-    return _monomial("P", _root_factors(x))
-
-
 def check_bphz_plain(spec, nmax, cov):
     """Verify the closed form of the renormalized evaluation.
 
@@ -311,34 +328,22 @@ def _check_report(name, failures, cases, start, sizes):
 
 def _check_closed_form(spec, nmax, cov):
     """The failure messages and the case count of :func:`check_bphz_plain`."""
-    failures = []
-    cases = 0
-    ixi = {j: _integrated(j) for j in range(1, spec.d + 1)}
-    for i in range(1, spec.d + 1):
-        xi_i = branch(noise(i))
-        for j in range(1, spec.d + 1):
-            for n in range(1, nmax + 1):
-                tau = tree_product(xi_i, *([ixi[j]] * n))
-                lhs = _expansion_poly(tau, cov, spec)
-                rhs = pi_symbolic(tau) - n * cov.entry(("D", i), ("X", j)) * pi_symbolic(
-                    tree_product(*([ixi[j]] * (n - 1)))
-                )
-                cases += 1
-                if lhs != rhs:
-                    failures.append(
-                        f"Xi_{i}*I(Xi_{j})^{n}: expansion does not match the closed form"
-                    )
+    channels = range(1, spec.d + 1)
+    ixi = {j: branch(INTEGRATION, branch(noise(j))) for j in channels}
+    cases = []  # (symbol, its expected expansion, failure message)
+    for i, j, n in product(channels, channels, range(1, nmax + 1)):
+        tau = tree_product(branch(noise(i)), *[ixi[j]] * n)
+        shift = n * cov.entry(("D", i), ("X", j)) * pi_symbolic(tree_product(*[ixi[j]] * (n - 1)))
+        text = f"Xi_{i}*I(Xi_{j})^{n}: expansion does not match the closed form"
+        cases.append((tau, pi_symbolic(tau) - shift, text))
     # symbols that must be left untouched
     untouched = [LEAF]
-    for i in range(1, spec.d + 1):
-        untouched.append(branch(noise(i)))
-        for n in range(1, nmax + 1):
-            untouched.append(tree_product(*([ixi[i]] * n)))
+    for i in channels:
+        untouched += [branch(noise(i))] + [tree_product(*[ixi[i]] * n) for n in range(1, nmax + 1)]
     for tau in untouched:
-        cases += 1
-        if _expansion_poly(tau, cov, spec) != pi_symbolic(tau):
-            failures.append(f"{tau!r}: renormalization should act trivially")
-    return failures, cases
+        cases.append((tau, pi_symbolic(tau), f"{tau!r}: renormalization should act trivially"))
+    failures = [text for tau, rhs, text in cases if _expansion_poly(tau, cov, spec) != rhs]
+    return failures, len(cases)
 
 
 def _power(tree):
@@ -346,15 +351,9 @@ def _power(tree):
     return sum(not et.is_noise for et, _ in tree.children)
 
 
-def _integrated(j):
-    return branch(INTEGRATION, branch(noise(j)))
-
-
 def _expansion_poly(tree, cov, spec):
-    poly = Poly.const(0)
-    for r, coeff in bphz_expansion(tree, cov, spec):
-        poly = poly + coeff * pi_symbolic(r)
-    return poly
+    terms = bphz_expansion(tree, cov, spec)
+    return sum((coeff * pi_symbolic(r) for r, coeff in terms), Poly.const(0))
 
 
 def check_gamma_bphz(spec, nmax, cov):
@@ -422,13 +421,14 @@ def check_model_axioms(path, spec, n_triples, seed, rtol=1e-10):
     symbol's transport is compiled once (:class:`TransportMatrices`).  The
     triples go in batches (:func:`_triples_per_batch`): per batch, Γ_ts,
     Γ_tu and Γ_us are stacked (symbols, symbols) matrices, Π at s and at t
-    stacked (symbols, points) arrays from one ``eval_pi`` call per symbol,
-    and both checks are stacked matrix products.
+    stacked (symbols, points) arrays from the basis' Π monomials, compiled
+    once as the transports are, and both checks are stacked matrix products.
     """
     start = time.perf_counter()
     points = len(path.t)
     basis = enumerate_basis(spec)
     transport = TransportMatrices.compile(basis, spec)
+    pi_table = _pi_table(basis)
     triples = _triples(points, n_triples, seed)
     per_batch = _triples_per_batch(len(basis), points)
     worst = 0.0
@@ -437,10 +437,8 @@ def check_model_axioms(path, spec, n_triples, seed, rtol=1e-10):
         s, u, t = triples[lo:lo + per_batch].T
         m = len(s)
         g_ts = transport.at(eval_gamma(t, s, path))
-        bases = np.concatenate([s, t])
-        pi = np.empty((2 * m, len(basis), points))  # rows: base s, then base t
-        for k, tau in enumerate(basis):
-            pi[:, k] = eval_pi(tau, bases, path)
+        # rows: base s, then base t
+        pi = pi_table.at(_pi_values(path, np.concatenate([s, t])))
         pi_s = pi[:m]
         scale = np.maximum(np.maximum(pi_s.max(axis=2), -pi_s.min(axis=2)), 1e-30)
         diff = np.matmul(g_ts, pi[m:])

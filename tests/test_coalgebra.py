@@ -113,6 +113,24 @@ def test_repaired_variant_is_not_coassociative():
     assert _iterate(dm, 0, True) != _iterate(dm, 1, True)
 
 
+def _iterate_plus(dp, which, spec):
+    """Apply delta_plus_ex to one leg of a pair-keyed sum -> triple-keyed."""
+    out = FormalSum()
+    for (a, b), c in dp:
+        for (u, v), c2 in delta_plus_ex(a if which == 0 else b, spec):
+            key = (u, v, b) if which == 0 else (a, u, v)
+            out += FormalSum.lift(key, c * c2)
+    return out
+
+
+@pytest.mark.parametrize("d, truncation", [(1, 6), (2, 4), (3, 3)])
+def test_positive_coproduct_is_coassociative(d, truncation):
+    spec = generic_spec(d, truncation)
+    for tree in enumerate_basis(spec):
+        dp = delta_plus_ex(tree, spec)
+        assert _iterate_plus(dp, 0, spec) == _iterate_plus(dp, 1, spec), tree
+
+
 def test_variants_agree_after_negative_projection():
     for tree in enumerate_basis(SPEC):
         x = FormalSum.lift(forest_of(tree))

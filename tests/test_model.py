@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import reference_model
 from roughrenorm import model
 from roughrenorm.coalgebra import delta_minus_ex, twisted_antipode
 from roughrenorm.errors import DomainError
@@ -30,7 +31,17 @@ from roughrenorm.model import (
 )
 from roughrenorm.poly import Poly
 from roughrenorm.structure import StructureSpec, enumerate_basis, generic_spec
-from roughrenorm.trees import FormalSum, forest_of, parse_symbol
+from roughrenorm.trees import (
+    INTEGRATION,
+    FormalSum,
+    Forest,
+    Tree,
+    branch,
+    forest_of,
+    noise,
+    parse_symbol,
+    tree_product,
+)
 
 SPEC = generic_spec(2, 6)
 
@@ -47,19 +58,19 @@ def _tree(text):
     return _forest(text).trees[0]
 
 
-@pytest.fixture(scope="module")
-def path():
-    n = 128
+def _random_path(d, n, seed):
     t = np.linspace(0.0, 1.0, n + 1)
-    rng = np.random.default_rng(21)
+    rng = np.random.default_rng(seed)
     return SamplePath(
         t=t,
-        xi={
-            1: 0.2 * np.cumsum(rng.normal(size=n + 1)),
-            2: 0.2 * np.cumsum(rng.normal(size=n + 1)),
-        },
-        xid={1: rng.normal(size=n + 1), 2: rng.normal(size=n + 1)},
+        xi={i: 0.2 * np.cumsum(rng.normal(size=n + 1)) for i in range(1, d + 1)},
+        xid={i: rng.normal(size=n + 1) for i in range(1, d + 1)},
     )
+
+
+@pytest.fixture(scope="module")
+def path():
+    return _random_path(2, 128, 21)
 
 
 def test_eval_pi_multiplicative(path):
@@ -141,6 +152,80 @@ def test_eval_pi_at_many_base_points(path):
     for row, s_idx in zip(rows, [3, 40, 3]):
         assert np.array_equal(row, eval_pi(x, s_idx, path))
     assert eval_pi(parse_symbol("Xi_2", d=2), [0, 9], path).shape == (2, len(path.t))
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        Tree([(noise(1), branch(INTEGRATION))]),  # Xi_1(I): a noise edge above another edge
+        tree_product(branch(noise(1)), branch(noise(2))),  # Xi_1*Xi_2: two root noises
+        branch(noise(3)),  # Xi_3: a channel the path lacks
+    ],
+    ids=["Xi_1(I)", "Xi_1*Xi_2", "Xi_3"],
+)
+def test_eval_pi_rejects_trees_outside_the_family(path, tree):
+    for x in (tree, forest_of(tree), FormalSum.lift(forest_of(tree), Fraction(1, 2))):
+        with pytest.raises(DomainError, match="outside the symbol family"):
+            eval_pi(x, 3, path)
+
+
+@pytest.mark.parametrize(
+    "channels",
+    [({1, 2}, {1}), ({1}, {1, 2}), ({1, 3}, {1, 3}), ({2}, {2})],
+    ids=["xid-missing", "xid-extra", "xi-gap", "no-channel-1"],
+)
+def test_sample_path_validates_channels(channels):
+    t = np.linspace(0.0, 1.0, 5)
+    xi, xid = ({i: t for i in keys} for keys in channels)
+    with pytest.raises(ValueError, match="same channels 1..d"):
+        SamplePath(t=t, xi=xi, xid=xid)
+
+
+@pytest.mark.parametrize("d, truncation", [(2, 6), (3, 3)])
+def test_eval_pi_equals_the_tree_walk_on_the_basis(d, truncation):
+    """On basis symbols a factor's powers are repeated products and the noise
+    factor comes last, in the walk's order, so the rows are bit for bit the
+    walk's."""
+    p = _random_path(d, 64, 8)
+    for tau in enumerate_basis(generic_spec(d, truncation)):
+        for s_idx in (0, 17, [64, 3, 17]):
+            got = eval_pi(tau, s_idx, p)
+            assert np.array_equal(got, reference_model.eval_pi(tau, s_idx, p)), tau
+            assert got.shape == np.shape(s_idx) + p.t.shape
+
+
+_NOISES = [branch(noise(1)), branch(noise(2))]
+_INTEGRATIONS = [branch(INTEGRATION)] + [branch(INTEGRATION, branch(noise(j))) for j in (1, 2)]
+
+
+@st.composite
+def family_trees(draw):
+    """A symbol-family tree on two channels: at most one root noise and up
+    to three of each integration factor."""
+    root = draw(st.lists(st.sampled_from(_NOISES), max_size=1))
+    counts = draw(st.lists(st.integers(0, 3), min_size=3, max_size=3))
+    return tree_product(*root, *(f for f, k in zip(_INTEGRATIONS, counts) for _ in range(k)))
+
+
+forests = st.lists(family_trees(), max_size=3).map(Forest)
+formal_sums = st.lists(
+    st.tuples(forests, st.fractions(min_value=-5, max_value=5, max_denominator=7)), max_size=4
+).map(FormalSum)
+base_points = st.integers(0, 128) | st.lists(st.integers(0, 128), min_size=1, max_size=4)
+
+
+@given(family_trees() | forests | formal_sums, base_points)
+@example(_tree("Xi_1*I(Xi_2)^2*I"), 5)
+@settings(max_examples=80, deadline=None)
+def test_eval_pi_equals_the_tree_walk(path, x, s_idx):
+    """Off the basis the product order may differ from the walk's, so each
+    point agrees within 1e-13 of the sum of its terms' magnitudes."""
+    got = eval_pi(x, s_idx, path)
+    expected = reference_model.eval_pi(x, s_idx, path)
+    assert got.shape == expected.shape == np.shape(s_idx) + path.t.shape
+    terms = x.terms.items() if isinstance(x, FormalSum) else [(x, 1)]
+    scale = sum(abs(float(c)) * np.abs(reference_model.eval_pi(k, s_idx, path)) for k, c in terms)
+    assert np.all(np.abs(got - expected) <= 1e-13 * scale)
 
 
 def test_model_axioms(path, monkeypatch):
