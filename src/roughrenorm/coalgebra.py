@@ -46,7 +46,10 @@ from .trees import (
     Forest,
     LEAF,
     Tree,
+    _branch_sort_key,
     _extract,
+    _finished,
+    _states,
     as_formal_sum,
     branch,
     forest_of,
@@ -172,6 +175,38 @@ def delta_minus_ex(x, spec, repair=True):
 
 
 _EVEN_CACHE = {}
+_SCREENED_CACHE = {}
+
+
+def _may_be_kept(state):
+    """Whether the root part that :func:`_finish_repaired` makes of a
+    ``trees._extract`` state can lie in a kept left leg: it is the unit,
+    or it has an even noise count and fewer integration edges than noise
+    edges.  An integration edge has degree 1 and a noise edge a degree in
+    (-1, 0), so a tree with no fewer integration than noise edges has a
+    non-negative degree under every spec.  The counts are summed over
+    the chosen entries and their riders, less the rider that stays at
+    the remainder's root."""
+    _, chosen, rem = state
+    if not chosen:
+        return True
+    edges = noises = 0
+    riders = ()
+    for et, aroot, entry_riders in chosen:
+        edges += 1 + aroot.num_edges
+        noises += et.is_noise + aroot.num_noises
+        if entry_riders:
+            riders += entry_riders
+    for _, sub in riders:
+        edges += 1 + sub.num_edges
+        noises += 1 + sub.num_noises
+    # rem is in canonical order, noise branches last; with no noise branch
+    # the smallest rider stays, as in _finish_repaired
+    if riders and not (rem and rem[-1][0].is_noise):
+        sub = min(riders, key=_branch_sort_key)[1]
+        edges -= 1 + sub.num_edges
+        noises -= 1 + sub.num_noises
+    return not noises % 2 and edges < 2 * noises
 
 
 def delta_minus_ex_even(tree, spec):
@@ -187,15 +222,25 @@ def delta_minus_ex_even(tree, spec):
 
     An off-root component is final once it detaches, so the extraction
     never builds one of odd noise count (``trees._extract`` with
-    ``even=True``, cached in ``_EVEN_CACHE``); the root component is
-    final only once finished, and is dropped here.
+    ``even=True``; the subtrees' tables are cached in ``_EVEN_CACHE``).
+    The root component is final only once finished, but its edge counts
+    are known from the DP state, so only the states that pass
+    :func:`_may_be_kept` (root component the unit, or of even noise count
+    with fewer integration than noise edges) are finished; the others
+    give an odd or a non-negative root tree, so no kept term.  Subtree
+    tables stay unscreened, since a subtree's root part grows inside its
+    parent; the screened table of each tree is spec-free and cached
+    apart, in ``_SCREENED_CACHE``.
     """
     if not in_symbol_family(tree):
         raise DomainError(f"tree {tree!r} lies outside the symbol family")
-    table = _extract(tree, _finish_repaired, _EVEN_CACHE, even=True)
-    # a state is (off_root, root_part, remainder); drop an odd root part
-    even = ((state, m) for state, m in table.items() if not state[1].num_noises % 2)
-    return _record_size(_pair_sum(even, lambda a: is_negative_forest(a, spec)))
+    table = _SCREENED_CACHE.get(tree)
+    if table is None:
+        states = _states(tree, _finish_repaired, _EVEN_CACHE, even=True).items()
+        table = _SCREENED_CACHE[tree] = _finished(
+            ((state, m) for state, m in states if _may_be_kept(state)), _finish_repaired
+        )
+    return _record_size(_pair_sum(table.items(), lambda a: is_negative_forest(a, spec)))
 
 
 # ---------------------------------------------------------------------------

@@ -423,7 +423,10 @@ def check_model_axioms(path, spec, n_triples, seed, rtol=1e-10):
     Γ_tu and Γ_us are stacked (symbols, symbols) matrices, Π at s and at t
     stacked (symbols, points) arrays from the basis' Π monomials, compiled
     once as the transports are, and both checks are stacked matrix products.
+    A spec with more noise channels than the path is a DomainError.
     """
+    if spec.d > path.d:
+        raise DomainError(f"the spec has {spec.d} noise channels, the path only {path.d}")
     start = time.perf_counter()
     points = len(path.t)
     basis = enumerate_basis(spec)

@@ -328,12 +328,23 @@ def _bsort(branches):
 
 
 def _csort(entries):
-    return tuple(sorted(entries, key=_entry_key))
+    return tuple(sorted(entries, key=_ENTRY_KEYS.__getitem__))
 
 
 def _entry_key(entry):
     et, aroot, riders = entry
     return (et.sort_key(), aroot.key, tuple(r[0].sort_key() + (r[1].key,) for r in riders))
+
+
+class _KeyMemo(dict):
+    """Sort key of each chosen entry, computed on its first lookup."""
+
+    def __missing__(self, entry):
+        key = self[entry] = _entry_key(entry)
+        return key
+
+
+_ENTRY_KEYS = _KeyMemo()
 
 
 def _finish_plain(aoff, chosen, rem):
@@ -350,7 +361,29 @@ def _extract(tree, finish=_finish_plain, cache=_EXTRACT_CACHE, even=False):
     not containing the root, ``root_part`` is the extracted component
     containing the root (a single node when no root-incident edge is
     chosen), and ``remainder`` is the tree obtained by contracting the
-    chosen edges (each removed edge identifies its endpoints).
+    chosen edges (each removed edge identifies its endpoints): the
+    :func:`_states` of ``tree``, each turned into an output key by
+    ``finish``.  Only finished tables are cached, in ``cache``.
+    """
+    cached = cache.get(tree)
+    if cached is None:
+        cached = cache[tree] = _finished(_states(tree, finish, cache, even).items(), finish)
+    return cached
+
+
+def _finished(states, finish):
+    """The table of ``(state, multiplicity)`` pairs, each state finished."""
+    out = {}
+    for state, m in states:
+        key = finish(*state)
+        out[key] = out.get(key, 0) + m
+    return out
+
+
+def _states(tree, finish, cache, even):
+    """The final DP states of the extractions of ``tree``, with
+    multiplicities; subtrees are extracted by :func:`_extract` with the
+    same ``finish``, ``cache`` and ``even``.
 
     The DP walks the root branches group by group, a group being a run
     of k equal ``(edge type, subtree)`` branches (``Tree.children`` is in
@@ -363,9 +396,7 @@ def _extract(tree, finish=_finish_plain, cache=_EXTRACT_CACHE, even=False):
     are distributed over those choices in one step: n_1 + ... + n_m = k
     copies taking choices of weights w_1 .. w_m contribute with weight
     k! / (n_1! ... n_m!) * w_1^n_1 ... w_m^n_m, the number of ways the
-    one-branch-at-a-time walk reaches the same state.  ``finish`` turns
-    a final state into an output key, and subtrees are extracted with
-    the same finisher.  Only finished tables are cached, in ``cache``.
+    one-branch-at-a-time walk reaches the same state.
 
     With ``even=True`` a kept edge whose detaching root part has an odd
     number of noise edges is not a choice, so no state holds an off-root
@@ -373,9 +404,6 @@ def _extract(tree, finish=_finish_plain, cache=_EXTRACT_CACHE, even=False):
     off-root trees, so the table is the full one less exactly those
     entries.  Its ``cache`` must hold only tables built the same way.
     """
-    cached = cache.get(tree)
-    if cached is not None:
-        return cached
     states = {((), (), ()): 1}
     for (et, sub), copies in groupby(tree.children):
         choices = _branch_choices(et, _extract(sub, finish, cache, even), even)
@@ -390,12 +418,7 @@ def _extract(tree, finish=_finish_plain, cache=_EXTRACT_CACHE, even=False):
                 )
                 nxt[k] = nxt.get(k, 0) + m * w
         states = nxt
-    out = {}
-    for state, m in states.items():
-        key = finish(*state)
-        out[key] = out.get(key, 0) + m
-    cache[tree] = out
-    return out
+    return states
 
 
 def _branch_choices(et, sub_ext, even):

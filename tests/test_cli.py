@@ -136,6 +136,34 @@ def test_check_bphz_same_after_clear_caches(capsys):
     assert cache_info() == filled
 
 
+_CONSTANT_TABLES = {"roughsim._SIM_KEYS"}  # config key types, not memo tables
+
+
+def test_every_module_level_memo_table_is_counted_and_cleared(capsys):
+    for argv in (
+        ["symbolic", "check-bphz", "--nmax", "3"],
+        ["symbolic", "check-gamma", "--nmax", "2"],
+        ["symbolic", "delta-minus", "Xi_1*I(Xi_2)^2"],
+        ["symbolic", "antipode", "Xi_1*I(Xi_2)^2"],
+    ):
+        assert main(argv) == 0
+    capsys.readouterr()
+    roughrenorm.delta_minus(roughrenorm.parse_symbol("Xi_1*I(Xi_2)"), repair=False)
+    tables = {
+        f"{module.__name__.removeprefix('roughrenorm.')}.{attr}": value
+        for module in vars(roughrenorm).values()
+        if isinstance(module, type(roughrenorm)) and module.__name__.startswith("roughrenorm.")
+        for attr, value in vars(module).items()
+        if isinstance(value, dict) and not attr.startswith("__")
+    }
+    assert "trees._EXTRACT_CACHE" in tables and "roughsim._SIM_KEYS" in tables
+    memo = {name: table for name, table in tables.items() if name not in _CONSTANT_TABLES}
+    assert set(memo) <= set(cache_info())
+    assert all(memo.values()), "each table is filled by the commands above"
+    clear_caches()
+    assert not any(memo.values())
+
+
 @pytest.fixture
 def wz_config(tmp_path):
     cfg = tmp_path / "cfg.txt"

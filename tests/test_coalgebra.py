@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from roughrenorm.coalgebra import (
+    _finish_repaired,
+    _may_be_kept,
     delta_minus,
     delta_minus_ex,
     delta_minus_ex_even,
@@ -18,6 +20,7 @@ from roughrenorm.trees import (
     FormalSum,
     Forest,
     INTEGRATION,
+    _states,
     branch,
     forest_of,
     mul_forests,
@@ -108,6 +111,13 @@ def test_plain_contraction_is_coassociative():
         assert _iterate(dm, 0, False) == _iterate(dm, 1, False)
 
 
+@pytest.mark.parametrize("d, truncation", [(1, 6), (2, 4), (3, 3)])
+def test_plain_contraction_is_coassociative_on_basis(d, truncation):
+    for tree in enumerate_basis(generic_spec(d, truncation)):
+        dm = delta_minus(tree, repair=False)
+        assert _iterate(dm, 0, False) == _iterate(dm, 1, False), tree
+
+
 def test_repaired_variant_is_not_coassociative():
     dm = delta_minus(parse_symbol("Xi_1*I(Xi_1)", d=2), repair=True)
     assert _iterate(dm, 0, True) != _iterate(dm, 1, True)
@@ -161,7 +171,17 @@ def test_full_projected_coproduct_size(i, j):
     assert len(delta_minus_ex(tree, generic_spec(2, 3))) == 14
 
 
-@pytest.mark.parametrize("spec", [SPEC, rough_vol_spec(Fraction(1, 20), Fraction(1, 50), 6)])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SPEC,
+        rough_vol_spec(Fraction(1, 20), Fraction(1, 50), 6),
+        generic_spec(1, 6),
+        generic_spec(3, 3),
+        rough_vol_spec(Fraction(3, 10), Fraction(1, 100)),
+        generic_spec(2, 12),  # Xi_i*I(Xi_j)^n up to n = 12 among them
+    ],
+)
 def test_even_table_is_the_full_table_less_odd_left_legs(spec):
     for tree in enumerate_basis(spec):
         full = delta_minus_ex(tree, spec)
@@ -169,6 +189,18 @@ def test_even_table_is_the_full_table_less_odd_left_legs(spec):
             [((a, r), c) for (a, r), c in full if not any(t.num_noises % 2 for t in a.trees)]
         )
         assert delta_minus_ex_even(tree, spec) == even, tree
+
+
+@pytest.mark.parametrize("d, truncation", [(2, 6), (3, 3)])
+def test_screen_reads_the_counts_of_the_finished_root_part(d, truncation):
+    for tree in enumerate_basis(generic_spec(d, truncation)):
+        for even in (False, True):
+            for state in _states(tree, _finish_repaired, {}, even):
+                root = _finish_repaired(*state)[1]
+                kept = root.is_leaf or (
+                    not root.num_noises % 2 and root.num_edges < 2 * root.num_noises
+                )
+                assert _may_be_kept(state) == kept, (tree, state)
 
 
 def test_delta_plus_binomial():

@@ -246,6 +246,11 @@ def test_model_axioms(path, monkeypatch):
     assert report["elapsed_s"] > 0
 
 
+def test_model_axioms_reject_a_spec_with_more_channels_than_the_path(path):
+    with pytest.raises(DomainError, match="spec has 3 noise channels, the path only 2"):
+        check_model_axioms(path, generic_spec(3, 2), n_triples=4, seed=0)
+
+
 def test_model_axioms_do_not_depend_on_the_batch_size(path, monkeypatch):
     reports = []
     for budget in (1, model._BATCH_BYTES):  # one triple per batch, then the default
