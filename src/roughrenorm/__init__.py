@@ -64,13 +64,13 @@ from .roughsim import (
 )
 
 from . import coalgebra as _coalgebra, gaussian as _gaussian
-from . import structure as _structure, trees as _trees
+from . import structure as _structure
 
 
 def _memo_tables():
     return {
-        "trees._EXTRACT_CACHE": _trees._EXTRACT_CACHE,
-        "trees._ENTRY_KEYS": _trees._ENTRY_KEYS,
+        "coalgebra._EXTRACT_CACHE": _coalgebra._EXTRACT_CACHE,
+        "coalgebra._ENTRY_KEYS": _coalgebra._ENTRY_KEYS,
         "coalgebra._REPAIRED_CACHE": _coalgebra._REPAIRED_CACHE,
         "coalgebra._EVEN_CACHE": _coalgebra._EVEN_CACHE,
         "coalgebra._SCREENED_CACHE": _coalgebra._SCREENED_CACHE,

@@ -148,9 +148,9 @@ def _write_manifest(out_dir, command, config_text, seed, outputs, **extra):
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _c_eps_rows(values, errors):
+def _c_eps_rows(table):
     """The manifest's ``c_eps`` list: per eps, ``c_eps`` and its quadrature error."""
-    return [{"eps": e, "value": v, "quad_error": errors[e]} for e, v in values.items()]
+    return [{"eps": e, "value": v, "quad_error": err} for e, (v, err) in table.items()]
 
 
 def _write_csv(path, fieldnames, rows):
@@ -183,7 +183,7 @@ def _cmd_wong_zakai(args):
     _write_manifest(
         out_dir, "simulate wong-zakai", config_text, config.seed,
         ["wz.csv", "wz_summary.csv"],
-        c_eps=_c_eps_rows(result.c_eps, result.c_eps_error),
+        c_eps=_c_eps_rows(result.c_eps),
         timings=result.timings,
     )
     for row in result.summary:
@@ -218,7 +218,7 @@ def _cmd_bounds(args):
     report["timings"]["output"] = time.perf_counter() - start
     _write_manifest(
         out_dir, "simulate bounds", config_text, config.seed, ["bounds.csv"],
-        c_eps=_c_eps_rows(report["c_eps"], report["c_eps_error"]),
+        c_eps=_c_eps_rows(report["c_eps"]),
         timings=report["timings"],
     )
     ok = True
@@ -308,10 +308,7 @@ def main(argv=None):
         # or the flush at interpreter exit fails again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+    except (ParseError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -3,12 +3,12 @@ negative antipode.
 
 ``delta_minus`` enumerates extractions of edge subsets: the extracted
 components form the left leg, the contraction of the extracted edges the
-right leg.  The enumeration is one dynamic programme, ``trees._extract``,
+right leg.  The enumeration is one dynamic programme, :func:`_extract`,
 whose states record for every extracted root edge the noise branches
 ("riders") that contracting it leaves at the remainder's root.  Two
 finishers read those states:
 
-* ``repair=False`` -- the plain finisher (``trees._finish_plain``) keeps
+* ``repair=False`` -- the plain finisher (:func:`_finish_plain`) keeps
   every rider at the remainder's root: plain contraction of every edge
   subset.  This is the classical extraction/contraction coproduct and is
   coassociative.
@@ -22,8 +22,9 @@ finishers read those states:
   coproduct.
 
 After projecting the left leg onto negative-degree forests the two
-variants agree, so everything downstream (the twisted antipode, the
-renormalization characters) is variant-independent.
+variants agree, so :func:`delta_minus_ex` reads the repaired one and
+everything downstream (the twisted antipode, the renormalization
+characters) is variant-independent.
 
 The BPHZ character g∘A (``gaussian``) reads a third, pruned table,
 :func:`delta_minus_ex_even`: the repaired, projected coproduct less every
@@ -37,6 +38,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
+from itertools import groupby
+from math import comb
 
 from .errors import DomainError
 from .structure import is_negative_forest, tree_survives_plus
@@ -47,9 +50,6 @@ from .trees import (
     LEAF,
     Tree,
     _branch_sort_key,
-    _extract,
-    _finished,
-    _states,
     as_formal_sum,
     branch,
     forest_of,
@@ -60,32 +60,187 @@ from .trees import (
 )
 
 # ---------------------------------------------------------------------------
-# repaired extraction
+# edge-subset extraction: one DP, finished plain or repaired
 
 
-_REPAIRED_CACHE = {}
+_EXTRACT_CACHE = {}
+
+
+def _msort(trees):
+    return tuple(sorted(trees, key=lambda t: t.key))
+
+
+def _bsort(branches):
+    return tuple(sorted(branches, key=_branch_sort_key))
+
+
+def _csort(entries):
+    return tuple(sorted(entries, key=_ENTRY_KEYS.__getitem__))
+
+
+def _entry_key(entry):
+    et, aroot, riders = entry
+    return (et.sort_key(), aroot.key, tuple(map(_branch_sort_key, riders)))
+
+
+class _KeyMemo(dict):
+    """Sort key of each chosen entry, computed on its first lookup."""
+
+    def __missing__(self, entry):
+        key = self[entry] = _entry_key(entry)
+        return key
+
+
+_ENTRY_KEYS = _KeyMemo()
+
+
+def _finish_plain(aoff, chosen, rem):
+    """Plain contraction: every rider stays at the remainder's root."""
+    riders = tuple(r for entry in chosen for r in entry[2])
+    return aoff, Tree((et, aroot) for et, aroot, _ in chosen), Tree(rem + riders)
+
+
+def _extract(tree, finish=_finish_plain, cache=_EXTRACT_CACHE, even=False):
+    """All edge-subset extractions of ``tree``.
+
+    Returns a dict mapping ``(off_root, root_part, remainder)`` to a
+    multiplicity, where ``off_root`` is the tuple of extracted components
+    not containing the root, ``root_part`` is the extracted component
+    containing the root (a single node when no root-incident edge is
+    chosen), and ``remainder`` is the tree obtained by contracting the
+    chosen edges (each removed edge identifies its endpoints): the
+    :func:`_states` of ``tree``, each turned into an output key by
+    ``finish``.  Only finished tables are cached, in ``cache``.
+    """
+    cached = cache.get(tree)
+    if cached is None:
+        cached = cache[tree] = _finished(_states(tree, finish, cache, even).items(), finish)
+    return cached
+
+
+def _finished(states, finish):
+    """The table of ``(state, multiplicity)`` pairs, each state finished."""
+    out = {}
+    for state, m in states:
+        key = finish(*state)
+        out[key] = out.get(key, 0) + m
+    return out
+
+
+def _states(tree, finish, cache, even):
+    """The final DP states of the extractions of ``tree``, with
+    multiplicities; subtrees are extracted by :func:`_extract` with the
+    same ``finish``, ``cache`` and ``even``.
+
+    The DP walks the root branches group by group, a group being a run
+    of k equal ``(edge type, subtree)`` branches (``Tree.children`` is in
+    canonical order, so equal branches are adjacent).  Its states are
+    ``(off-root trees, chosen entries, remainder branches)``; a chosen
+    entry ``(edge type, extracted subtree part, riders)`` records the
+    noise branches that contracting that root edge leaves at the
+    remainder's root.  One copy of a branch has a choice per entry of
+    its subtree's table: keep the edge or extract it.  A group's k copies
+    are distributed over those choices in one step: n_1 + ... + n_m = k
+    copies taking choices of weights w_1 .. w_m contribute with weight
+    k! / (n_1! ... n_m!) * w_1^n_1 ... w_m^n_m, the number of ways the
+    one-branch-at-a-time walk reaches the same state.
+
+    With ``even=True`` a kept edge whose detaching root part has an odd
+    number of noise edges is not a choice, so no state holds an off-root
+    tree of odd noise count; the finisher never moves edges into the
+    off-root trees, so the table is the full one less exactly those
+    entries.  Its ``cache`` must hold only tables built the same way.
+    """
+    states = {((), (), ()): 1}
+    for (et, sub), copies in groupby(tree.children):
+        choices = _branch_choices(et, _extract(sub, finish, cache, even), even)
+        group = _distribute(choices, len(list(copies)))
+        nxt = {}
+        for (aoff, chosen, rem), m in states.items():
+            for (g_off, g_chosen, g_rem), w in group:
+                k = (
+                    _merge(aoff, g_off, _msort),
+                    _merge(chosen, g_chosen, _csort),
+                    _merge(rem, g_rem, _bsort),
+                )
+                nxt[k] = nxt.get(k, 0) + m * w
+        states = nxt
+    return states
+
+
+def _branch_choices(et, sub_ext, even):
+    """The state parts one root branch ``(et, sub)`` can add, with weights:
+    per entry of the subtree's table, the edge kept or extracted (kept
+    only if the detaching part has even noise count, when ``even``)."""
+    choices = {}
+    for (s_off, s_root, s_rem), sm in sub_ext.items():
+        # edge kept: the sub-extraction's root component detaches
+        if not (even and s_root.num_noises % 2):
+            off = _msort(s_off + ((s_root,) if s_root.children else ()))
+            part = (off, (), ((et, s_rem),))
+            choices[part] = choices.get(part, 0) + sm
+        # edge extracted: endpoints identified, remainder splices up
+        riders = tuple(b for b in s_rem.children if b[0].is_noise)
+        others = tuple(b for b in s_rem.children if not b[0].is_noise)
+        part = (s_off, ((et, s_root, riders),), others)
+        choices[part] = choices.get(part, 0) + sm
+    return list(choices.items())
+
+
+def _distribute(choices, k):
+    """All ways of giving k copies of a branch one choice each, as
+    sorted state parts with multinomial weights."""
+    parts = [(k, (), (), (), 1)]  # copies left, off-root, chosen, remainder, weight
+    last = len(choices) - 1
+    for i, ((c_off, c_chosen, c_rem), w) in enumerate(choices):
+        nxt = []
+        for left, off, chosen, rem, weight in parts:
+            for n in ((left,) if i == last else range(left + 1)):
+                nxt.append((
+                    left - n,
+                    off + c_off * n,
+                    chosen + c_chosen * n,
+                    rem + c_rem * n,
+                    weight * comb(left, n) * w**n,
+                ))
+        parts = nxt
+    return [
+        ((_msort(off), _csort(chosen), _bsort(rem)), weight)
+        for _, off, chosen, rem, weight in parts
+    ]
+
+
+def _merge(a, b, sort):
+    """The sorted concatenation of two sorted tuples."""
+    if not a:
+        return b
+    if not b:
+        return a
+    return sort(a + b)
+
+
+def _stay(riders, rem):
+    """The rider that repaired contraction keeps at the remainder's root,
+    or None: the smallest in branch order of ``riders`` (the chosen
+    entries' riders, in entry order; of equal ones the first stays), if
+    ``rem`` (canonical order, so noise branches last) has no noise branch."""
+    if riders and not (rem and rem[-1][0].is_noise):
+        return min(riders, key=_branch_sort_key)
+    return None
 
 
 def _finish_repaired(aoff, chosen, rem):
-    """Repaired contraction of a ``trees._extract`` state: riders fill the
-    remainder's root up to one noise edge (smallest first); the rest go
-    back into the extracted component of the edge they rode in on."""
-    stay = (None, 0)  # (entry index, rider index) of the rider kept at the root
-    if not any(b[0].is_noise for b in rem):
-        slots = [
-            (r[0].sort_key(), r[1].key, idx, j)
-            for idx, entry in enumerate(chosen)
-            for j, r in enumerate(entry[2])
-        ]
-        if slots:
-            stay = min(slots)[2:]
+    """Repaired contraction of an :func:`_extract` state: the rider of
+    :func:`_stay` fills the remainder's root up to one noise edge; the
+    rest go back into the extracted component of the edge they rode in on."""
+    stay = _stay(tuple(r for entry in chosen for r in entry[2]), rem)
     kept = ()
     grown = {}  # equal entries (adjacent in ``chosen``) grow one tree
     root_branches = []
-    for idx, (et, aroot, riders) in enumerate(chosen):
-        if idx == stay[0]:
-            j = stay[1]
-            kept, riders = riders[j:j + 1], riders[:j] + riders[j + 1:]
+    for et, aroot, riders in chosen:
+        if stay in riders:  # the first entry that holds it
+            j = riders.index(stay)
+            kept, riders, stay = (stay,), riders[:j] + riders[j + 1:], None
         if riders:
             key = (aroot, riders)
             if key not in grown:
@@ -95,6 +250,9 @@ def _finish_repaired(aoff, chosen, rem):
     return aoff, Tree(root_branches), Tree(rem + kept)
 
 
+_REPAIRED_CACHE = {}
+
+
 # ---------------------------------------------------------------------------
 # negative-space coproduct
 
@@ -102,7 +260,7 @@ def _finish_repaired(aoff, chosen, rem):
 def _pair_sum(entries, keep=lambda a: True):
     """The FormalSum over ``(extracted forest, remainder forest)`` pairs of
     the ``((off_root, root_part, remainder), multiplicity)`` entries of a
-    ``trees._extract`` table whose extracted forest passes ``keep``."""
+    :func:`_extract` table whose extracted forest passes ``keep``."""
     pairs = {}
     for (aoff, aroot, rem), m in entries:
         a = Forest(aoff + (aroot,))
@@ -167,10 +325,11 @@ def _record_size(table):
     return table
 
 
-def delta_minus_ex(x, spec, repair=True):
-    """Coproduct with the left leg projected onto negative-degree forests."""
+def delta_minus_ex(x, spec):
+    """Repaired coproduct with the left leg projected onto negative-degree
+    forests."""
     return _record_size(FormalSum(
-        [((a, r), c) for (a, r), c in delta_minus(x, repair=repair) if is_negative_forest(a, spec)]
+        [((a, r), c) for (a, r), c in delta_minus(x) if is_negative_forest(a, spec)]
     ))
 
 
@@ -179,14 +338,13 @@ _SCREENED_CACHE = {}
 
 
 def _may_be_kept(state):
-    """Whether the root part that :func:`_finish_repaired` makes of a
-    ``trees._extract`` state can lie in a kept left leg: it is the unit,
+    """Whether the root part that :func:`_finish_repaired` makes of an
+    :func:`_extract` state can lie in a kept left leg: it is the unit,
     or it has an even noise count and fewer integration edges than noise
     edges.  An integration edge has degree 1 and a noise edge a degree in
     (-1, 0), so a tree with no fewer integration than noise edges has a
     non-negative degree under every spec.  The counts are summed over
-    the chosen entries and their riders, less the rider that stays at
-    the remainder's root."""
+    the chosen entries and their riders, less the rider of :func:`_stay`."""
     _, chosen, rem = state
     if not chosen:
         return True
@@ -200,12 +358,10 @@ def _may_be_kept(state):
     for _, sub in riders:
         edges += 1 + sub.num_edges
         noises += 1 + sub.num_noises
-    # rem is in canonical order, noise branches last; with no noise branch
-    # the smallest rider stays, as in _finish_repaired
-    if riders and not (rem and rem[-1][0].is_noise):
-        sub = min(riders, key=_branch_sort_key)[1]
-        edges -= 1 + sub.num_edges
-        noises -= 1 + sub.num_noises
+    stay = _stay(riders, rem)
+    if stay:
+        edges -= 1 + stay[1].num_edges
+        noises -= 1 + stay[1].num_noises
     return not noises % 2 and edges < 2 * noises
 
 
@@ -221,7 +377,7 @@ def delta_minus_ex_even(tree, spec):
     remainder carries an odd count.  That holds for every covariance.
 
     An off-root component is final once it detaches, so the extraction
-    never builds one of odd noise count (``trees._extract`` with
+    never builds one of odd noise count (:func:`_extract` with
     ``even=True``; the subtrees' tables are cached in ``_EVEN_CACHE``).
     The root component is final only once finished, but its edge counts
     are known from the DP state, so only the states that pass

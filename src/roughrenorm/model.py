@@ -219,14 +219,13 @@ class TransportMatrices:
     """The :func:`gamma_direct` transports of a basis closed under
     transport, compiled as flat arrays over their entries: ``flat`` is an
     entry's position ``row * size + column`` in a ``(size, size)``
-    transport matrix, ``factors`` its float factor, and ``powers[e, i]``
-    the exponent of increment ``names[i]`` in entry ``e``."""
+    transport matrix, ``factors`` its float factor, and row ``e`` of
+    ``monomials`` its monomial in the increments."""
 
     size: int
     flat: np.ndarray
     factors: np.ndarray
-    names: tuple
-    powers: np.ndarray
+    monomials: _Monomials
 
     @classmethod
     def compile(cls, basis, spec):
@@ -240,15 +239,14 @@ class TransportMatrices:
             for incs, factor in Poly() + coeff  # the integer 1 as a constant Poly
         ]
         flat, factors, monomials = zip(*entries)
-        table = _Monomials.compile(monomials)
-        return cls(len(basis), np.array(flat), np.array(factors), table.names, table.powers)
+        return cls(len(basis), np.array(flat), np.array(factors), _Monomials.compile(monomials))
 
     def at(self, increments):
         """The transport matrices ``G[i, k, j]``, the coefficient of
         symbol ``j`` in the transport of symbol ``k``, at the increments of
         :func:`eval_gamma` (name -> array over ``i``)."""
         columns = {name: np.asarray(value)[:, None] for name, value in increments.items()}
-        values = self.factors * _Monomials(self.names, self.powers).at(columns)[..., 0]
+        values = self.factors * self.monomials.at(columns)[..., 0]
         out = np.zeros((len(values), self.size * self.size))
         np.add.at(out, (slice(None), self.flat), values)
         return out.reshape(len(values), self.size, self.size)

@@ -412,7 +412,8 @@ class TestFunction:
 # configuration
 
 
-MAX_TRUNCATION = 64  # the expansions take over a minute at truncation 54
+MAX_TRUNCATION = 64  # orders 0-64 expand in about 7 s, the power 64 alone in 0.4 s
+MAX_GRID = 2**20  # a one-path wong-zakai run at this N takes about 2 s and 0.3 GB
 
 
 def _bump_only(name):
@@ -454,8 +455,8 @@ class SimConfig:
     powers: tuple = (1,)  # bounds only: n in Xi * I(Xihat)^n
 
     def __post_init__(self):
-        if self.n_grid < 8 or self.n_grid & (self.n_grid - 1):
-            raise ConfigError("N must be a power of two (and at least 8)")
+        if not 8 <= self.n_grid <= MAX_GRID or self.n_grid & (self.n_grid - 1):
+            raise ConfigError(f"N must be a power of two from 8 to {MAX_GRID}")
         if not (0.0 < self.H < 0.5):
             raise ConfigError("H must lie in (0, 1/2)")
         if not (0.0 < self.kappa < self.H):
@@ -484,8 +485,8 @@ class SimConfig:
         object.__setattr__(self, "eps_list", eps_list)
         object.__setattr__(self, "lambdas", tuple(float(x) for x in self.lambdas))
         object.__setattr__(self, "powers", tuple(int(k) for k in self.powers))
-        if not self.powers or min(self.powers) < 1:
-            raise ConfigError("powers must be >= 1")
+        if not self.powers or not 1 <= min(self.powers) <= max(self.powers) <= MAX_TRUNCATION:
+            raise ConfigError(f"powers must lie in 1..{MAX_TRUNCATION}")
         # a repeat would duplicate output rows or weight the exponent fits twice
         for key, values in (("eps", eps_list), ("lambda", self.lambdas), ("powers", self.powers)):
             if len(set(values)) < len(values):
@@ -615,8 +616,7 @@ def _evaluate(terms, w_dot, delta):
 @dataclass
 class _Ladder:
     kernel: KernelSpec
-    c_eps: dict  # eps -> correction constant
-    c_eps_error: dict  # eps -> quadrature error estimate of c_eps
+    c_eps: dict  # eps -> (correction constant, its quadrature error estimate)
     terms: dict  # eps -> renormalised_terms at c_eps
     smooth_w: object  # signal -> its smoothing by each eps's mollifier weights
     smooth_dw: object  # signal -> its smoothing by each eps's derivative weights
@@ -624,23 +624,21 @@ class _Ladder:
 
 
 def _ladder(config, powers, n):
-    """Per eps of ``config``: ``c_eps`` and its error, :func:`renormalised_terms`
+    """Per eps of ``config``: :func:`c_eps` and its error, :func:`renormalised_terms`
     at ``c_eps`` for ``powers``, both timed, and the :func:`_smoother` of
     signals of ``n`` points by the mollification weights and derivative
     weights, each aligned with its signal."""
     kernel = KernelSpec(H=config.H, T=config.T)
     timings = {}
     with _timed(timings, "c_eps"):
-        quadratures = {e: c_eps(e, kernel) for e in config.eps_list}
-    corrections = {e: value for e, (value, _) in quadratures.items()}
+        corrections = {e: c_eps(e, kernel) for e in config.eps_list}
     spec = config.spec
     with _timed(timings, "expansion"):
-        terms = {e: renormalised_terms(c, spec, powers) for e, c in corrections.items()}
-    errors = {e: err for e, (_, err) in quadratures.items()}
+        terms = {e: renormalised_terms(c, spec, powers) for e, (c, _) in corrections.items()}
     weights = [mollification_weights(config.dt, e) for e in config.eps_list]
     smooth_w = _smoother(n, [(w, m) for w, _, m in weights])
     smooth_dw = _smoother(n, [(dw, m) for _, dw, m in weights])
-    return _Ladder(kernel, corrections, errors, terms, smooth_w, smooth_dw, timings)
+    return _Ladder(kernel, corrections, terms, smooth_w, smooth_dw, timings)
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +648,7 @@ def _ladder(config, powers, n):
 @dataclass
 class WZResult:
     config: SimConfig
-    c_eps: dict  # eps -> correction constant
-    c_eps_error: dict  # eps -> quadrature error estimate of c_eps
+    c_eps: dict  # eps -> (correction constant, its quadrature error estimate)
     rows: list = field(default_factory=list)
     summary: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)  # phase -> seconds, summed over paths
@@ -710,7 +707,7 @@ def wz_experiment(config):
                 out.append((i_unc, i_corr, i_model, i_ito))
         return np.array(out), seconds
 
-    result = WZResult(config, ladder.c_eps, ladder.c_eps_error, timings=ladder.timings)
+    result = WZResult(config, ladder.c_eps, timings=ladder.timings)
     per_chunk = _results(_run_paths(one_chunk, len(chunks), config.threads), ladder.timings)
     table = np.concatenate(per_chunk, axis=-1)  # (eps, _WZ_COLUMNS, path)
     listed = table.tolist()
@@ -720,7 +717,7 @@ def wz_experiment(config):
                 {"eps": e, "path": p, **{key: col[p] for key, col in zip(_WZ_COLUMNS, columns)}}
             )
     for e, arr in zip(config.eps_list, table):
-        row = {"eps": e, "c_eps": ladder.c_eps[e]}
+        row = {"eps": e, "c_eps": ladder.c_eps[e][0]}
         for col, name in enumerate(("uncorr", "corr", "model")):
             d2 = (arr[col] - arr[3]) ** 2
             row["rms_" + name] = float(np.sqrt(np.mean(d2)))
@@ -771,7 +768,7 @@ def model_bound_probe(config):
     widths ``config.eps_list``; the renormalized ``Xi * I(Xihat)^n`` is
     :func:`renormalised_terms` at ``c_eps``.  Returns the row table and,
     per symbol, joint log-log regression exponents in lambda and eps,
-    ``c_eps`` and its quadrature error per eps, and the seconds per phase
+    ``c_eps`` with its quadrature error per eps, and the seconds per phase
     (``timings``, summed over paths).  The paths go in chunks, as in
     :func:`wz_experiment`.  The fit needs at least two values
     of each of eps and lambda, and every lambda must lie in [dt, T/2);
@@ -850,6 +847,5 @@ def model_bound_probe(config):
         "rows": rows,
         "fits": fits,
         "c_eps": ladder.c_eps,
-        "c_eps_error": ladder.c_eps_error,
         "timings": ladder.timings,
     }

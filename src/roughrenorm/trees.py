@@ -20,7 +20,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import groupby
-from math import comb
 
 from .errors import ParseError
 
@@ -310,166 +309,6 @@ def as_formal_sum(x):
 def mul_forests(a, b):
     """Forest-product of two forest-keyed formal sums."""
     return a.combine(b, forest_product)
-
-
-# ---------------------------------------------------------------------------
-# edge-subset extraction: one DP, finished plain here or repaired in coalgebra
-
-
-_EXTRACT_CACHE = {}
-
-
-def _msort(trees):
-    return tuple(sorted(trees, key=lambda t: t.key))
-
-
-def _bsort(branches):
-    return tuple(sorted(branches, key=_branch_sort_key))
-
-
-def _csort(entries):
-    return tuple(sorted(entries, key=_ENTRY_KEYS.__getitem__))
-
-
-def _entry_key(entry):
-    et, aroot, riders = entry
-    return (et.sort_key(), aroot.key, tuple(r[0].sort_key() + (r[1].key,) for r in riders))
-
-
-class _KeyMemo(dict):
-    """Sort key of each chosen entry, computed on its first lookup."""
-
-    def __missing__(self, entry):
-        key = self[entry] = _entry_key(entry)
-        return key
-
-
-_ENTRY_KEYS = _KeyMemo()
-
-
-def _finish_plain(aoff, chosen, rem):
-    """Plain contraction: every rider stays at the remainder's root."""
-    riders = tuple(r for entry in chosen for r in entry[2])
-    return aoff, Tree((et, aroot) for et, aroot, _ in chosen), Tree(rem + riders)
-
-
-def _extract(tree, finish=_finish_plain, cache=_EXTRACT_CACHE, even=False):
-    """All edge-subset extractions of ``tree``.
-
-    Returns a dict mapping ``(off_root, root_part, remainder)`` to a
-    multiplicity, where ``off_root`` is the tuple of extracted components
-    not containing the root, ``root_part`` is the extracted component
-    containing the root (a single node when no root-incident edge is
-    chosen), and ``remainder`` is the tree obtained by contracting the
-    chosen edges (each removed edge identifies its endpoints): the
-    :func:`_states` of ``tree``, each turned into an output key by
-    ``finish``.  Only finished tables are cached, in ``cache``.
-    """
-    cached = cache.get(tree)
-    if cached is None:
-        cached = cache[tree] = _finished(_states(tree, finish, cache, even).items(), finish)
-    return cached
-
-
-def _finished(states, finish):
-    """The table of ``(state, multiplicity)`` pairs, each state finished."""
-    out = {}
-    for state, m in states:
-        key = finish(*state)
-        out[key] = out.get(key, 0) + m
-    return out
-
-
-def _states(tree, finish, cache, even):
-    """The final DP states of the extractions of ``tree``, with
-    multiplicities; subtrees are extracted by :func:`_extract` with the
-    same ``finish``, ``cache`` and ``even``.
-
-    The DP walks the root branches group by group, a group being a run
-    of k equal ``(edge type, subtree)`` branches (``Tree.children`` is in
-    canonical order, so equal branches are adjacent).  Its states are
-    ``(off-root trees, chosen entries, remainder branches)``; a chosen
-    entry ``(edge type, extracted subtree part, riders)`` records the
-    noise branches that contracting that root edge leaves at the
-    remainder's root.  One copy of a branch has a choice per entry of
-    its subtree's table: keep the edge or extract it.  A group's k copies
-    are distributed over those choices in one step: n_1 + ... + n_m = k
-    copies taking choices of weights w_1 .. w_m contribute with weight
-    k! / (n_1! ... n_m!) * w_1^n_1 ... w_m^n_m, the number of ways the
-    one-branch-at-a-time walk reaches the same state.
-
-    With ``even=True`` a kept edge whose detaching root part has an odd
-    number of noise edges is not a choice, so no state holds an off-root
-    tree of odd noise count; the finisher never moves edges into the
-    off-root trees, so the table is the full one less exactly those
-    entries.  Its ``cache`` must hold only tables built the same way.
-    """
-    states = {((), (), ()): 1}
-    for (et, sub), copies in groupby(tree.children):
-        choices = _branch_choices(et, _extract(sub, finish, cache, even), even)
-        group = _distribute(choices, len(list(copies)))
-        nxt = {}
-        for (aoff, chosen, rem), m in states.items():
-            for (g_off, g_chosen, g_rem), w in group:
-                k = (
-                    _merge(aoff, g_off, _msort),
-                    _merge(chosen, g_chosen, _csort),
-                    _merge(rem, g_rem, _bsort),
-                )
-                nxt[k] = nxt.get(k, 0) + m * w
-        states = nxt
-    return states
-
-
-def _branch_choices(et, sub_ext, even):
-    """The state parts one root branch ``(et, sub)`` can add, with weights:
-    per entry of the subtree's table, the edge kept or extracted (kept
-    only if the detaching part has even noise count, when ``even``)."""
-    choices = {}
-    for (s_off, s_root, s_rem), sm in sub_ext.items():
-        # edge kept: the sub-extraction's root component detaches
-        if not (even and s_root.num_noises % 2):
-            off = _msort(s_off + ((s_root,) if s_root.children else ()))
-            part = (off, (), ((et, s_rem),))
-            choices[part] = choices.get(part, 0) + sm
-        # edge extracted: endpoints identified, remainder splices up
-        riders = tuple(b for b in s_rem.children if b[0].is_noise)
-        others = tuple(b for b in s_rem.children if not b[0].is_noise)
-        part = (s_off, ((et, s_root, riders),), others)
-        choices[part] = choices.get(part, 0) + sm
-    return list(choices.items())
-
-
-def _distribute(choices, k):
-    """All ways of giving k copies of a branch one choice each, as
-    sorted state parts with multinomial weights."""
-    parts = [(k, (), (), (), 1)]  # copies left, off-root, chosen, remainder, weight
-    last = len(choices) - 1
-    for i, ((c_off, c_chosen, c_rem), w) in enumerate(choices):
-        nxt = []
-        for left, off, chosen, rem, weight in parts:
-            for n in ((left,) if i == last else range(left + 1)):
-                nxt.append((
-                    left - n,
-                    off + c_off * n,
-                    chosen + c_chosen * n,
-                    rem + c_rem * n,
-                    weight * comb(left, n) * w**n,
-                ))
-        parts = nxt
-    return [
-        ((_msort(off), _csort(chosen), _bsort(rem)), weight)
-        for _, off, chosen, rem, weight in parts
-    ]
-
-
-def _merge(a, b, sort):
-    """The sorted concatenation of two sorted tuples."""
-    if not a:
-        return b
-    if not b:
-        return a
-    return sort(a + b)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy
 import pytest
 import scipy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import roughrenorm
 from roughrenorm import cache_info, clear_caches
@@ -156,7 +156,7 @@ def test_every_module_level_memo_table_is_counted_and_cleared(capsys):
         for attr, value in vars(module).items()
         if isinstance(value, dict) and not attr.startswith("__")
     }
-    assert "trees._EXTRACT_CACHE" in tables and "roughsim._SIM_KEYS" in tables
+    assert "coalgebra._EXTRACT_CACHE" in tables and "roughsim._SIM_KEYS" in tables
     memo = {name: table for name, table in tables.items() if name not in _CONSTANT_TABLES}
     assert set(memo) <= set(cache_info())
     assert all(memo.values()), "each table is filled by the commands above"
@@ -320,6 +320,8 @@ _C_EPS = ["simulate", "c-eps", "--H", "0.3", "--eps"]
         (_WZ, _SIM + "eps = 1/8\npowers = 7\n"),  # read by bounds only
         (_WZ, _SIM + "eps = 1/8\nlambda = 1/4,1/8\n"),
         (_WZ, _SIM + "eps = 1/8\nmollifier = gauss\n"),
+        (_WZ, _SIM.replace("N = 256", "N = 1099511627776") + "eps = 1/8\n"),  # 2^40 > MAX_GRID
+        (_BOUNDS, _SIM + "eps = 1/8,1/16\npowers = 1,300\n"),  # 300 > MAX_TRUNCATION
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv, text):
@@ -462,6 +464,70 @@ def test_fuzzed_command_lines_end_in_a_documented_exit_code(cov_dir, data):
             code = exc.code
     assert code in (0, 1, 2, 3)
     assert code != 1 or argv[1].startswith("check-")  # 1 means a verification failed
+    if code in (2, 3):
+        assert "Traceback" not in err.getvalue()
+        assert sum("error: " in line for line in err.getvalue().splitlines()) == 1
+
+
+# fuzz: simulation configs at the edges of their domains
+
+_SIM_BASE = {"H": "0.3", "kappa": "0.01", "N": "64", "P": "2", "seed": "1", "eps": "1/8,1/16"}
+_SIM_EDGES = {  # None leaves the key out; {dt}, {T} and {H} are the config's own values
+    "H": [None, "0.49", "0.05", "0.5"],
+    "kappa": [None, "{below_H}", "{H}", "0"],  # just below H: truncation far above 64
+    "N": [None, "8", "2097152", "48"],  # 2097152 is one step past MAX_GRID
+    "P": [None, "1", "0"],
+    "seed": [None, "0", "x"],
+    "eps": [None, "{dt4}", "{half_T}", "{dt4},{dt4}", "{dt2}"],  # 4 dt; 2 eps = T
+    "f": ["constant", "linear", "quadratic", "sine", "cosine"],
+    "mollifier": ["bump", "gauss"],
+    "T": ["0.5", "2", "0"],
+    "threads": ["2", "0"],
+    "lambda": ["{dt},1/4", "1/4,1/4", "1/4,{half_T}"],
+    "powers": ["65", "1,1", "2,3"],  # 65 is one step past MAX_TRUNCATION
+    "threds": ["2"],  # unknown key
+}
+
+
+def _sim_config_text(fields):
+    """The text of ``fields`` (key -> value or None), its placeholders
+    filled from the config's own N, T and H."""
+    n, T, H = int(fields.get("N") or 64), float(fields.get("T") or 1), float(fields.get("H") or 0.3)
+    dt = T / n
+    values = dict(
+        dt=dt, dt2=2 * dt, dt4=4 * dt, half_T=T / 2, T=T, H=H, below_H=H * (1 - 1e-6)
+    )
+    return "".join(
+        f"{key} = {value.format(**values)}\n" for key, value in fields.items() if value is not None
+    )
+
+
+@pytest.fixture(scope="module")
+def sim_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sim")
+
+
+@st.composite
+def _sim_edits(draw):
+    """Up to three keys of ``_SIM_EDGES``, each with one of its values."""
+    keys = draw(st.sets(st.sampled_from(sorted(_SIM_EDGES)), max_size=3))
+    return {key: draw(st.sampled_from(_SIM_EDGES[key])) for key in sorted(keys)}
+
+
+@given(command=st.sampled_from(["wong-zakai", "bounds"]), edits=_sim_edits())
+@example(command="wong-zakai", edits={"f": "linear"})
+@example(command="bounds", edits={"f": "linear", "eps": "{dt4},{half_T}"})
+@settings(max_examples=50, deadline=None)
+def test_fuzzed_sim_configs_end_in_a_documented_exit_code(sim_dir, command, edits):
+    fields = {**_SIM_BASE, **({"lambda": "1/4,1/8"} if command == "bounds" else {}), **edits}
+    config = sim_dir / "config.txt"
+    config.write_text(_sim_config_text(fields))
+    argv = ["simulate", command, "--config", str(config), "--out", str(sim_dir / "out")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    # bounds exits 1 when an eps exponent of its fit is not positive
+    assert code in ((0, 1, 2, 3) if command == "bounds" else (0, 2, 3))
     if code in (2, 3):
         assert "Traceback" not in err.getvalue()
         assert sum("error: " in line for line in err.getvalue().splitlines()) == 1

@@ -193,6 +193,29 @@ def test_c_eps_timedep_matches_constant_away_from_origin():
     assert const == pytest.approx(0.8764189091348921, rel=1e-12)
 
 
+def test_c_eps_timedep_before_the_mollification_width():
+    H, eps = 0.3, 1 / 16
+    # continuous from below at t = eps: the t < eps integrand meets the t >= eps
+    # one there, so the two agree to the quadrature's epsrel of 1e-7
+    at = c_eps_timedep(eps, eps, H)
+    assert c_eps_timedep(eps * (1 - 1e-6), eps, H) == pytest.approx(at, rel=1e-7)
+    # at t = eps / 2, against the midpoint rule on an n x n grid over
+    # (a, b) in [-eps, eps]^2.  Its error decays about as h^(H + 3/2), from the
+    # kinks of the integrand where v = 0 and where u = v; at n = 800 it is
+    # 1.4e-6 relative, so 1e-5 leaves room
+    t, n = eps / 2, 800
+    x = -eps + (np.arange(n) + 0.5) * (2 * eps / n)
+    u, v = t - x[:, None], t - x[None, :]
+    cross = np.where(
+        (u > 0) & (v > 0),
+        np.maximum(v, 0) ** (H + 0.5) - np.maximum(v - np.minimum(u, v), 0) ** (H + 0.5),
+        0.0,
+    )
+    weights = roughsim._drho_eps(x, eps)[:, None] * roughsim._rho_eps(x, eps)[None, :]
+    grid = math.sqrt(2 * H) / (H + 0.5) * np.sum(weights * cross) * (2 * eps / n) ** 2
+    assert c_eps_timedep(t, eps, H) == pytest.approx(grid, rel=1e-5)
+
+
 # float.hex of c_eps(eps, KernelSpec(0.3)) and of its error estimate, as the
 # integrand with one-element arrays per point gave them (numpy 2.4, scipy
 # 1.17, x86-64 with AVX-512); eps = 0.7 > T/2 reaches the kernel's cut-off

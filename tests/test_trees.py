@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_symbols
-from roughrenorm.coalgebra import _finish_repaired, delta_minus
+from roughrenorm.coalgebra import (
+    _bsort,
+    _entry_key,
+    _extract,
+    _finish_plain,
+    _finish_repaired,
+    _msort,
+    delta_minus,
+)
 from roughrenorm.errors import ParseError
 from roughrenorm.structure import enumerate_basis, generic_spec
 from roughrenorm.trees import (
@@ -16,11 +24,6 @@ from roughrenorm.trees import (
     INTEGRATION,
     LEAF,
     Tree,
-    _bsort,
-    _entry_key,
-    _extract,
-    _finish_plain,
-    _msort,
     branch,
     forest_of,
     forest_product,
@@ -144,7 +147,7 @@ def test_extraction_multiplicities_sum_to_power_of_two(branches):
 
 
 def _reference_extract(tree, finish, cache):
-    """Reference for ``trees._extract``: one root branch at a time."""
+    """Reference for ``coalgebra._extract``: one root branch at a time."""
     cached = cache.get(tree)
     if cached is not None:
         return cached
