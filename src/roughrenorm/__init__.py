@@ -76,7 +76,7 @@ def _memo_tables():
         "coalgebra._SCREENED_CACHE": _coalgebra._SCREENED_CACHE,
         "coalgebra._ANTIPODE_CACHE": _coalgebra._ANTIPODE_CACHE,
         "gaussian._G_ANTIPODE_CACHE": _gaussian._G_ANTIPODE_CACHE,
-        "gaussian._SYMBOLIC._moment_cache": _gaussian._SYMBOLIC._moment_cache,
+        "gaussian._SYMBOLIC._moment_cache": _gaussian.SymbolicCovariance._moment_cache,
         "structure._DEGREE_CACHE": _structure._DEGREE_CACHE,
     }
 

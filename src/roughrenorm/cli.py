@@ -148,11 +148,6 @@ def _write_manifest(out_dir, command, config_text, seed, outputs, **extra):
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _c_eps_rows(table):
-    """The manifest's ``c_eps`` list: per eps, ``c_eps`` and its quadrature error."""
-    return [{"eps": e, "value": v, "quad_error": err} for e, (v, err) in table.items()]
-
-
 def _write_csv(path, fieldnames, rows):
     with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=fieldnames)
@@ -161,30 +156,33 @@ def _write_csv(path, fieldnames, rows):
             writer.writerow({k: row[k] for k in fieldnames})
 
 
+def _write_outputs(args, config_text, seed, c_eps_table, timings, *tables):
+    """Make ``--out``, write each ``(name, columns, rows)`` of ``tables`` as a
+    CSV there, time that as the ``output`` phase of ``timings``, and write
+    the manifest, with ``c_eps`` and its quadrature error per eps."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    start = time.perf_counter()
+    for name, columns, rows in tables:
+        _write_csv(out_dir / name, columns, rows)
+    timings["output"] = time.perf_counter() - start
+    _write_manifest(
+        out_dir, f"simulate {args.subcommand}", config_text, seed,
+        [name for name, _, _ in tables],
+        c_eps=[{"eps": e, "value": v, "quad_error": err} for e, (v, err) in c_eps_table.items()],
+        timings=timings,
+    )
+
+
 def _cmd_wong_zakai(args):
     config_text = _read_text(args.config)
     config = SimConfig.from_text(config_text, bounds=False)
     result = wz_experiment(config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-    _write_csv(
-        out_dir / "wz.csv",
-        ["eps", "path", "I_uncorr", "I_corr", "I_model", "I_ito"],
-        result.rows,
-    )
-    _write_csv(
-        out_dir / "wz_summary.csv",
-        ["eps", "rms_uncorr", "rms_corr", "rms_model", "c_eps"]
-        + ["se_uncorr", "se_corr", "se_model"],
-        result.summary,
-    )
-    result.timings["output"] = time.perf_counter() - start
-    _write_manifest(
-        out_dir, "simulate wong-zakai", config_text, config.seed,
-        ["wz.csv", "wz_summary.csv"],
-        c_eps=_c_eps_rows(result.c_eps),
-        timings=result.timings,
+    _write_outputs(
+        args, config_text, config.seed, result.c_eps, result.timings,
+        ("wz.csv", ["eps", "path", "I_uncorr", "I_corr", "I_model", "I_ito"], result.rows),
+        ("wz_summary.csv", ["eps", "rms_uncorr", "rms_corr", "rms_model", "c_eps"]
+         + ["se_uncorr", "se_corr", "se_model"], result.summary),
     )
     for row in result.summary:
         print(
@@ -195,12 +193,11 @@ def _cmd_wong_zakai(args):
 
 
 def _cmd_c_eps(args):
-    kernel = KernelSpec(H=args.H, T=args.T)
     if args.time is not None:
         value = c_eps_timedep(args.time, args.eps, args.H)
         print(f"c_eps(t={args.time}) = {value:.12g}")
     else:
-        value, err = c_eps(args.eps, kernel)
+        value, err = c_eps(args.eps, KernelSpec(H=args.H, T=args.T))
         print(f"c_eps = {value:.12g} (quadrature error estimate {err:.3g})")
     return 0
 
@@ -209,17 +206,9 @@ def _cmd_bounds(args):
     config_text = _read_text(args.config)
     config = SimConfig.from_text(config_text)
     report = model_bound_probe(config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-    _write_csv(
-        out_dir / "bounds.csv", ["tau", "lambda", "eps", "rms_pairing"], report["rows"]
-    )
-    report["timings"]["output"] = time.perf_counter() - start
-    _write_manifest(
-        out_dir, "simulate bounds", config_text, config.seed, ["bounds.csv"],
-        c_eps=_c_eps_rows(report["c_eps"]),
-        timings=report["timings"],
+    _write_outputs(
+        args, config_text, config.seed, report["c_eps"], report["timings"],
+        ("bounds.csv", ["tau", "lambda", "eps", "rms_pairing"], report["rows"]),
     )
     ok = True
     for tau, fit in report["fits"].items():
@@ -283,9 +272,11 @@ def build_parser():
     ce = simsub.add_parser("c-eps")
     ce.add_argument("--H", type=float, required=True)
     ce.add_argument("--eps", type=float, required=True)
-    ce.add_argument("--T", type=float, default=1.0)
-    ce.add_argument("--time", type=float, default=None,
-                    help="evaluate the time-dependent form at this time")
+    # the time-dependent form reads no T; a str default, as --nmax's, lets "--T 1" count
+    t_flags = ce.add_mutually_exclusive_group()
+    t_flags.add_argument("--T", type=float, default="1")
+    t_flags.add_argument("--time", type=float, default=None,
+                         help="evaluate the time-dependent form at this time")
     ce.set_defaults(fn=_cmd_c_eps)
 
     bd = simsub.add_parser("bounds")

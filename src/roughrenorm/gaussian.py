@@ -100,15 +100,16 @@ class CovarianceSpec:
 class SymbolicCovariance:
     """Covariance whose entries are free polynomial indeterminates."""
 
+    _moment_cache = {}  # one table for every instance: entry names do not depend on d
+
     def __init__(self, d):
         self.d = d
-        self._moment_cache = {}
 
     def entry(self, u, v):
         return Poly.var(_entry_name(u, v))
 
 
-# g∘A is computed against this covariance; entry names do not depend on d
+# g∘A is computed against this covariance
 _SYMBOLIC = SymbolicCovariance(d=None)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -246,6 +247,11 @@ def stationary_hat_process(increments, kernel, dt):
 # mollification
 
 
+def _steps(width, dt):
+    """The number of whole grid steps of size ``dt`` in ``width``."""
+    return int(math.floor(width / dt + 1e-9))
+
+
 def mollification_weights(dt, eps):
     """Discrete mollifier and derivative-of-mollifier weights.
 
@@ -254,7 +260,7 @@ def mollification_weights(dt, eps):
     paths exactly (the two defining quadrature identities are enforced
     on the discrete weights).
     """
-    m = int(math.floor(eps / dt + 1e-9))
+    m = _steps(eps, dt)
     if m < 4:
         raise ConfigError(
             f"mollification width eps={eps} must cover at least 4 grid steps (dt={dt})"
@@ -330,19 +336,17 @@ def c_eps(eps, kernel):
 
 def c_eps_timedep(t, eps, H):
     """Time-dependent correction E[dot(W^eps)(t) W^(H,eps)(t)] for the
-    one-sided fractional path started at time 0 (no cutoff).  Reduces to
-    the stationary constant once t exceeds the mollification width."""
+    one-sided fractional path started at time 0 (no cutoff).  From t = eps
+    on it is :func:`c_eps` under a kernel cut off beyond every float lag."""
+    KernelSpec(H)  # H is checked before eps and t
     if not (0.0 < eps < math.inf and 0.0 < t < math.inf):
         raise ConfigError("eps and t must be positive and finite")
+    if t >= eps:
+        return c_eps(eps, KernelSpec(H, sys.float_info.max))[0]
     c = math.sqrt(2.0 * H) / (H + 0.5)
     norm = _bump_norm()
 
     def cross(a, b):
-        if t >= eps:
-            # a, b <= t, so cross = c * ((t - b) ** (H + 1/2) - (a - b)_+ ** (H + 1/2)).
-            # The first term integrates to 0 against drho_eps(a); left in, it
-            # cancels against the second and loses its digits at large t.
-            return -c * max(a - b, 0.0) ** (H + 0.5)
         v = t - b
         if v <= 0:
             return 0.0
@@ -457,19 +461,14 @@ class SimConfig:
     def __post_init__(self):
         if not 8 <= self.n_grid <= MAX_GRID or self.n_grid & (self.n_grid - 1):
             raise ConfigError(f"N must be a power of two from 8 to {MAX_GRID}")
-        if not (0.0 < self.H < 0.5):
-            raise ConfigError("H must lie in (0, 1/2)")
-        if not (0.0 < self.kappa < self.H):
-            raise ConfigError("kappa must lie in (0, H)")
-        if self.spec.truncation > MAX_TRUNCATION:
+        if self.spec.truncation > MAX_TRUNCATION:  # rough_vol_spec checks H and kappa
             raise ConfigError(
                 f"kappa={self.kappa} is too close to H={self.H}: the model would "
                 f"need powers up to {self.spec.truncation}, above {MAX_TRUNCATION}"
             )
         if self.n_paths < 1:
             raise ConfigError("P must be >= 1")
-        if not 0.0 < self.T < math.inf:
-            raise ConfigError("T must be positive and finite")
+        self.kernel  # checks T
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         eps_list = tuple(float(e) for e in self.eps_list)
@@ -477,11 +476,12 @@ class SimConfig:
             raise ConfigError("eps ladder must be non-empty")
         dt = self.dt
         for e in eps_list:
-            if e < 4 * dt:
-                raise ConfigError(f"eps={e} must cover at least 4 grid steps (dt={dt})")
-            if e > self.T / 2:
+            # T/2 first keeps a nan or infinite eps from _steps; N >= 8, so none fails both
+            if not e <= self.T / 2:
                 # c_eps integrates khat over u < 2*eps, and khat is cut off from T on
                 raise ConfigError(f"eps={e} must be at most T/2 (T={self.T})")
+            if _steps(e, dt) < 4:
+                raise ConfigError(f"eps={e} must cover at least 4 grid steps (dt={dt})")
         object.__setattr__(self, "eps_list", eps_list)
         object.__setattr__(self, "lambdas", tuple(float(x) for x in self.lambdas))
         object.__setattr__(self, "powers", tuple(int(k) for k in self.powers))
@@ -499,9 +499,15 @@ class SimConfig:
 
     @property
     def spec(self):
-        """``rough_vol_spec`` at the rationals nearest to the float H and kappa."""
-        H, kappa = (Fraction(x).limit_denominator(10**9) for x in (self.H, self.kappa))
+        """``rough_vol_spec`` at the rationals nearest to the float H and kappa;
+        a non-finite one goes in as 0, outside its domain."""
+        H, kappa = (Fraction(x if math.isfinite(x) else 0).limit_denominator(10**9)
+                    for x in (self.H, self.kappa))
         return rough_vol_spec(H, kappa)
+
+    @property
+    def kernel(self):
+        return KernelSpec(self.H, self.T)
 
     @classmethod
     def from_text(cls, text, bounds=True):
@@ -615,7 +621,6 @@ def _evaluate(terms, w_dot, delta):
 
 @dataclass
 class _Ladder:
-    kernel: KernelSpec
     c_eps: dict  # eps -> (correction constant, its quadrature error estimate)
     terms: dict  # eps -> renormalised_terms at c_eps
     smooth_w: object  # signal -> its smoothing by each eps's mollifier weights
@@ -628,17 +633,16 @@ def _ladder(config, powers, n):
     at ``c_eps`` for ``powers``, both timed, and the :func:`_smoother` of
     signals of ``n`` points by the mollification weights and derivative
     weights, each aligned with its signal."""
-    kernel = KernelSpec(H=config.H, T=config.T)
     timings = {}
     with _timed(timings, "c_eps"):
-        corrections = {e: c_eps(e, kernel) for e in config.eps_list}
+        corrections = {e: c_eps(e, config.kernel) for e in config.eps_list}
     spec = config.spec
     with _timed(timings, "expansion"):
         terms = {e: renormalised_terms(c, spec, powers) for e, (c, _) in corrections.items()}
     weights = [mollification_weights(config.dt, e) for e in config.eps_list]
     smooth_w = _smoother(n, [(w, m) for w, _, m in weights])
     smooth_dw = _smoother(n, [(dw, m) for _, dw, m in weights])
-    return _Ladder(kernel, corrections, terms, smooth_w, smooth_dw, timings)
+    return _Ladder(corrections, terms, smooth_w, smooth_dw, timings)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +651,6 @@ def _ladder(config, powers, n):
 
 @dataclass
 class WZResult:
-    config: SimConfig
     c_eps: dict  # eps -> (correction constant, its quadrature error estimate)
     rows: list = field(default_factory=list)
     summary: list = field(default_factory=list)
@@ -655,6 +658,7 @@ class WZResult:
 
 
 _WZ_COLUMNS = ("I_uncorr", "I_corr", "I_model", "I_ito")
+_BLOCK = 8  # points per block of _model_route; divides every N
 
 
 def wz_experiment(config):
@@ -675,14 +679,13 @@ def wz_experiment(config):
     dt = config.dt
     n = config.n_grid
     f = TestFunction(config.f_name)
-    m_max = max(int(math.floor(e / dt + 1e-9)) for e in config.eps_list)
+    m_max = max(_steps(e, dt) for e in config.eps_list)
     pad = m_max + 2
     n_ext = n + 2 * pad
     ladder = _ladder(config, range(config.spec.truncation + 1), n_ext + 1)
     # I_corr's drift: the order-1 term at delta = 0, less the Xi part I_uncorr holds
     drifts = {e: _evaluate(ladder.terms[e][1], 0.0, 0.0) for e in config.eps_list}
     fbm = _fbm_smoother(n_ext - pad, config.H, dt)
-    block = 8
     chunks = _path_chunks(config.n_paths, n_ext + 1)
     sl = slice(pad, pad + n)
 
@@ -703,11 +706,11 @@ def wz_experiment(config):
                 vals = wh_sm[:, sl]
                 i_unc = np.sum(f(vals) * w_dot[:, sl], axis=-1) * dt
                 i_corr = i_unc + drifts[e] * (np.sum(f(vals, 1), axis=-1) * dt)
-                i_model = _model_route(f, wh_sm, w_dot, pad, n, dt, ladder.terms[e], block)
+                i_model = _model_route(f, wh_sm, w_dot, pad, n, dt, ladder.terms[e])
                 out.append((i_unc, i_corr, i_model, i_ito))
         return np.array(out), seconds
 
-    result = WZResult(config, ladder.c_eps, timings=ladder.timings)
+    result = WZResult(ladder.c_eps, timings=ladder.timings)
     per_chunk = _results(_run_paths(one_chunk, len(chunks), config.threads), ladder.timings)
     table = np.concatenate(per_chunk, axis=-1)  # (eps, _WZ_COLUMNS, path)
     listed = table.tolist()
@@ -726,13 +729,13 @@ def wz_experiment(config):
     return result
 
 
-def _model_route(f, wh_sm, w_dot, pad, n, dt, terms, block):
+def _model_route(f, wh_sm, w_dot, pad, n, dt, terms):
     """Blockwise renormalized-expansion quadrature of the integral.
 
-    The ``n`` grid points from ``pad`` on split into blocks of ``block``
-    points (``block`` divides ``n``); on each block ``f`` is Taylor
-    expanded about the block's first point, its order-m term paired with
-    ``terms[m]`` of :func:`renormalised_terms` (m = 0, 1, ... ascending).
+    The ``n`` grid points from ``pad`` on split into blocks of ``_BLOCK``
+    points; on each block ``f`` is Taylor expanded about the block's first
+    point, its order-m term paired with ``terms[m]`` of
+    :func:`renormalised_terms` (m = 0, 1, ... ascending).
     All blocks are evaluated at once, in the arithmetic order of a
     block-by-block loop: ascending order, block sums, then a
     left-to-right sum.  The grid is the last axis: a path gives a float,
@@ -740,10 +743,10 @@ def _model_route(f, wh_sm, w_dot, pad, n, dt, terms, block):
     its row alone.
     """
     lead = np.shape(wh_sm)[:-1]
-    blocks = wh_sm[..., pad : pad + n].reshape(lead + (-1, block))
+    blocks = wh_sm[..., pad : pad + n].reshape(lead + (-1, _BLOCK))
     base = blocks[..., 0].copy()  # contiguous, as the loop's one-point arrays were
     delta = blocks - base[..., None]
-    w_blocks = w_dot[..., pad : pad + n].reshape(lead + (-1, block))
+    w_blocks = w_dot[..., pad : pad + n].reshape(lead + (-1, _BLOCK))
     acc = np.zeros_like(delta)
     for m, expansion in terms.items():
         fm = f(base, m) / math.factorial(m)
@@ -779,15 +782,15 @@ def model_bound_probe(config):
     eps_list, lambdas = config.eps_list, config.lambdas
     if len(eps_list) < 2 or len(lambdas) < 2:
         raise ConfigError("the fit needs two distinct eps and two distinct lambda values")
-    halves = {lam: int(math.floor(lam / dt + 1e-9)) for lam in lambdas}
+    halves = {lam: _steps(lam, dt) for lam in lambdas}
     if not all(1 <= half < n_grid // 2 for half in halves.values()):
         raise ConfigError(f"lambda values must lie in [dt, T/2) = [{dt:g}, {config.T / 2:g})")
-    m_max = max(int(math.floor(e / dt + 1e-9)) for e in eps_list)
+    m_max = max(_steps(e, dt) for e in eps_list)
     pad = int(round(2 * config.T / dt)) + m_max + 2
     n_ext = n_grid + pad
     s_idx = pad + n_grid // 2
     ladder = _ladder(config, config.powers, n_ext + 1)
-    hat_smooth = _hat_smoother(n_ext, ladder.kernel, dt)
+    hat_smooth = _hat_smoother(n_ext, config.kernel, dt)
     names = {k: f"Xi*I(Xihat)^{k}" if k > 1 else "Xi*I(Xihat)" for k in config.powers}
     taus = ["Xi", "I(Xihat)", *names.values()]
     chunks = _path_chunks(config.n_paths, n_ext + 1)

@@ -226,13 +226,16 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ["symbolic", "check-bphz", "--alpha", "1/3,1/5"],
         ["symbolic", "check-gamma", "--nmax", "2", "--alpha", "1/3,1/5"],
         ["simulate", "c-eps", "--H", "0.3", "--eps", "0.125", "--mollifier", "bump"],
+        # --time reads no T; 1 is --T's default
+        ["simulate", "c-eps", "--H", "0.3", "--eps", "0.1", "--time", "0.5", "--T", "1"],
     ],
 )
 def test_unread_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    expected = "not allowed with argument" if "--time" in argv else "unrecognized arguments"
+    assert expected in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["delta-plus", "antipode", "g-antipode"])

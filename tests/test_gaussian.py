@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from roughrenorm import cache_info, clear_caches
 from roughrenorm.coalgebra import twisted_antipode
 from roughrenorm.errors import ConfigError
 from roughrenorm.gaussian import (
@@ -67,6 +68,17 @@ def test_symbolic_moment():
     cov = SymbolicCovariance(2)
     m = isserlis_moment((D1, X2), cov)
     assert m == Poly.var("C[D1][X2]")
+
+
+def test_symbolic_covariances_share_one_moment_table():
+    # entry names do not depend on d, so every SymbolicCovariance reads one table
+    clear_caches()
+    first, second = SymbolicCovariance(2), SymbolicCovariance(3)
+    assert isserlis_moment((D1, X2), first) == Poly.var("C[D1][X2]")
+    assert second._moment_cache == first._moment_cache != {}
+    assert cache_info()["gaussian._SYMBOLIC._moment_cache"] == len(first._moment_cache)
+    clear_caches()
+    assert second._moment_cache == {}
 
 
 def test_mc_oracle_agrees():

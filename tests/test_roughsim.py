@@ -193,6 +193,32 @@ def test_c_eps_timedep_matches_constant_away_from_origin():
     assert const == pytest.approx(0.8764189091348921, rel=1e-12)
 
 
+@pytest.mark.parametrize("H, eps", [(0.3, 1 / 16), (0.3, 0.1), (0.1, 1 / 64)])
+def test_c_eps_timedep_is_the_stationary_constant_from_eps_on(H, eps):
+    # u < 2 eps in the stationary integral, where neither kernel is cut off
+    for T in (2 * eps, 1.0):
+        const, _ = c_eps(eps, KernelSpec(H, T))
+        for t in (eps, 0.5, 1e16):
+            assert c_eps_timedep(t, eps, H) == const
+
+
+@pytest.mark.parametrize(
+    "t, eps, H, message",
+    [
+        (0.5, 0.1, -1.0, "H must lie in (0, 1/2)"),
+        (0.5, 0.1, 0.7, "H must lie in (0, 1/2)"),
+        (0.05, 0.1, math.nan, "H must lie in (0, 1/2)"),
+        (-1.0, 0.0, 0.7, "H must lie in (0, 1/2)"),  # H is checked before eps and t
+        (-1.0, 0.1, 0.3, "eps and t must be positive and finite"),
+        (0.5, math.inf, 0.3, "eps and t must be positive and finite"),
+    ],
+)
+def test_c_eps_timedep_domain(t, eps, H, message):
+    with pytest.raises(ConfigError) as exc:
+        c_eps_timedep(t, eps, H)
+    assert str(exc.value) == message
+
+
 def test_c_eps_timedep_before_the_mollification_width():
     H, eps = 0.3, 1 / 16
     # continuous from below at t = eps: the t < eps integrand meets the t >= eps
@@ -341,6 +367,59 @@ def test_sim_config_validation():
         )
 
 
+_N_MESSAGE = "N must be a power of two from 8 to 1048576"
+_H_MESSAGE = "H must lie in (0, 1/2)"
+_KAPPA_MESSAGE = "kappa must lie in (0, H)"
+_T_MESSAGE = "T must be positive and finite"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"H": 0.6}, _H_MESSAGE),
+        ({"H": 0.0}, _H_MESSAGE),
+        ({"H": math.nan}, _H_MESSAGE),
+        ({"H": math.inf, "kappa": 0.7}, _H_MESSAGE),
+        ({"kappa": 0.4}, _KAPPA_MESSAGE),
+        ({"kappa": -0.01}, _KAPPA_MESSAGE),
+        ({"kappa": math.nan}, _KAPPA_MESSAGE),
+        ({"T": 0.0}, _T_MESSAGE),
+        ({"T": math.inf}, _T_MESSAGE),
+        ({"T": math.nan}, _T_MESSAGE),
+        (
+            {"eps_list": (1 / 256,)},
+            "eps=0.00390625 must cover at least 4 grid steps (dt=0.00390625)",
+        ),
+        ({"eps_list": (0.75,)}, "eps=0.75 must be at most T/2 (T=1.0)"),
+        ({"eps_list": (math.inf,)}, "eps=inf must be at most T/2 (T=1.0)"),
+        # the first failing check wins: N, H, kappa, truncation, P, T, threads, eps
+        ({"n_grid": 100, "H": 0.6}, _N_MESSAGE),
+        ({"H": 0.6, "T": -1.0}, _H_MESSAGE),
+        ({"kappa": 0.4, "n_paths": 0}, _KAPPA_MESSAGE),
+        ({"n_paths": 0, "T": -1.0}, "P must be >= 1"),
+        ({"T": -1.0, "threads": 0}, _T_MESSAGE),
+    ],
+)
+def test_sim_config_messages(fields, message):
+    base = dict(H=0.3, kappa=0.01, n_grid=256, n_paths=2, seed=1, eps_list=(0.125,))
+    with pytest.raises(ConfigError) as exc:
+        SimConfig(**{**base, **fields})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n_grid", [8, 256])
+def test_sim_config_takes_the_widths_mollification_takes(n_grid):
+    dt = 1.0 / n_grid
+    base = dict(H=0.3, kappa=0.01, n_grid=n_grid, n_paths=1, seed=1)
+    for eps in (4 * dt, float(np.nextafter(4 * dt, 0.0))):
+        assert mollification_weights(dt, eps)[2] == 4
+        assert SimConfig(**base, eps_list=(eps,)).eps_list == (eps,)
+    with pytest.raises(ConfigError):
+        mollification_weights(dt, 3.99 * dt)
+    with pytest.raises(ConfigError, match="4 grid steps"):
+        SimConfig(**base, eps_list=(3.99 * dt,))
+
+
 def test_sim_config_caps_the_truncation():
     base = dict(n_grid=256, n_paths=2, seed=1, eps_list=(0.125,))
     assert SimConfig(H=0.05, kappa=0.04, **base).spec.truncation == 54
@@ -454,12 +533,12 @@ def test_model_route_equals_block_loop(seed, log_n, pad, order, name, correction
     singles = []
     for wh_row, w_row in zip(wh_sm, w_dot):
         args = (f, wh_row, w_row, pad, n, T / n)
-        single = roughsim._model_route(*args, terms, 8)
+        single = roughsim._model_route(*args, terms)
         assert type(single) is float
         assert single == _loop_model_route(*args, correction, order, 8)
         singles.append(single)
     # a stack of paths gives each row's float, as its own 1-D call does
-    stacked = roughsim._model_route(f, wh_sm, w_dot, pad, n, T / n, terms, 8)
+    stacked = roughsim._model_route(f, wh_sm, w_dot, pad, n, T / n, terms)
     assert stacked.shape == (rows,)
     assert stacked.tolist() == singles
 
