@@ -7,16 +7,16 @@ structural identities into exact polynomial identities that can be
 checked mechanically.  Π (:func:`pi_symbolic`) and the transport rule
 (:func:`gamma_direct`) are each written once, as monomials in named root
 factors and increments.  The numeric layer substitutes into them: one
-exponent-table evaluator (:class:`_Monomials`) gives Π rows on a
-:class:`SamplePath` (smooth channel paths with analytic derivatives on a
-common grid) and the entries of the transport matrices.
+evaluator (:class:`_Monomials`), which evaluates each distinct monomial
+once, gives Π rows on a :class:`SamplePath` (smooth channel paths with
+analytic derivatives on a common grid) and the transport matrices' entries.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -68,33 +68,38 @@ class SamplePath:
 
 @dataclass(frozen=True)
 class _Monomials:
-    """Monomials, sorted tuples of names repeated for powers, compiled to an
-    exponent table: ``powers[r, i]`` is the exponent of ``names[i]`` in
-    monomial ``r``."""
+    """Monomials, sorted tuples of names repeated for powers, each distinct
+    one compiled once: ``distinct[k]`` holds the k-th one's ``(name, power)``
+    factors in name order, and ``index[r]`` is row ``r``'s distinct one."""
 
-    names: tuple
-    powers: np.ndarray
+    distinct: tuple
+    index: np.ndarray
 
     @classmethod
     def compile(cls, monomials):
-        names = tuple(sorted({name for mono in monomials for name in mono}))
-        powers = [[mono.count(name) for name in names] for mono in monomials]
-        return cls(names, np.array(powers, dtype=int).reshape(len(monomials), len(names)))
+        keys = {m: k for k, m in enumerate(dict.fromkeys(monomials))}
+        distinct = tuple(tuple((name, len(list(run))) for name, run in groupby(m)) for m in keys)
+        return cls(distinct, np.array([keys[m] for m in monomials], dtype=int))
 
     def at(self, values):
         """The monomials at ``values`` (name -> array, all broadcasting to
-        one shape ``(..., n)``), stacked as an array ``(..., monomials, n)``.
-        A monomial is the product, in name order, of its names' powers, and
-        a power is built by repeated multiplication."""
+        one shape ``(..., n)``), as an array ``(..., rows, n)``.  Each name's
+        powers are built once, by repeated multiplication, and each distinct
+        monomial once, as the left-to-right product of its powers (1 if none);
+        rows are gathered from the distinct monomials only if some repeat."""
         *lead, n = np.broadcast_shapes(*(np.shape(v) for v in values.values()))
-        out = np.ones((*lead, len(self.powers), n))
-        for name, column in zip(self.names, self.powers.T):
-            value = values[name]
-            table = [np.ones_like(value), value]
-            while len(table) <= column.max():
-                table.append(table[-1] * value)
-            out *= np.stack(table, axis=-2)[..., column, :]
-        return out
+        tables = {name: [value] for name, value in values.items()}  # [value, value**2, ...]
+        out = np.empty((*lead, len(self.distinct), n))
+        for k, factors in enumerate(self.distinct):
+            for name, p in factors:
+                while len(tables[name]) < p:
+                    tables[name].append(tables[name][-1] * values[name])
+            powers = [tables[name][p - 1] for name, p in factors]
+            row = out[..., k, :]
+            row[...] = powers[0] if powers else 1.0
+            for power in powers[1:]:
+                row *= power
+        return out if len(self.distinct) == len(self.index) else np.take(out, self.index, axis=-2)
 
 
 def _pi_values(path, s_idx):
@@ -416,17 +421,19 @@ def check_model_axioms(path, spec, n_triples, seed, rtol=1e-10):
     ``eval_pi(tau, s) == eval_pi(Gamma_ts tau, t)`` up to
     relative error ``rtol``, and the transport must compose:
     ``Gamma_ts == Gamma_tu . Gamma_us`` on basis symbols.  Each basis
-    symbol's transport is compiled once (:class:`TransportMatrices`).  The
-    triples go in batches (:func:`_triples_per_batch`): per batch, Γ_ts,
-    Γ_tu and Γ_us are stacked (symbols, symbols) matrices, Π at s and at t
-    stacked (symbols, points) arrays from the basis' Π monomials, compiled
-    once as the transports are, and both checks are stacked matrix products.
-    A spec with more noise channels than the path is a DomainError.
+    symbol's transport is compiled once (:class:`TransportMatrices`), as are
+    the basis' Π monomials.  Per batch of triples (:func:`_triples_per_batch`)
+    one transport evaluation gives Γ_ts, Γ_us and Γ_tu, one Π evaluation Π at
+    s and at t, and both checks are stacked matrix products.  A spec with more
+    noise channels than the path, no triple, or under 3 grid points is a
+    DomainError.
     """
     if spec.d > path.d:
         raise DomainError(f"the spec has {spec.d} noise channels, the path only {path.d}")
-    start = time.perf_counter()
     points = len(path.t)
+    if n_triples < 1 or points < 3:
+        raise DomainError(f"need at least 1 triple and 3 grid points, not {n_triples}, {points}")
+    start = time.perf_counter()
     basis = enumerate_basis(spec)
     transport = TransportMatrices.compile(basis, spec)
     pi_table = _pi_table(basis)
@@ -436,33 +443,23 @@ def check_model_axioms(path, spec, n_triples, seed, rtol=1e-10):
     failures = []
     for lo in range(0, n_triples, per_batch):
         s, u, t = triples[lo:lo + per_batch].T
-        m = len(s)
-        g_ts = transport.at(eval_gamma(t, s, path))
-        # rows: base s, then base t
-        pi = pi_table.at(_pi_values(path, np.concatenate([s, t])))
-        pi_s = pi[:m]
+        stacked = eval_gamma(np.concatenate([t, u, t]), np.concatenate([s, s, u]), path)
+        g_ts, g_us, g_tu = np.split(transport.at(stacked), 3)
+        pi_s, pi_t = np.split(pi_table.at(_pi_values(path, np.concatenate([s, t]))), 2)
         scale = np.maximum(np.maximum(pi_s.max(axis=2), -pi_s.min(axis=2)), 1e-30)
-        diff = np.matmul(g_ts, pi[m:])
+        diff = np.matmul(g_ts, pi_t)
         diff -= pi_s
         err = np.abs(diff, out=diff).max(axis=2) / scale
-        two_step = np.matmul(
-            transport.at(eval_gamma(u, s, path)), transport.at(eval_gamma(t, u, path))
-        )
+        two_step = np.matmul(g_us, g_tu)
         cscale = np.maximum(np.abs(g_ts).max(axis=2), 1e-30)
         cerr = np.abs(g_ts - two_step).max(axis=2) / cscale
         worst = float(np.max([worst, err.max(), cerr.max()]))
         # a NaN error fails too; argwhere keeps the order triple, then symbol
         for i, k in np.argwhere(~(err <= rtol) | ~(cerr <= rtol)):
-            tau = basis[k]
-            if not err[i, k] <= rtol:
-                failures.append(
-                    f"recentring: {tau!r} at (s={s[i]}, t={t[i]}): rel err {err[i, k]:.3e}"
-                )
-            if not cerr[i, k] <= rtol:
-                failures.append(
-                    f"cocycle: {tau!r} at (s={s[i]}, u={u[i]}, t={t[i]}): "
-                    f"rel err {cerr[i, k]:.3e}"
-                )
+            places = (f"(s={s[i]}, t={t[i]})", f"(s={s[i]}, u={u[i]}, t={t[i]})")
+            for kind, e, where in zip(("recentring", "cocycle"), (err, cerr), places):
+                if not e[i, k] <= rtol:
+                    failures.append(f"{kind}: {basis[k]!r} at {where}: rel err {e[i, k]:.3e}")
     return {
         "name": "model_axioms",
         "status": "pass" if not failures else "fail",

@@ -248,8 +248,9 @@ def stationary_hat_process(increments, kernel, dt):
 
 
 def _steps(width, dt):
-    """The number of whole grid steps of size ``dt`` in ``width``."""
-    return int(math.floor(width / dt + 1e-9))
+    """The number of whole grid steps of size ``dt`` in ``width``; 0 if that is not finite."""
+    steps = width / dt + 1e-9
+    return int(math.floor(steps)) if math.isfinite(steps) else 0
 
 
 def mollification_weights(dt, eps):
@@ -476,7 +477,6 @@ class SimConfig:
             raise ConfigError("eps ladder must be non-empty")
         dt = self.dt
         for e in eps_list:
-            # T/2 first keeps a nan or infinite eps from _steps; N >= 8, so none fails both
             if not e <= self.T / 2:
                 # c_eps integrates khat over u < 2*eps, and khat is cut off from T on
                 raise ConfigError(f"eps={e} must be at most T/2 (T={self.T})")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reference_model
 from roughrenorm import model
@@ -249,6 +250,76 @@ def test_model_axioms(path, monkeypatch):
 def test_model_axioms_reject_a_spec_with_more_channels_than_the_path(path):
     with pytest.raises(DomainError, match="spec has 3 noise channels, the path only 2"):
         check_model_axioms(path, generic_spec(3, 2), n_triples=4, seed=0)
+
+
+@pytest.mark.parametrize("n_triples", [0, -1])
+def test_model_axioms_reject_no_triple(path, n_triples):
+    with pytest.raises(DomainError, match=f"3 grid points, not {n_triples}, 129$"):
+        check_model_axioms(path, SPEC, n_triples=n_triples, seed=0)
+
+
+def test_model_axioms_reject_a_path_of_fewer_than_3_points():
+    with pytest.raises(DomainError, match="need at least 1 triple and 3 grid points, not 1, 2$"):
+        check_model_axioms(_random_path(2, 1, 0), SPEC, n_triples=1, seed=0)
+
+
+def test_transport_entries_share_19_monomials_and_one_call_equals_three(path):
+    """At truncation 6 the 246 transport entries hold 19 distinct monomials,
+    and one evaluation at the stacked increments of (t, s), (u, s) and (t, u)
+    equals the three evaluations apart, bit for bit."""
+    transport = TransportMatrices.compile(enumerate_basis(SPEC), SPEC)
+    assert len(transport.flat) == len(transport.monomials.index) == 246
+    assert len(transport.monomials.distinct) == 19
+    s, u, t = model._triples(len(path.t), 5, seed=2).T
+    fused = transport.at(
+        model.eval_gamma(np.concatenate([t, u, t]), np.concatenate([s, s, u]), path)
+    )
+    apart = [transport.at(model.eval_gamma(a, b, path)) for a, b in ((t, s), (u, s), (t, u))]
+    assert np.array_equal(fused, np.concatenate(apart))
+
+
+def _naive_rows(monomials, values):
+    """Row by row: the product, in name order, of each name's power, a power
+    built by repeated multiplication; the empty monomial is 1."""
+    shape = np.broadcast_shapes(*(np.shape(v) for v in values.values()))
+    rows = []
+    for mono in monomials:
+        row = None
+        for name in sorted(set(mono)):
+            power = values[name]
+            for _ in range(mono.count(name) - 1):
+                power = power * values[name]
+            row = power if row is None else row * power
+        rows.append(np.broadcast_to(1.0 if row is None else row, shape))
+    return np.stack(rows, axis=-2)
+
+
+@st.composite
+def monomial_tables(draw):
+    """Monomials over 1 to 5 names with powers up to 6, the empty one
+    included, drawn with repeats, and their values: arrays of shape (n,) or
+    (B, n)."""
+    names = ("a", "b", "c", "d", "e")[: draw(st.integers(1, 5))]
+    monomial = st.dictionaries(st.sampled_from(names), st.integers(1, 6)).map(
+        lambda powers: tuple(sorted(name for name, p in powers.items() for _ in range(p)))
+    )
+    distinct = draw(st.lists(monomial, min_size=1, max_size=6))
+    monomials = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=12))
+    n, batch = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    shapes = st.sampled_from([(n,), (batch, n)])
+    values = {
+        name: draw(hnp.arrays(float, draw(shapes), elements=st.floats(-4, 4))) for name in names
+    }
+    return monomials, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_tables())
+@example(([(), ("a",), ("a", "a", "b"), ()], {"a": np.array([2.0, -0.0]), "b": np.ones((2, 2))}))
+def test_monomials_equal_the_naive_product_row_by_row(table):
+    monomials, values = table
+    got = model._Monomials.compile(monomials).at(values)
+    assert np.array_equal(got, _naive_rows(monomials, values))
 
 
 def test_model_axioms_do_not_depend_on_the_batch_size(path, monkeypatch):

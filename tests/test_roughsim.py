@@ -173,6 +173,15 @@ def test_mollify_rejects_coarse_grid():
         mollification_weights(1 / 8, 1 / 8)
 
 
+@pytest.mark.parametrize("width", [math.inf, -math.inf, math.nan])
+def test_non_finite_widths_are_config_errors(width):
+    with pytest.raises(ConfigError, match="mollification width .* 4 grid steps"):
+        mollification_weights(1 / 256, width)
+    probe = SimConfig(**{**_PROBE, "lambdas": (width, 0.25)})
+    with pytest.raises(ConfigError, match=r"lambda values must lie in \[dt, T/2\)"):
+        model_bound_probe(probe)
+
+
 def test_c_eps_scaling_exponent():
     kernel = KernelSpec(H=0.3, T=1.0)
     eps = [2.0**-k for k in range(3, 8)]
