@@ -64,7 +64,7 @@ from .roughsim import (
 )
 
 from . import coalgebra as _coalgebra, gaussian as _gaussian
-from . import structure as _structure
+from . import structure as _structure, trees as _trees
 
 
 def _memo_tables():
@@ -78,6 +78,7 @@ def _memo_tables():
         "gaussian._G_ANTIPODE_CACHE": _gaussian._G_ANTIPODE_CACHE,
         "gaussian._SYMBOLIC._moment_cache": _gaussian.SymbolicCovariance._moment_cache,
         "structure._DEGREE_CACHE": _structure._DEGREE_CACHE,
+        "trees._BRANCH_KEYS": _trees._BRANCH_KEYS,
     }
 
 
@@ -88,22 +89,34 @@ def cache_info():
     repaired ones pruned for g∘A and, apart from them, the screened
     top-level tables g∘A reads (one entry per tree; see
     ``coalgebra.delta_minus_ex_even``), the sort keys of the extraction
-    DP's chosen entries (one per distinct entry), the twisted antipode and
-    g∘A values (per tree and spec), the symbolic Gaussian moments (per
-    monomial) and the degrees (per spec and tree).  None is bounded: each
-    grows with the distinct trees a process sees.  A ``CovarianceSpec``
-    keeps its own moment cache, which lives and dies with that object.
+    DP's chosen entries and of the trees' branches (one per distinct
+    entry or branch), the twisted antipode and g∘A values (per tree and
+    spec), the symbolic Gaussian moments (per monomial) and the degrees
+    (per spec and tree).  None is bounded: each grows with the distinct
+    trees a process sees.  A ``CovarianceSpec`` keeps its own moment
+    cache, which lives and dies with that object.
+
+    The intern tables of ``EdgeType``, ``Tree`` and ``Forest`` (class
+    attributes, one instance per distinct symbol built) are not memo
+    tables and are not counted here.  Equal symbols are one object only
+    because they are kept, so :func:`clear_caches` leaves them alone, and
+    a symbol built before it is the same object as one built after it.
+    They only grow, by one entry per distinct tree or forest a process
+    builds.
 
     The tables are plain dicts with no lock.  Every entry is a pure
     function of its key, so threads sharing them under CPython get the
     same results: a race at worst computes an entry twice, and
     :func:`clear_caches` during a computation only makes later calls
-    compute again.
+    compute again.  The intern tables are filled with
+    ``dict.setdefault``, so threads that build one symbol at once get one
+    object.
     """
     return {name: len(table) for name, table in _memo_tables().items()}
 
 
 def clear_caches():
-    """Empty every table that :func:`cache_info` counts."""
+    """Empty every table that :func:`cache_info` counts; symbols stay
+    interned."""
     for table in _memo_tables().values():
         table.clear()

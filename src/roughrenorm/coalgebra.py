@@ -38,8 +38,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from math import comb
+from operator import add, mul
 
 from .errors import DomainError
 from .structure import is_negative_forest, tree_survives_plus
@@ -49,7 +50,11 @@ from .trees import (
     Forest,
     LEAF,
     Tree,
-    _branch_sort_key,
+    _KeyMemo,
+    _TREE_KEY,
+    _branch_key,
+    _bsort,  # unused here; the extraction tests sort remainder branches with it
+    _msort,
     as_formal_sum,
     branch,
     forest_of,
@@ -66,32 +71,12 @@ from .trees import (
 _EXTRACT_CACHE = {}
 
 
-def _msort(trees):
-    return tuple(sorted(trees, key=lambda t: t.key))
-
-
-def _bsort(branches):
-    return tuple(sorted(branches, key=_branch_sort_key))
-
-
-def _csort(entries):
-    return tuple(sorted(entries, key=_ENTRY_KEYS.__getitem__))
-
-
 def _entry_key(entry):
     et, aroot, riders = entry
-    return (et.sort_key(), aroot.key, tuple(map(_branch_sort_key, riders)))
+    return (et.sort_key(), aroot.key, tuple(map(_branch_key, riders)))
 
 
-class _KeyMemo(dict):
-    """Sort key of each chosen entry, computed on its first lookup."""
-
-    def __missing__(self, entry):
-        key = self[entry] = _entry_key(entry)
-        return key
-
-
-_ENTRY_KEYS = _KeyMemo()
+_ENTRY_KEYS = _KeyMemo(_entry_key)
 
 
 def _finish_plain(aoff, chosen, rem):
@@ -114,15 +99,17 @@ def _extract(tree, finish=_finish_plain, cache=_EXTRACT_CACHE, even=False):
     """
     cached = cache.get(tree)
     if cached is None:
-        cached = cache[tree] = _finished(_states(tree, finish, cache, even).items(), finish)
+        ranked, states = _states(tree, finish, cache, even)
+        cached = cache[tree] = _finished(ranked, states.items(), finish)
     return cached
 
 
-def _finished(states, finish):
-    """The table of ``(state, multiplicity)`` pairs, each state finished."""
+def _finished(ranked, states, finish):
+    """The table of ``(counts, multiplicity)`` pairs of :func:`_states`,
+    each state expanded by :func:`_parts` and finished."""
     out = {}
-    for state, m in states:
-        key = finish(*state)
+    for counts, m in states:
+        key = finish(*_parts(counts, ranked))
         out[key] = out.get(key, 0) + m
     return out
 
@@ -145,27 +132,63 @@ def _states(tree, finish, cache, even):
     k! / (n_1! ... n_m!) * w_1^n_1 ... w_m^n_m, the number of ways the
     one-branch-at-a-time walk reaches the same state.
 
+    A state is kept run-length encoded, so that it costs its distinct
+    items, not its copies: every item a choice can add is ranked once,
+    and a state is the tuple of the items' counts by rank.  Adding a
+    group to a state adds two count tuples.  Returns ``(ranked,
+    states)``: ``ranked`` holds the items of each part in canonical
+    order (trees by ``key``, entries by ``_ENTRY_KEYS``, branches by
+    ``trees._BRANCH_KEYS``), and ``states`` maps each count tuple, in
+    that order, to its multiplicity.  :func:`_parts` expands a count
+    tuple into the sorted tuples the finishers read.
+
     With ``even=True`` a kept edge whose detaching root part has an odd
     number of noise edges is not a choice, so no state holds an off-root
     tree of odd noise count; the finisher never moves edges into the
     off-root trees, so the table is the full one less exactly those
     entries.  Its ``cache`` must hold only tables built the same way.
     """
-    states = {((), (), ()): 1}
-    for (et, sub), copies in groupby(tree.children):
-        choices = _branch_choices(et, _extract(sub, finish, cache, even), even)
-        group = _distribute(choices, len(list(copies)))
+    groups = [
+        (_branch_choices(et, _extract(sub, finish, cache, even), even), len(list(copies)))
+        for (et, sub), copies in groupby(tree.children)
+    ]
+    ranked = tuple(
+        tuple(sorted({x for choices, _ in groups for part, _ in choices for x in part[kind]}, key=key))
+        for kind, key in enumerate((_TREE_KEY, _ENTRY_KEYS.__getitem__, _branch_key))
+    )
+    rank = {x: i for i, x in enumerate(chain(*ranked))}
+    zero = (0,) * len(rank)
+    states = {zero: 1}
+    for choices, k in groups:
+        group = _distribute([(_counts(part, rank, zero), w) for part, w in choices], k, zero)
         nxt = {}
-        for (aoff, chosen, rem), m in states.items():
-            for (g_off, g_chosen, g_rem), w in group:
-                k = (
-                    _merge(aoff, g_off, _msort),
-                    _merge(chosen, g_chosen, _csort),
-                    _merge(rem, g_rem, _bsort),
-                )
-                nxt[k] = nxt.get(k, 0) + m * w
+        for counts, m in states.items():
+            for g_counts, w in group:
+                key = tuple(map(add, counts, g_counts))
+                nxt[key] = nxt.get(key, 0) + m * w
         states = nxt
-    return states
+    return ranked, states
+
+
+def _counts(part, rank, zero):
+    """The count tuple of a state given as sorted tuples of items."""
+    counts = list(zero)
+    for items in part:
+        for x in items:
+            counts[rank[x]] += 1
+    return tuple(counts)
+
+
+def _parts(counts, ranked):
+    """The state a count tuple stands for: per part of ``ranked``, the
+    sorted tuple of its items, each repeated by its count."""
+    counts = iter(counts)  # map stops at the end of each part's items
+    off, entries, branches = ranked
+    return (
+        tuple(chain.from_iterable(map(repeat, off, counts))),
+        tuple(chain.from_iterable(map(repeat, entries, counts))),
+        tuple(chain.from_iterable(map(repeat, branches, counts))),
+    )
 
 
 def _branch_choices(et, sub_ext, even):
@@ -187,45 +210,33 @@ def _branch_choices(et, sub_ext, even):
     return list(choices.items())
 
 
-def _distribute(choices, k):
-    """All ways of giving k copies of a branch one choice each, as
-    sorted state parts with multinomial weights."""
-    parts = [(k, (), (), (), 1)]  # copies left, off-root, chosen, remainder, weight
+def _distribute(choices, k, zero):
+    """All ways of giving k copies of a branch one choice each, as count
+    tuples with multinomial weights; ``choices`` holds each choice's count
+    tuple and weight, and ``zero`` counts no item."""
+    parts = [(k, zero, 1)]  # copies left, counts, weight
     last = len(choices) - 1
-    for i, ((c_off, c_chosen, c_rem), w) in enumerate(choices):
+    for i, (c_counts, w) in enumerate(choices):
+        times = [tuple(c * n for c in c_counts) for n in range(k + 1)]
         nxt = []
-        for left, off, chosen, rem, weight in parts:
+        for left, counts, weight in parts:
             for n in ((left,) if i == last else range(left + 1)):
                 nxt.append((
                     left - n,
-                    off + c_off * n,
-                    chosen + c_chosen * n,
-                    rem + c_rem * n,
+                    tuple(map(add, counts, times[n])) if n else counts,
                     weight * comb(left, n) * w**n,
                 ))
         parts = nxt
-    return [
-        ((_msort(off), _csort(chosen), _bsort(rem)), weight)
-        for _, off, chosen, rem, weight in parts
-    ]
+    return [(counts, weight) for _, counts, weight in parts]
 
 
-def _merge(a, b, sort):
-    """The sorted concatenation of two sorted tuples."""
-    if not a:
-        return b
-    if not b:
-        return a
-    return sort(a + b)
-
-
-def _stay(riders, rem):
+def _stay(riders, noisy):
     """The rider that repaired contraction keeps at the remainder's root,
     or None: the smallest in branch order of ``riders`` (the chosen
-    entries' riders, in entry order; of equal ones the first stays), if
-    ``rem`` (canonical order, so noise branches last) has no noise branch."""
-    if riders and not (rem and rem[-1][0].is_noise):
-        return min(riders, key=_branch_sort_key)
+    entries' riders, in entry order; of equal ones the first stays),
+    unless the remainder's root has a noise branch (``noisy``)."""
+    if riders and not noisy:
+        return min(riders, key=_branch_key)
     return None
 
 
@@ -233,20 +244,20 @@ def _finish_repaired(aoff, chosen, rem):
     """Repaired contraction of an :func:`_extract` state: the rider of
     :func:`_stay` fills the remainder's root up to one noise edge; the
     rest go back into the extracted component of the edge they rode in on."""
-    stay = _stay(tuple(r for entry in chosen for r in entry[2]), rem)
+    runs = [(entry, len(list(copies))) for entry, copies in groupby(chosen)]
+    # rem is in canonical order, so noise branches come last
+    stay = _stay(tuple(r for (_, _, riders), _ in runs for r in riders), rem and rem[-1][0].is_noise)
     kept = ()
-    grown = {}  # equal entries (adjacent in ``chosen``) grow one tree
     root_branches = []
-    for et, aroot, riders in chosen:
-        if stay in riders:  # the first entry that holds it
+    for (et, aroot, riders), n in runs:
+        if stay in riders:  # the first copy of the first entry that holds it
             j = riders.index(stay)
-            kept, riders, stay = (stay,), riders[:j] + riders[j + 1:], None
-        if riders:
-            key = (aroot, riders)
-            if key not in grown:
-                grown[key] = Tree(aroot.children + riders)
-            aroot = grown[key]
-        root_branches.append((et, aroot))
+            rest = riders[:j] + riders[j + 1:]
+            root_branches.append((et, Tree(aroot.children + rest) if rest else aroot))
+            kept, stay, n = (stay,), None, n - 1
+        if riders and n:
+            aroot = Tree(aroot.children + riders)
+        root_branches += [(et, aroot)] * n
     return aoff, Tree(root_branches), Tree(rem + kept)
 
 
@@ -337,32 +348,41 @@ _EVEN_CACHE = {}
 _SCREENED_CACHE = {}
 
 
-def _may_be_kept(state):
-    """Whether the root part that :func:`_finish_repaired` makes of an
-    :func:`_extract` state can lie in a kept left leg: it is the unit,
-    or it has an even noise count and fewer integration edges than noise
-    edges.  An integration edge has degree 1 and a noise edge a degree in
-    (-1, 0), so a tree with no fewer integration than noise edges has a
-    non-negative degree under every spec.  The counts are summed over
-    the chosen entries and their riders, less the rider of :func:`_stay`."""
-    _, chosen, rem = state
-    if not chosen:
-        return True
-    edges = noises = 0
-    riders = ()
-    for et, aroot, entry_riders in chosen:
-        edges += 1 + aroot.num_edges
-        noises += et.is_noise + aroot.num_noises
-        if entry_riders:
-            riders += entry_riders
-    for _, sub in riders:
-        edges += 1 + sub.num_edges
-        noises += 1 + sub.num_noises
-    stay = _stay(riders, rem)
-    if stay:
-        edges -= 1 + stay[1].num_edges
-        noises -= 1 + stay[1].num_noises
-    return not noises % 2 and edges < 2 * noises
+def _may_be_kept(ranked):
+    """The screen of the count tuples over ``ranked`` (see
+    :func:`_states`): a predicate telling whether the root part that
+    :func:`_finish_repaired` makes of a state can lie in a kept left
+    leg: it is the unit, or it has an even noise count and fewer
+    integration edges than noise edges.  An integration edge has degree
+    1 and a noise edge a degree in (-1, 0), so a tree with no fewer
+    integration than noise edges has a non-negative degree under every
+    spec.  The counts are summed over the chosen entries and their
+    riders, less the rider of :func:`_stay`, without building a tree."""
+    off, entries, branches = ranked
+    start = len(off)
+    stop = start + len(entries)
+    # noise branches come last in canonical order
+    first_noise = stop + sum(not et.is_noise for et, _ in branches)
+    edges_of = []
+    noises_of = []
+    for et, aroot, riders in entries:
+        edges_of.append(1 + aroot.num_edges + sum(1 + sub.num_edges for _, sub in riders))
+        noises_of.append(et.is_noise + aroot.num_noises + sum(1 + sub.num_noises for _, sub in riders))
+    with_riders = [(i, riders) for i, (_, _, riders) in enumerate(entries) if riders]
+
+    def may_be_kept(counts):
+        chosen = counts[start:stop]
+        if not any(chosen):
+            return True
+        edges = sum(map(mul, chosen, edges_of))
+        noises = sum(map(mul, chosen, noises_of))
+        stay = _stay([r for i, riders in with_riders if chosen[i] for r in riders], any(counts[first_noise:]))
+        if stay:
+            edges -= 1 + stay[1].num_edges
+            noises -= 1 + stay[1].num_noises
+        return not noises % 2 and edges < 2 * noises
+
+    return may_be_kept
 
 
 def delta_minus_ex_even(tree, spec):
@@ -392,9 +412,10 @@ def delta_minus_ex_even(tree, spec):
         raise DomainError(f"tree {tree!r} lies outside the symbol family")
     table = _SCREENED_CACHE.get(tree)
     if table is None:
-        states = _states(tree, _finish_repaired, _EVEN_CACHE, even=True).items()
+        ranked, states = _states(tree, _finish_repaired, _EVEN_CACHE, even=True)
+        may_be_kept = _may_be_kept(ranked)
         table = _SCREENED_CACHE[tree] = _finished(
-            ((state, m) for state, m in states if _may_be_kept(state)), _finish_repaired
+            ranked, ((c, m) for c, m in states.items() if may_be_kept(c)), _finish_repaired
         )
     return _record_size(_pair_sum(table.items(), lambda a: is_negative_forest(a, spec)))
 
@@ -479,7 +500,7 @@ def antipode_terms(tree, spec, even=False):
 
 
 def _antipode_tree(tree, spec):
-    key = (tree.key, spec)
+    key = (tree, spec)
     cached = _ANTIPODE_CACHE.get(key)
     if cached is not None:
         return cached

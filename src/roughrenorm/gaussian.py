@@ -190,7 +190,7 @@ def g_antipode(x, cov, spec):
     ``((a, r), c)`` of ``antipode_terms(tau, spec)``; the terms whose
     left leg holds a tree of odd noise count, where g∘A is 0, are never
     built (``antipode_terms(tau, spec, even=True)``).  Tree values are
-    cached by ``(tree.key, spec)`` as polynomials in the entries
+    cached by ``(tree, spec)`` as polynomials in the entries
     ``C[u][v]``, one cache for every covariance.  Returns the polynomial
     for a ``SymbolicCovariance``, its value (a Fraction) for a
     ``CovarianceSpec``.
@@ -207,7 +207,7 @@ def g_antipode(x, cov, spec):
 
 
 def _g_antipode_tree(tree, spec):
-    key = (tree.key, spec)
+    key = (tree, spec)
     value = _G_ANTIPODE_CACHE.get(key)
     if value is None:
         value = Poly()

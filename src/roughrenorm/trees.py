@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import groupby
+from operator import attrgetter
 
 from .errors import ParseError
 
@@ -29,21 +30,32 @@ from .errors import ParseError
 
 
 class EdgeType:
-    """Type tag of an edge: integration ("I") or noise ("Xi", index)."""
+    """Type tag of an edge: integration ("I") or noise ("Xi", index).
 
-    __slots__ = ("kind", "index", "_key", "_hash")
+    Edge types are interned (see :class:`Tree`): equal ones are one object.
+    """
 
-    def __init__(self, kind, index=0):
-        if kind not in ("I", "Xi"):
-            raise ValueError(f"unknown edge kind {kind!r}")
-        if kind == "Xi" and index < 1:
-            raise ValueError("noise indices are 1-based")
-        if kind == "I" and index != 0:
-            raise ValueError("integration edges carry no index")
-        self.kind = kind
-        self.index = index
-        self._key = (0, 0) if kind == "I" else (1, index)
-        self._hash = hash(self._key)
+    __slots__ = ("kind", "index", "_key")
+    _interned = {}
+
+    def __new__(cls, kind, index=0):
+        self = cls._interned.get((kind, index))
+        if self is None:
+            if kind not in ("I", "Xi"):
+                raise ValueError(f"unknown edge kind {kind!r}")
+            if kind == "Xi" and index < 1:
+                raise ValueError("noise indices are 1-based")
+            if kind == "I" and index != 0:
+                raise ValueError("integration edges carry no index")
+            self = object.__new__(cls)
+            self.kind = kind
+            self.index = index
+            self._key = (0, 0) if kind == "I" else (1, index)
+            self = cls._interned.setdefault((kind, index), self)
+        return self
+
+    def __reduce__(self):
+        return EdgeType, (self.kind, self.index)
 
     @property
     def is_noise(self):
@@ -51,12 +63,6 @@ class EdgeType:
 
     def sort_key(self):
         return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, EdgeType) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return "I" if self.kind == "I" else f"Xi_{self.index}"
@@ -78,39 +84,79 @@ def _branch_sort_key(branch):
     return (et.sort_key(), sub.key)
 
 
+class _KeyMemo(dict):
+    """Sort key of each item, computed by ``fn`` on its first lookup."""
+
+    __slots__ = ("_fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self._fn = fn
+
+    def __missing__(self, item):
+        key = self[item] = self._fn(item)
+        return key
+
+
+_BRANCH_KEYS = _KeyMemo(_branch_sort_key)
+_branch_key = _BRANCH_KEYS.__getitem__
+
+
+def _bsort(branches):
+    """``branches`` in canonical order."""
+    return tuple(sorted(branches, key=_branch_key))
+
+
 class Tree:
     """Immutable rooted tree with typed edges, kept in canonical order.
 
     ``children`` is a tuple of ``(EdgeType, Tree)`` pairs sorted by a
-    canonical key, so structural equality is plain equality of keys.
-    ``num_edges`` and ``num_noises`` count all edges and the noise edges.
+    canonical key (``key`` is the tree's, a nested tuple that orders
+    trees).  ``num_edges`` and ``num_noises`` count all edges and the
+    noise edges.
+
+    Trees are interned, as are :class:`EdgeType` and :class:`Forest`: the
+    constructor returns the one instance per canonical children tuple, so
+    equal trees are one object, and ``==`` and ``hash`` are identity's,
+    computed in C.  The class-level tables only grow; they hold one
+    instance per distinct symbol a process has built, and are not memo
+    tables (``clear_caches`` leaves them alone, since equality rests on
+    them).  ``dict.setdefault`` fills them, so threads that build one
+    symbol at once get one object.  Copies and pickles rebuild through
+    the constructor, so they return the same object.
     """
 
-    __slots__ = ("children", "key", "num_edges", "num_noises", "_hash")
+    __slots__ = ("children", "key", "num_edges", "num_noises", "_text")
+    _interned = {}
 
-    def __init__(self, children=()):
-        children = tuple(sorted(children, key=_branch_sort_key))
-        self.children = children
-        key = []
-        edges = noises = 0
-        for et, sub in children:
-            key.append((et.kind, et.index, sub.key))
-            edges += 1 + sub.num_edges
-            noises += et.is_noise + sub.num_noises
-        self.key = tuple(key)
-        self.num_edges = edges
-        self.num_noises = noises
-        self._hash = hash(self.key)
+    def __new__(cls, children=()):
+        children = tuple(children)
+        self = cls._interned.get(children)  # a hit is already canonical
+        if self is None:
+            children = _bsort(children)
+            self = cls._interned.get(children)
+        if self is None:
+            self = object.__new__(cls)
+            self.children = children
+            key = []
+            edges = noises = 0
+            for et, sub in children:
+                key.append((et.kind, et.index, sub.key))
+                edges += 1 + sub.num_edges
+                noises += et.is_noise + sub.num_noises
+            self.key = tuple(key)
+            self.num_edges = edges
+            self.num_noises = noises
+            self._text = None  # format_tree's text, once printed
+            self = cls._interned.setdefault(children, self)
+        return self
+
+    def __reduce__(self):
+        return Tree, (self.children,)
 
     @property
     def is_leaf(self):
         return not self.children
-
-    def __eq__(self, other):
-        return isinstance(other, Tree) and self.key == other.key
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Tree<{format_tree(self)}>"
@@ -132,26 +178,41 @@ def tree_product(*trees):
     return Tree(children)
 
 
+_TREE_KEY = attrgetter("key")
+
+
+def _msort(trees):
+    """``trees`` in canonical order."""
+    return tuple(sorted(trees, key=_TREE_KEY))
+
+
 class Forest:
-    """Commutative multiset of trees; single-node trees are dropped (unit)."""
+    """Commutative multiset of trees; single-node trees are dropped (unit).
 
-    __slots__ = ("trees", "key", "_hash")
+    Interned like :class:`Tree`, by its canonical tuple of trees."""
 
-    def __init__(self, trees=()):
-        ts = tuple(sorted((t for t in trees if t.children), key=lambda t: t.key))
-        self.trees = ts
-        self.key = tuple(t.key for t in ts)
-        self._hash = hash(self.key)
+    __slots__ = ("trees", "key")
+    _interned = {}
+
+    def __new__(cls, trees=()):
+        ts = tuple(t for t in trees if t.children)
+        self = cls._interned.get(ts)
+        if self is None:
+            ts = _msort(ts)
+            self = cls._interned.get(ts)
+        if self is None:
+            self = object.__new__(cls)
+            self.trees = ts
+            self.key = tuple(t.key for t in ts)
+            self = cls._interned.setdefault(ts, self)
+        return self
+
+    def __reduce__(self):
+        return Forest, (self.trees,)
 
     @property
     def is_empty(self):
         return not self.trees
-
-    def __eq__(self, other):
-        return isinstance(other, Forest) and self.key == other.key
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Forest<{format_forest(self)}>"
@@ -435,11 +496,13 @@ def format_atom(et, sub):
 
 
 def format_tree(tree):
-    """Canonical text of a single tree; equal root factors print as a power."""
-    if tree.is_leaf:
-        return _ATOM_UNIT
-    runs = ((format_atom(et, sub), len(list(run))) for (et, sub), run in groupby(tree.children))
-    return "*".join(atom if n == 1 else f"{atom}^{n}" for atom, n in runs)
+    """Canonical text of a single tree; equal root factors print as a power.
+    The text is kept on the tree, so each interned tree is printed once."""
+    text = tree._text
+    if text is None:
+        runs = ((format_atom(et, sub), len(list(run))) for (et, sub), run in groupby(tree.children))
+        text = tree._text = "*".join(atom if n == 1 else f"{atom}^{n}" for atom, n in runs) or _ATOM_UNIT
+    return text
 
 
 def format_forest(forest):

@@ -325,6 +325,10 @@ _C_EPS = ["simulate", "c-eps", "--H", "0.3", "--eps"]
         (_WZ, _SIM + "eps = 1/8\nmollifier = gauss\n"),
         (_WZ, _SIM.replace("N = 256", "N = 1099511627776") + "eps = 1/8\n"),  # 2^40 > MAX_GRID
         (_BOUNDS, _SIM + "eps = 1/8,1/16\npowers = 1,300\n"),  # 300 > MAX_TRUNCATION
+        (["symbolic", "check-bphz", "--d", "33", "--nmax", "2"], None),  # d above 32
+        (["symbolic", "check-bphz", "--d", "99999", "--nmax", "2"], None),
+        (["symbolic", "check-gamma", "--d", "0", "--nmax", "2"], None),
+        (["symbolic", "g-antipode", "Xi_1", "--d", "40"], None),
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv, text):

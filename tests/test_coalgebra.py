@@ -7,6 +7,7 @@ import pytest
 from roughrenorm.coalgebra import (
     _finish_repaired,
     _may_be_kept,
+    _parts,
     _states,
     delta_minus,
     delta_minus_ex,
@@ -200,12 +201,15 @@ def test_even_table_is_the_full_table_less_odd_left_legs(spec):
 def test_screen_reads_the_counts_of_the_finished_root_part(d, truncation):
     for tree in enumerate_basis(generic_spec(d, truncation)):
         for even in (False, True):
-            for state in _states(tree, _finish_repaired, {}, even):
+            ranked, states = _states(tree, _finish_repaired, {}, even)
+            may_be_kept = _may_be_kept(ranked)
+            for counts in states:
+                state = _parts(counts, ranked)
                 root = _finish_repaired(*state)[1]
                 kept = root.is_leaf or (
                     not root.num_noises % 2 and root.num_edges < 2 * root.num_noises
                 )
-                assert _may_be_kept(state) == kept, (tree, state)
+                assert may_be_kept(counts) == kept, (tree, state)
 
 
 def test_delta_plus_binomial():

@@ -34,6 +34,7 @@ from roughrenorm.poly import Poly
 from roughrenorm.structure import StructureSpec, enumerate_basis, generic_spec
 from roughrenorm.trees import (
     INTEGRATION,
+    LEAF,
     FormalSum,
     Forest,
     Tree,
@@ -420,6 +421,65 @@ def test_bphz_expansion_two_terms():
             forest_of(tree): 1,
             base: -n * Fraction(3, 7),
         }
+
+
+# ---------------------------------------------------------------------------
+# the structure group exactly: Chen's relation, and renormalisation that
+# commutes with transport
+
+
+def _transport(tree, spec, prefix="g"):
+    """``gamma_direct(tree, spec)`` with Poly coefficients and its
+    increments ``g[...]`` named ``prefix[...]``."""
+    out = {}
+    for t, c in gamma_direct(tree, spec):
+        if not isinstance(c, Poly):
+            c = Poly.const(c)
+        out[t] = Poly([(tuple(sorted(prefix + name[1:] for name in mono)), k) for mono, k in c])
+    return FormalSum(out)
+
+
+def _linear(tree_map, x):
+    """The linear extension of ``tree_map`` to the tree-keyed sum ``x``."""
+    out = FormalSum()
+    for t, c in x:
+        out += tree_map(t).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("d, truncation", [(1, 8), (2, 6), (3, 4)])
+def test_transport_obeys_chens_relation_on_the_basis(d, truncation):
+    # Gamma_tu Gamma_us = Gamma_ts, with the increments of s -> t the sums
+    # of those of s -> u and u -> t
+    spec = generic_spec(d, truncation)
+    for tree in enumerate_basis(spec):
+        twice = _linear(lambda t: _transport(t, spec, "g_tu"), _transport(tree, spec, "g_us"))
+        once = FormalSum()
+        for t, c in _transport(tree, spec):
+            increments = {n: Poly.var("g_us" + n[1:]) + Poly.var("g_tu" + n[1:]) for m, _ in c for n in m}
+            once += FormalSum.lift(t, Poly() + c.substitute(increments))
+        assert twice == once, tree
+
+
+@pytest.mark.parametrize("d, truncation", [(1, 6), (2, 5), (2, 6)])
+def test_renormalisation_commutes_with_transport_on_the_basis(d, truncation):
+    # M Gamma = Gamma M for M = bphz_expansion: the counterterms do not
+    # move under transport, so Pi M is a model whenever Pi is
+    spec = generic_spec(d, truncation)
+    cov = SymbolicCovariance(d)
+
+    def renormalised(tree):
+        return FormalSum(
+            [(r.trees[0] if r.trees else LEAF, c) for r, c in bphz_expansion(tree, cov, spec)]
+        )
+
+    def transported(tree):
+        return _transport(tree, spec)
+
+    for tree in enumerate_basis(spec):
+        assert _linear(renormalised, transported(tree)) == _linear(
+            transported, renormalised(tree)
+        ), tree
 
 
 @st.composite

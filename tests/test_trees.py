@@ -1,24 +1,34 @@
 """Tree/forest algebra, extraction-contraction enumeration, parser."""
 
+import copy
+import pickle
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_extraction
 import reference_symbols
+from roughrenorm import clear_caches
 from roughrenorm.coalgebra import (
     _bsort,
     _entry_key,
     _extract,
     _finish_plain,
     _finish_repaired,
+    _finished,
+    _may_be_kept,
     _msort,
+    _states,
     delta_minus,
 )
 from roughrenorm.errors import ParseError
 from roughrenorm.structure import enumerate_basis, generic_spec
 from roughrenorm.trees import (
     EMPTY_FOREST,
+    EdgeType,
     FormalSum,
     Forest,
     INTEGRATION,
@@ -226,11 +236,99 @@ def test_grouped_extraction_equals_reference_on_depth_3_trees(tree):
     assert _extract(tree, _finish_plain, {}) == _reference_extract(tree, _finish_plain, {})
 
 
+def _run_length_tables(tree):
+    """The tables of the run-length DP: plain and repaired, full and even,
+    and the screened table that g∘A reads."""
+    tables = [
+        _extract(tree, finish, {}, even)
+        for finish in (_finish_plain, _finish_repaired)
+        for even in (False, True)
+    ]
+    ranked, states = _states(tree, _finish_repaired, {}, True)
+    may_be_kept = _may_be_kept(ranked)
+    kept = ((counts, m) for counts, m in states.items() if may_be_kept(counts))
+    return tables + [_finished(ranked, kept, _finish_repaired)]
+
+
+def _reference_tables(tree):
+    tables = [
+        reference_extraction.extract(tree, finish, {}, even)
+        for finish in (_finish_plain, _finish_repaired)
+        for even in (False, True)
+    ]
+    return tables + [reference_extraction.screened(tree, _finish_repaired, {})]
+
+
+def test_run_length_tables_equal_the_sorted_tuple_dp_on_basis():
+    for spec in (generic_spec(2, 8), generic_spec(3, 4)):
+        for tree in enumerate_basis(spec):
+            assert _run_length_tables(tree) == _reference_tables(tree), tree
+
+
+@given(bounded_trees())
+@settings(max_examples=30, deadline=None)
+def test_run_length_tables_equal_the_sorted_tuple_dp_on_depth_3_trees(tree):
+    assert _run_length_tables(tree) == _reference_tables(tree)
+
+
 @given(bounded_trees())
 @settings(max_examples=200, deadline=None)
 def test_format_tree_equals_reference_printer(tree):
     # depth-3 trees lie outside the symbol family: their debug form too
     assert format_tree(tree) == reference_symbols.format_tree(tree)
+
+
+# ---------------------------------------------------------------------------
+# interning
+
+
+def test_copies_and_pickles_are_the_interned_object():
+    symbol = tree_product(XI1, IXI2, IXI2, I_BARE)
+    forest = Forest((symbol, IXI1))
+    for x in (symbol, forest, noise(2), INTEGRATION, LEAF, EMPTY_FOREST):
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+    # a copy that rebuilt through an empty constructor would refill the unit
+    assert Tree() is LEAF and Forest() is EMPTY_FOREST
+    assert LEAF.children == () and LEAF.key == () and LEAF.num_edges == LEAF.num_noises == 0
+    assert EMPTY_FOREST.trees == ()
+    assert EdgeType("Xi", 2) is noise(2) and EdgeType("I") is INTEGRATION
+
+
+def test_symbols_stay_interned_across_clear_caches():
+    before = parse_symbol("Xi_2*I(Xi_1)^4*I")
+    clear_caches()
+    after = parse_symbol("Xi_2*I(Xi_1)^4*I")
+    ((f_before, _),) = before
+    ((f_after, _),) = after
+    assert f_after is f_before and f_after.trees[0] is f_before.trees[0]
+
+
+def test_a_symbol_built_by_8_threads_at_once_is_one_object():
+    # a shape no other test builds, so that every thread misses the table
+    children = [(noise(3), LEAF)] + [(INTEGRATION, branch(noise(2), branch(INTEGRATION)))] * 23
+    barrier = threading.Barrier(8, timeout=30)
+    built = []
+
+    def build():
+        barrier.wait()
+        built.append(Tree(children[::-1]))
+
+    threads = [threading.Thread(target=build) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the constructor
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(built) == 8
+    assert all(tree is built[0] for tree in built)
+    assert built[0] is Tree(children)
 
 
 # ---------------------------------------------------------------------------
