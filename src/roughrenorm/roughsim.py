@@ -773,9 +773,15 @@ def model_bound_probe(config):
     per symbol, joint log-log regression exponents in lambda and eps,
     ``c_eps`` with its quadrature error per eps, and the seconds per phase
     (``timings``, summed over paths).  The paths go in chunks, as in
-    :func:`wz_experiment`.  The fit needs at least two values
-    of each of eps and lambda, and every lambda must lie in [dt, T/2);
-    otherwise ConfigError.
+    :func:`wz_experiment`.
+
+    The pairings read the grid points within ``steps(max lambda)`` of T/2,
+    so only the window within ``steps(max lambda) + steps(max eps)`` of T/2
+    is smoothed (``steps(x)`` the whole grid steps in x): the extra
+    ``steps(max eps)`` points on each side keep every entry read clear of the
+    FFT's zero padding.  The fit needs at least two values of each of eps and
+    lambda, every lambda must lie in [dt, T/2), and the window must end on the
+    grid, ``steps(max lambda) + steps(max eps) <= N/2``; otherwise ConfigError.
     """
     dt = config.dt
     n_grid = config.n_grid
@@ -786,29 +792,38 @@ def model_bound_probe(config):
     if not all(1 <= half < n_grid // 2 for half in halves.values()):
         raise ConfigError(f"lambda values must lie in [dt, T/2) = [{dt:g}, {config.T / 2:g})")
     m_max = max(_steps(e, dt) for e in eps_list)
+    reach = max(halves.values()) + m_max
+    if reach > n_grid // 2:
+        raise ConfigError(
+            f"lambda={max(lambdas):g} plus eps={max(eps_list):g} must be at most "
+            f"T/2 = {config.T / 2:g} in whole grid steps of dt={dt:g}"
+        )
     pad = int(round(2 * config.T / dt)) + m_max + 2
     n_ext = n_grid + pad
     s_idx = pad + n_grid // 2
-    ladder = _ladder(config, config.powers, n_ext + 1)
+    lo, hi = s_idx - reach, s_idx + reach + 1  # the window; T/2 is its point reach
+    ladder = _ladder(config, config.powers, hi - lo)
     hat_smooth = _hat_smoother(n_ext, config.kernel, dt)
     names = {k: f"Xi*I(Xihat)^{k}" if k > 1 else "Xi*I(Xihat)" for k in config.powers}
     taus = ["Xi", "I(Xihat)", *names.values()]
     chunks = _path_chunks(config.n_paths, n_ext + 1)
-    centre = slice(s_idx, s_idx + 1)
-    # per lambda: its window of grid points (a slice: a fancy index would give
+    # per lambda: its points of the window (a slice: a fancy index would give
     # an F-ordered array, whose row sums round differently) and test function
     windows = {
-        lam: (slice(s_idx - h, s_idx + h + 1), _rho_eps(np.arange(-h, h + 1) * dt, lam))
+        lam: (slice(reach - h, reach + h + 1), _rho_eps(np.arange(-h, h + 1) * dt, lam))
         for lam, h in halves.items()
     }
+    centre = slice(reach, reach + 1)
 
     def one_chunk(i):
         seconds = {}
         with _timed(seconds, "paths"):
             inc = _increments(chunks[i], n_ext, dt, config.seed)
-            hat = _causal(hat_smooth, inc)  # stationary_hat_process
             w_ext = np.concatenate((np.zeros((len(inc), 1)), np.cumsum(inc, axis=-1)), axis=-1)
-            per_eps = dict(zip(eps_list, zip(ladder.smooth_dw(w_ext), ladder.smooth_w(hat))))
+            hat = _causal(hat_smooth, inc)[:, lo:hi]  # stationary_hat_process on the window
+            inc = inc[:, lo:hi]
+            smoothed = zip(ladder.smooth_dw(w_ext[:, lo:hi]), ladder.smooth_w(hat))
+            per_eps = dict(zip(eps_list, smoothed))
         with _timed(seconds, "route"):
             vals = {}
             for lam, (ks, phi) in windows.items():

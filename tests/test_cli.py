@@ -329,6 +329,9 @@ _C_EPS = ["simulate", "c-eps", "--H", "0.3", "--eps"]
         (["symbolic", "check-bphz", "--d", "99999", "--nmax", "2"], None),
         (["symbolic", "check-gamma", "--d", "0", "--nmax", "2"], None),
         (["symbolic", "g-antipode", "Xi_1", "--d", "40"], None),
+        # steps(lambda) + steps(eps) above N/2: 115 + 32 and 97 + 32 > 128
+        (_BOUNDS, _SIM + "eps = 1/8,1/16\nlambda = 0.45,1/4\n"),
+        (_BOUNDS, _SIM + "eps = 1/8,1/16\nlambda = 97/256,1/4\n"),
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv, text):

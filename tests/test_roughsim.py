@@ -600,6 +600,65 @@ def test_model_bound_probe_threaded_matches_serial():
     assert serial["fits"] == threaded["fits"]
 
 
+def _full_length_pairings(config):
+    """The pairings of path 0 of ``model_bound_probe(config)``, keyed by
+    ``(tau, lambda, eps)``, rebuilt from the public full-length functions:
+    the increments, the stationary hat process and ``mollify`` of the whole
+    extended signal, on the probe's grid (2T of history, then the N steps)."""
+    dt, n = config.dt, config.n_grid
+    m_max = max(mollification_weights(dt, e)[2] for e in config.eps_list)
+    pad = round(2 * config.T / dt) + m_max + 2
+    s = pad + n // 2  # T/2
+    inc = brownian_increments(n + pad, dt, config.seed, 0)
+    hat = stationary_hat_process(inc, config.kernel, dt)
+    w = np.concatenate(([0.0], np.cumsum(inc)))
+    out = {}
+    for e in config.eps_list:
+        w_dot, hat_sm = mollify(w, dt, e)[1], mollify(hat, dt, e)[0]
+        terms = renormalised_terms(c_eps(e, config.kernel)[0], config.spec, config.powers)
+        for lam in config.lambdas:
+            h = roughsim._steps(lam, dt)
+            ks = slice(s - h, s + h + 1)
+            phi = roughsim._rho_eps(np.arange(-h, h + 1) * dt, lam)
+            dw, dhat, dhat_sm = inc[ks], hat[ks] - hat[s], hat_sm[ks] - hat_sm[s]
+            out["Xi", lam, e] = np.sum(phi * (w_dot[ks] * dt - dw))
+            out["I(Xihat)", lam, e] = np.sum(phi * (dhat_sm - dhat)) * dt
+            for k in config.powers:
+                smooth = sum(c * w_dot[ks] ** xi * dhat_sm**j for (xi, j), c in terms[k].items())
+                name = f"Xi*I(Xihat)^{k}" if k > 1 else "Xi*I(Xihat)"
+                out[name, lam, e] = np.sum(phi * (smooth * dt - dhat**k * dw))
+    return out
+
+
+@pytest.mark.parametrize(
+    "widths",
+    [
+        {},
+        # 64 + 64 steps = N/2: the smoothed window ends at the grid's end
+        {"eps_list": (0.25, 0.125), "lambdas": (0.25, 0.125)},
+        # widths off the grid: the outermost mollifier weights and test-function
+        # values are not 0, so a window one point too short changes the pairings
+        {"eps_list": (0.05, 0.03), "lambdas": (0.03, 0.02)},
+    ],
+)
+def test_windowed_probe_equals_full_length_smoothing(widths):
+    config = SimConfig(**{**_PROBE, "n_paths": 1, **widths})
+    want = _full_length_pairings(config)
+    rows = model_bound_probe(config)["rows"]
+    assert len(rows) == len(want)
+    for row in rows:
+        expected = abs(want[row["tau"], row["lambda"], row["eps"]])
+        assert row["rms_pairing"] == pytest.approx(expected, rel=1e-12, abs=0), row
+
+
+# N = 256: 0.45 is 115 steps and 97/256 is 97, each with 32 for eps = 1/8 above N/2 = 128
+@pytest.mark.parametrize("lam", [0.45, 97 / 256])
+def test_window_past_the_grid_end_is_a_config_error(lam):
+    probe = SimConfig(**{**_PROBE, "lambdas": (lam, 0.125)})
+    with pytest.raises(ConfigError, match=r"lambda=.* plus eps=0.125 must be at most T/2 = 0.5"):
+        model_bound_probe(probe)
+
+
 def _run_in_chunks(monkeypatch, experiment, config, paths):
     """``experiment(config)`` with the byte budget set to give chunks of
     ``paths`` paths, and the chunk sizes it used."""
