@@ -73,7 +73,6 @@ def _memo_tables():
         "coalgebra._ENTRY_KEYS": _coalgebra._ENTRY_KEYS,
         "coalgebra._REPAIRED_CACHE": _coalgebra._REPAIRED_CACHE,
         "coalgebra._EVEN_CACHE": _coalgebra._EVEN_CACHE,
-        "coalgebra._SCREENED_CACHE": _coalgebra._SCREENED_CACHE,
         "coalgebra._ANTIPODE_CACHE": _coalgebra._ANTIPODE_CACHE,
         "gaussian._G_ANTIPODE_CACHE": _gaussian._G_ANTIPODE_CACHE,
         "gaussian._SYMBOLIC._moment_cache": _gaussian.SymbolicCovariance._moment_cache,
@@ -86,14 +85,13 @@ def cache_info():
     """Entry count of each of the package's process-wide memo tables.
 
     The tables hold the plain and repaired extraction tables, the
-    repaired ones pruned for g∘A and, apart from them, the screened
-    top-level tables g∘A reads (one entry per tree; see
-    ``coalgebra.delta_minus_ex_even``), the sort keys of the extraction
-    DP's chosen entries and of the trees' branches (one per distinct
-    entry or branch), the twisted antipode and g∘A values (per tree and
-    spec), the symbolic Gaussian moments (per monomial) and the degrees
-    (per spec and tree).  None is bounded: each grows with the distinct
-    trees a process sees.  A ``CovarianceSpec`` keeps its own moment
+    repaired ones pruned for g∘A, the sort keys of the extraction DP's
+    chosen entries and of the trees' branches (one per distinct entry or
+    branch), the twisted antipodes and the renormalised expansions that
+    g∘A and ``model.bphz_expansion`` read (``gaussian._G_ANTIPODE_CACHE``;
+    both per tree and spec), the symbolic Gaussian moments (per monomial)
+    and the degrees (per spec and tree).  None is bounded: each grows
+    with the distinct trees a process sees.  A ``CovarianceSpec`` keeps its own moment
     cache, which lives and dies with that object.
 
     The intern tables of ``EdgeType``, ``Tree`` and ``Forest`` (class

@@ -28,7 +28,7 @@ from .config import rational
 from .errors import ConfigError, DomainError, ParseError
 from .gaussian import CovarianceSpec, SymbolicCovariance, g_antipode
 from .model import check_bphz_plain, check_gamma_bphz
-from .structure import StructureSpec, generic_spec
+from .structure import MAX_TRUNCATION, StructureSpec, generic_spec
 from .trees import LEAF, FormalSum, format_forest, format_symbol, format_tree, parse_symbol
 from .roughsim import (
     KernelSpec,
@@ -109,6 +109,8 @@ def _cmd_g_antipode(args):
 
 
 def _cmd_check(args):
+    if args.nmax > MAX_TRUNCATION:
+        raise ConfigError(f"--nmax {args.nmax} is above the cap of {MAX_TRUNCATION}")
     report = args.check(generic_spec(args.d, args.nmax), args.nmax, SymbolicCovariance(args.d))
     print(json.dumps(report, indent=2, default=str))
     return 0 if report["status"] == "pass" else 1

@@ -53,7 +53,6 @@ from .trees import (
     _KeyMemo,
     _TREE_KEY,
     _branch_key,
-    _bsort,  # unused here; the extraction tests sort remainder branches with it
     _msort,
     as_formal_sum,
     branch,
@@ -318,8 +317,8 @@ _TABLE_SIZES = ContextVar("coproduct_table_sizes", default=None)
 
 @contextmanager
 def coproduct_sizes():
-    """Collect the number of terms of every ``delta_minus_ex`` or
-    ``delta_minus_ex_even`` table built inside the block, in a list, for
+    """Collect the sizes of the ``delta_minus_ex`` tables built and of the
+    renormalised expansions' tables read inside the block, in a list, for
     reports; the context variable keeps threads and nested blocks apart."""
     sizes = []
     token = _TABLE_SIZES.set(sizes)
@@ -329,23 +328,21 @@ def coproduct_sizes():
         _TABLE_SIZES.reset(token)
 
 
-def _record_size(table):
+def _record_size(terms):
     sizes = _TABLE_SIZES.get()
     if sizes is not None:
-        sizes.append(len(table))
-    return table
+        sizes.append(terms)
 
 
 def delta_minus_ex(x, spec):
     """Repaired coproduct with the left leg projected onto negative-degree
     forests."""
-    return _record_size(FormalSum(
-        [((a, r), c) for (a, r), c in delta_minus(x) if is_negative_forest(a, spec)]
-    ))
+    table = FormalSum([((a, r), c) for (a, r), c in delta_minus(x) if is_negative_forest(a, spec)])
+    _record_size(len(table))
+    return table
 
 
 _EVEN_CACHE = {}
-_SCREENED_CACHE = {}
 
 
 def _may_be_kept(ranked):
@@ -405,19 +402,16 @@ def delta_minus_ex_even(tree, spec):
     with fewer integration than noise edges) are finished; the others
     give an odd or a non-negative root tree, so no kept term.  Subtree
     tables stay unscreened, since a subtree's root part grows inside its
-    parent; the screened table of each tree is spec-free and cached
-    apart, in ``_SCREENED_CACHE``.
+    parent.  The screened table itself is not cached: its one reader,
+    ``gaussian.renormalised_expansion``, caches what it builds from it.
     """
     if not in_symbol_family(tree):
         raise DomainError(f"tree {tree!r} lies outside the symbol family")
-    table = _SCREENED_CACHE.get(tree)
-    if table is None:
-        ranked, states = _states(tree, _finish_repaired, _EVEN_CACHE, even=True)
-        may_be_kept = _may_be_kept(ranked)
-        table = _SCREENED_CACHE[tree] = _finished(
-            ranked, ((c, m) for c, m in states.items() if may_be_kept(c)), _finish_repaired
-        )
-    return _record_size(_pair_sum(table.items(), lambda a: is_negative_forest(a, spec)))
+    ranked, states = _states(tree, _finish_repaired, _EVEN_CACHE, even=True)
+    may_be_kept = _may_be_kept(ranked)
+    kept = ((c, m) for c, m in states.items() if may_be_kept(c))
+    table = _finished(ranked, kept, _finish_repaired)
+    return _pair_sum(table.items(), lambda a: is_negative_forest(a, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -484,19 +478,13 @@ def twisted_antipode(x, spec):
     return out
 
 
-def antipode_terms(tree, spec, even=False):
-    """The terms ``((a, r), c)`` of ``delta_minus_ex(tree) - tree (x) 1``
-    over which the antipode recursion runs; defined on negative-degree
-    trees only.  With ``even=True``, only those of
-    :func:`delta_minus_ex_even`, the ones the BPHZ character can see."""
+def require_negative(tree, spec):
+    """A DomainError unless ``tree`` has negative degree, the antipode's domain."""
     if spec.degree_tree(tree) >= 0:
         raise DomainError(
             f"antipode is defined on negative-degree trees; {tree!r} has degree "
             f"{spec.degree_tree(tree)}"
         )
-    full = forest_of(tree)
-    table = delta_minus_ex_even(tree, spec) if even else delta_minus_ex(tree, spec)
-    return [((a, r), c) for (a, r), c in table if a != full]
 
 
 def _antipode_tree(tree, spec):
@@ -504,9 +492,12 @@ def _antipode_tree(tree, spec):
     cached = _ANTIPODE_CACHE.get(key)
     if cached is not None:
         return cached
+    require_negative(tree, spec)
+    full = forest_of(tree)
     acc = FormalSum()
-    for (a, r), c in antipode_terms(tree, spec):
-        acc += mul_forests(twisted_antipode(a, spec), FormalSum.lift(r)).scale(c)
+    for (a, r), c in delta_minus_ex(tree, spec):
+        if a != full:
+            acc += mul_forests(twisted_antipode(a, spec), FormalSum.lift(r)).scale(c)
     result = -acc
     _ANTIPODE_CACHE[key] = result
     return result

@@ -7,10 +7,10 @@ root noise edge) and ``X_j`` (the channel-j path value at the origin,
 from an integrated noise branch ``I(Xi_j)``).  A bare integration branch
 evaluates to the origin itself and annihilates the monomial.
 
-The BPHZ character g∘A runs the antipode recursion on its values tree by
-tree (both maps are multiplicative over forests), never expanding an
-antipode; each tree's value is cached as a polynomial in the covariance
-entries ``C[u][v]`` and evaluated against a covariance by substitution.
+One recursion, :func:`renormalised_expansion`, gives the renormalised
+expansion of a tree and, as its unit coefficient, the BPHZ character g∘A,
+never expanding an antipode; it is cached with polynomial coefficients in
+the entries ``C[u][v]`` and evaluated against a covariance by substitution.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import numpy as np
 from .config import rational, read_config
 from .errors import ConfigError, DomainError
 from .poly import Poly
-from .trees import Forest, Tree, as_formal_sum, forest_of, in_symbol_family
-from .coalgebra import antipode_terms
+from .trees import EMPTY_FOREST, FormalSum, Forest, Tree, as_formal_sum, forest_of, in_symbol_family
+from .coalgebra import _record_size, delta_minus_ex_even, require_negative
 
 # A variable is ("D", i) or ("X", j) with a 1-based channel index.
 _ENTRY = re.compile(r"([DX])([0-9]+),([DX])([0-9]+)")  # covariance key, e.g. D1,X2
@@ -182,42 +182,57 @@ def g_minus(x, cov):
 _G_ANTIPODE_CACHE = {}
 
 
-def g_antipode(x, cov, spec):
-    """The BPHZ character g∘A: the Gaussian character g composed with the
-    twisted negative antipode A, linear and multiplicative over forests.
-
-    On a tree, g∘A(tau) = -sum c * g∘A(a) * g(r) over the terms
-    ``((a, r), c)`` of ``antipode_terms(tau, spec)``; the terms whose
-    left leg holds a tree of odd noise count, where g∘A is 0, are never
-    built (``antipode_terms(tau, spec, even=True)``).  Tree values are
-    cached by ``(tree, spec)`` as polynomials in the entries
-    ``C[u][v]``, one cache for every covariance.  Returns the polynomial
-    for a ``SymbolicCovariance``, its value (a Fraction) for a
-    ``CovarianceSpec``.
+def renormalised_expansion(tree, spec):
+    """The renormalised expansion M(tree), keyed by remainder forests, with
+    polynomial coefficients in the entries ``C[u][v]``: M(tau) = sum c *
+    g∘A(a) * r over the terms ``((a, r), c)`` of ``delta_minus_ex_even(tau,
+    spec)``, g∘A of a left-leg tree being the unit coefficient of its own
+    expansion.  The own term ``tau (x) 1`` of a tree with edges is not
+    recursed: the BPHZ condition g(M(tau)) = 0 fixes g∘A(tau) = -sum
+    coeff_r * g(r) over the other terms.  Odd and non-negative trees have
+    no own term.  Cached by ``(tree, spec)``; every read, cached or not,
+    records the table's size (``coalgebra.coproduct_sizes``).
     """
-    value = Poly()
-    for f, c in as_formal_sum(x):
-        term = Poly.const(c)
-        for t in f.trees:
-            term = term * _g_antipode_tree(t, spec)
-        value = value + term
+    key = (tree, spec)
+    hit = _G_ANTIPODE_CACHE.get(key)
+    if hit is None:
+        table = delta_minus_ex_even(tree, spec)
+        own = (forest_of(tree), EMPTY_FOREST) if tree.children else None
+        expansion = FormalSum()
+        for (a, r), c in table:
+            if (a, r) != own:
+                expansion += FormalSum.lift(r, c * _g_antipode_forest(a, spec))
+        if own in table.terms:
+            expansion += FormalSum.lift(EMPTY_FOREST, -g_minus(expansion, _SYMBOLIC))
+        hit = _G_ANTIPODE_CACHE[key] = (expansion, len(table))
+    _record_size(hit[1])
+    return hit[0]
+
+
+def _g_antipode_forest(forest, spec):
+    """g∘A of a forest, a polynomial: its trees' unit coefficients multiplied."""
+    value = Poly.const(1)
+    for t in forest.trees:
+        require_negative(t, spec)
+        value = value * renormalised_expansion(t, spec).terms.get(EMPTY_FOREST, Poly())
+    return value
+
+
+def at_covariance(value, cov):
+    """A polynomial in the entries ``C[u][v]`` at ``cov``: itself for a
+    ``SymbolicCovariance``, its value (a Fraction) for a ``CovarianceSpec``."""
     if isinstance(cov, SymbolicCovariance):
         return value
     return Fraction(value.substitute(defaultdict(Fraction, cov._entries)))
 
 
-def _g_antipode_tree(tree, spec):
-    key = (tree, spec)
-    value = _G_ANTIPODE_CACHE.get(key)
-    if value is None:
-        value = Poly()
-        for (a, r), c in antipode_terms(tree, spec, even=True):
-            term = -c * g_minus(r, _SYMBOLIC)
-            for t in a.trees:
-                term = term * _g_antipode_tree(t, spec)
-            value = value + term
-        _G_ANTIPODE_CACHE[key] = value
-    return value
+def g_antipode(x, cov, spec):
+    """The BPHZ character g∘A: the Gaussian character g composed with the
+    twisted negative antipode A, linear and multiplicative over forests;
+    on a negative-degree tree, the unit coefficient of its
+    :func:`renormalised_expansion`.  Returns it :func:`at_covariance`."""
+    value = sum((c * _g_antipode_forest(f, spec) for f, c in as_formal_sum(x)), Poly())
+    return at_covariance(value, cov)
 
 
 def mc_moment_oracle(monomial, cov, n_samples, seed):

@@ -20,9 +20,9 @@ from itertools import groupby, product
 
 import numpy as np
 
-from .coalgebra import coproduct_sizes, delta_minus_ex, delta_minus_ex_even, delta_plus_ex
+from .coalgebra import coproduct_sizes, delta_minus_ex, delta_plus_ex
 from .errors import DomainError
-from .gaussian import g_antipode, g_minus
+from .gaussian import at_covariance, g_antipode, g_minus, renormalised_expansion
 from .poly import Poly
 from .trees import (
     FormalSum,
@@ -275,15 +275,9 @@ def eval_gamma(t_idx, s_idx, path):
 def bphz_expansion(tree, cov, spec):
     """Exact expansion of the renormalized evaluation of ``tree``:
     a forest-keyed FormalSum whose keys are the remainder legs and whose
-    coefficients multiply their recentred evaluations.  Only the terms of
-    ``delta_minus_ex`` on which g∘A can be non-zero are built
-    (:func:`~roughrenorm.coalgebra.delta_minus_ex_even`)."""
-    out = FormalSum()
-    for (a, r), c in delta_minus_ex_even(tree, spec):
-        coeff = c * g_antipode(a, cov, spec)
-        if coeff:
-            out += FormalSum.lift(r, coeff)
-    return out
+    coefficients multiply their recentred evaluations: the cached
+    :func:`~roughrenorm.gaussian.renormalised_expansion` at ``cov``."""
+    return FormalSum([(r, at_covariance(c, cov)) for r, c in renormalised_expansion(tree, spec)])
 
 
 def eval_pi_bphz(tree, s_idx, path, cov, spec):
@@ -307,8 +301,8 @@ def check_bphz_plain(spec, nmax, cov):
     and the pure integrated powers must be untouched.  Returns a report
     dict with status "pass"/"fail", the run time ``elapsed_s`` and
     ``max_coproduct_terms``, the number of terms of the largest
-    extraction table built: here every table is a pruned one, from
-    :func:`~roughrenorm.coalgebra.delta_minus_ex_even`.
+    extraction table the check reads, cached or not: here every table is
+    a pruned one, from :func:`~roughrenorm.coalgebra.delta_minus_ex_even`.
     """
     start = time.perf_counter()
     with coproduct_sizes() as sizes:

@@ -33,7 +33,7 @@ from . import model
 from .config import ints, read_config, real, reals
 from .errors import ConfigError, DomainError
 from .gaussian import CovarianceSpec
-from .structure import rough_vol_spec
+from .structure import MAX_TRUNCATION, rough_vol_spec
 from .trees import INTEGRATION, branch, noise, tree_product
 
 
@@ -303,6 +303,7 @@ def c_eps(eps, kernel):
     """
     if not 0.0 < eps < math.inf:
         raise ConfigError("eps must be positive and finite")
+    _normal_width(eps)
     H = kernel.H
     norm = _bump_norm()
 
@@ -342,6 +343,7 @@ def c_eps_timedep(t, eps, H):
     KernelSpec(H)  # H is checked before eps and t
     if not (0.0 < eps < math.inf and 0.0 < t < math.inf):
         raise ConfigError("eps and t must be positive and finite")
+    _normal_width(eps)
     if t >= eps:
         return c_eps(eps, KernelSpec(H, sys.float_info.max))[0]
     c = math.sqrt(2.0 * H) / (H + 0.5)
@@ -366,6 +368,14 @@ def c_eps_timedep(t, eps, H):
         except ZeroDivisionError:  # eps * eps underflowed to 0
             val = math.nan
     return _finite(val, eps, caught)
+
+
+def _normal_width(eps):
+    """A DomainError if 1/eps^2, the mollifier's scale, is not a normal
+    double (eps above 2^511, about 6.7e153): the quadratures then lose
+    precision (1.7e-4 relative at eps = 1e160) and read 0 by eps = 1e200."""
+    if eps * eps > 1.0 / sys.float_info.min:
+        raise DomainError(f"c_eps at eps={eps:g}: 1/eps^2 is not a normal double")
 
 
 def _finite(value, eps, caught):
@@ -417,7 +427,6 @@ class TestFunction:
 # configuration
 
 
-MAX_TRUNCATION = 64  # orders 0-64 expand in about 7 s, the power 64 alone in 0.4 s
 MAX_GRID = 2**20  # a one-path wong-zakai run at this N takes about 2 s and 0.3 GB
 
 

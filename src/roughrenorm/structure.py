@@ -28,6 +28,9 @@ _DEGREE_CACHE = {}  # (spec, tree) -> exact degree
 # a symbolic check makes d^2 cases over a covariance of (2d)^2 entries: at
 # d = 32, nmax = 4, check-bphz takes about 3 s and check-gamma about 7 s
 _MAX_CHANNELS = 32
+# the simulations' truncation cap, and the cap of check-bphz's and
+# check-gamma's --nmax; the README gives the commands' cost at the cap
+MAX_TRUNCATION = 64
 
 
 @dataclass(frozen=True)

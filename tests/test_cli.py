@@ -8,6 +8,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy
@@ -134,6 +135,23 @@ def test_check_bphz_same_after_clear_caches(capsys):
     assert main(["symbolic", "check-bphz", "--nmax", "6"]) == 0
     capsys.readouterr()
     assert cache_info() == filled
+
+
+@pytest.mark.parametrize(
+    "command, other", [("check-gamma", "check-bphz"), ("check-bphz", "check-gamma")]
+)
+def test_check_report_same_from_warm_and_cold_caches(capsys, command, other):
+    # a table's size is recorded on every read, so a cache hit counts as a build
+    def report(name):
+        assert main(["symbolic", name, "--nmax", "6"]) == 0
+        return _without_elapsed(capsys.readouterr().out)
+
+    clear_caches()
+    cold = report(command)
+    assert report(command) == cold
+    clear_caches()
+    report(other)
+    assert report(command) == cold
 
 
 _CONSTANT_TABLES = {"roughsim._SIM_KEYS"}  # config key types, not memo tables
@@ -332,6 +350,10 @@ _C_EPS = ["simulate", "c-eps", "--H", "0.3", "--eps"]
         # steps(lambda) + steps(eps) above N/2: 115 + 32 and 97 + 32 > 128
         (_BOUNDS, _SIM + "eps = 1/8,1/16\nlambda = 0.45,1/4\n"),
         (_BOUNDS, _SIM + "eps = 1/8,1/16\nlambda = 97/256,1/4\n"),
+        # --nmax above the truncation cap of 64
+        (["symbolic", "check-gamma", "--nmax", "65"], None),
+        (["symbolic", "check-bphz", "--nmax", "65"], None),
+        (["symbolic", "check-gamma", "--nmax", "1000000000000000000000"], None),
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv, text):
@@ -352,6 +374,30 @@ def test_non_finite_c_eps_exits_3_with_one_line_error(capsys, extra):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (_C_EPS + ["1e200", "--T", "1e200"], None),
+        (_C_EPS + ["1e200", "--time", "1e-3"], None),
+        (_WZ, _SIM + "T = 1e201\neps = 1e200,5e199\n"),
+    ],
+)
+def test_too_wide_mollifier_exits_3_with_one_line_error(tmp_path, capsys, argv, text):
+    # beyond eps = 2^511, 1/eps^2 is not a normal double: c_eps read 0 there, and
+    # wong-zakai wrote rms_* = nan after a RuntimeWarning
+    file = tmp_path / "input.txt"
+    if text is not None:
+        file.write_text(text)
+    argv = [arg.format(file=file, out=tmp_path / "out") for arg in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [["1e-320"], ["1e-160", "--time", "0.5"]])

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from roughrenorm import model, roughsim
-from roughrenorm.errors import ConfigError
+from roughrenorm.errors import ConfigError, DomainError
 from roughrenorm.roughsim import (  # noqa: F401
     KernelSpec,
     SimConfig,
@@ -249,6 +249,20 @@ def test_c_eps_timedep_before_the_mollification_width():
     weights = roughsim._drho_eps(x, eps)[:, None] * roughsim._rho_eps(x, eps)[None, :]
     grid = math.sqrt(2 * H) / (H + 0.5) * np.sum(weights * cross) * (2 * eps / n) ** 2
     assert c_eps_timedep(t, eps, H) == pytest.approx(grid, rel=1e-5)
+
+
+def test_c_eps_rejects_a_width_whose_scale_is_not_a_normal_double():
+    # 1/eps^2 is a normal double up to eps = 2^511; beyond it the quadratures
+    # lose digits (1.7e-4 relative at eps = 1e160) and read 0 by eps = 1e200
+    widest = 2.0**511
+    value, _ = c_eps(widest, KernelSpec(0.3, 1e160))
+    assert value == pytest.approx(0.5034 * widest ** (0.3 - 0.5), rel=1e-3)
+    for eps in (math.nextafter(widest, math.inf), 1e160, 1e200):
+        with pytest.raises(DomainError, match=r"1/eps\^2 is not a normal double"):
+            c_eps(eps, KernelSpec(0.3, 1e200))
+        for t in (1e-3, 1e300):  # before the width and from it on
+            with pytest.raises(DomainError, match=r"1/eps\^2 is not a normal double"):
+                c_eps_timedep(t, eps, 0.3)
 
 
 # float.hex of c_eps(eps, KernelSpec(0.3)) and of its error estimate, as the

@@ -13,7 +13,6 @@ import reference_extraction
 import reference_symbols
 from roughrenorm import clear_caches
 from roughrenorm.coalgebra import (
-    _bsort,
     _entry_key,
     _extract,
     _finish_plain,
@@ -34,6 +33,7 @@ from roughrenorm.trees import (
     INTEGRATION,
     LEAF,
     Tree,
+    _bsort,
     branch,
     forest_of,
     forest_product,
