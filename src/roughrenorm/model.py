@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import groupby, product
+from math import comb, prod
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .trees import (
     Forest,
     INTEGRATION,
     LEAF,
+    Tree,
     branch,
     format_atom,
     in_symbol_family,
@@ -172,21 +175,30 @@ def gamma_direct(tree, spec):
     """Transport of a symbol by the direct recentring rules.
 
     Noise factors are fixed; each integration factor ``f`` picks up the
-    free increment ``g[<text of f>]``.  Returns a tree-keyed FormalSum
-    with Poly coefficients, except that the untransported term has the
-    integer coefficient 1.
+    free increment ``g[<text of f>]``.  Root factors are walked as runs of
+    equal ones (``tree.children`` is in canonical order): a run ``f^m`` of
+    integration factors expands as ``sum_k C(m, k) f^k g[f]^(m - k)``, so
+    every target tree is reached once, with the product of its runs'
+    binomials.  Returns a tree-keyed FormalSum with Poly coefficients,
+    except that the untransported term has the integer coefficient 1.
     """
     if not in_symbol_family(tree, d=spec.d):
         raise DomainError(f"tree {tree!r} lies outside the symbol family")
-    out = FormalSum.lift(LEAF, 1)
-    for et, sub in tree.children:
-        factor = branch(et, sub)
-        if et.is_noise:
-            fac = FormalSum.lift(factor, 1)
+    runs = []  # per run, its choices (kept factors, their increments' names, binomial)
+    for factor, copies in groupby(tree.children):
+        m = len(list(copies))
+        if factor[0].is_noise:
+            runs.append([((factor,) * m, (), 1)])
         else:
-            fac = FormalSum([(factor, 1), (LEAF, Poly.var(_factor_name("g", et, sub)))])
-        out = out.combine(fac, tree_product)
-    return out
+            name = _factor_name("g", *factor)
+            runs.append([((factor,) * k, (name,) * (m - k), comb(m, k)) for k in range(m + 1)])
+    terms = []
+    for choice in product(*runs):
+        target = Tree([f for kept, _, _ in choice for f in kept])
+        incs = tuple(sorted(name for _, names, _ in choice for name in names))
+        coeff = Fraction(prod(b for _, _, b in choice))
+        terms.append((target, Poly.lift(incs, coeff) if incs else 1))
+    return FormalSum(terms)
 
 
 def _gamma_char(x):
@@ -204,17 +216,20 @@ def gamma_via_coproduct(tree, spec, cov, twist=True, minus_tables=None):
     composed with the twisted antipode; with ``twist=False`` it is the
     plain Gaussian character.  Both must reproduce :func:`gamma_direct`.
     ``minus_tables``, a dict, keeps each right leg's ``delta_minus_ex``
-    table across calls with the same ``spec``.
+    table across calls with the same ``spec``; the inner character is
+    read once per distinct left leg per call.
     """
     tables = {} if minus_tables is None else minus_tables
+    chars = {}  # the inner character of each distinct left leg
     out = FormalSum()
     for (t1, t2), c in delta_plus_ex(tree, spec):
         if t2 not in tables:
             tables[t2] = delta_minus_ex(t2, spec)
         inner = Poly.const(0)
         for (a, r), c2 in tables[t2]:
-            charval = g_antipode(a, cov, spec) if twist else g_minus(a, cov)
-            inner = inner + c2 * charval * _gamma_char(r)
+            if a not in chars:
+                chars[a] = g_antipode(a, cov, spec) if twist else g_minus(a, cov)
+            inner = inner + c2 * chars[a] * _gamma_char(r)
         out += FormalSum.lift(t1, c * inner)
     return out
 
@@ -224,8 +239,8 @@ class TransportMatrices:
     """The :func:`gamma_direct` transports of a basis closed under
     transport, compiled as flat arrays over their entries: ``flat`` is an
     entry's position ``row * size + column`` in a ``(size, size)``
-    transport matrix, ``factors`` its float factor, and row ``e`` of
-    ``monomials`` its monomial in the increments."""
+    transport matrix (no two entries share one), ``factors`` its float
+    factor, and row ``e`` of ``monomials`` its monomial in the increments."""
 
     size: int
     flat: np.ndarray
@@ -253,7 +268,7 @@ class TransportMatrices:
         columns = {name: np.asarray(value)[:, None] for name, value in increments.items()}
         values = self.factors * self.monomials.at(columns)[..., 0]
         out = np.zeros((len(values), self.size * self.size))
-        np.add.at(out, (slice(None), self.flat), values)
+        out[:, self.flat] = values  # one entry per cell: gamma_direct has one term per target
         return out.reshape(len(values), self.size, self.size)
 
 
@@ -389,6 +404,8 @@ def check_gamma_bphz(spec, nmax, cov):
 
 # Bytes of the stacked arrays of one batch of triples in check_model_axioms
 _BATCH_BYTES = 2**20
+# The relative error above which check_model_axioms fails a symbol at a triple
+_RTOL = 1e-10
 
 
 def _triples_per_batch(symbols, points):
@@ -408,12 +425,12 @@ def _triples(points, n_triples, seed):
     return np.array(rows, dtype=int).reshape(n_triples, 3)
 
 
-def check_model_axioms(path, spec, n_triples, seed, rtol=1e-10):
+def check_model_axioms(path, spec, n_triples, seed):
     """Check recentring consistency and the transport cocycle numerically.
 
     For random index triples (s, u, t): every basis symbol must satisfy
     ``eval_pi(tau, s) == eval_pi(Gamma_ts tau, t)`` up to
-    relative error ``rtol``, and the transport must compose:
+    relative error ``_RTOL``, and the transport must compose:
     ``Gamma_ts == Gamma_tu . Gamma_us`` on basis symbols.  Each basis
     symbol's transport is compiled once (:class:`TransportMatrices`), as are
     the basis' Π monomials.  Per batch of triples (:func:`_triples_per_batch`)
@@ -449,10 +466,10 @@ def check_model_axioms(path, spec, n_triples, seed, rtol=1e-10):
         cerr = np.abs(g_ts - two_step).max(axis=2) / cscale
         worst = float(np.max([worst, err.max(), cerr.max()]))
         # a NaN error fails too; argwhere keeps the order triple, then symbol
-        for i, k in np.argwhere(~(err <= rtol) | ~(cerr <= rtol)):
+        for i, k in np.argwhere(~(err <= _RTOL) | ~(cerr <= _RTOL)):
             places = (f"(s={s[i]}, t={t[i]})", f"(s={s[i]}, u={u[i]}, t={t[i]})")
             for kind, e, where in zip(("recentring", "cocycle"), (err, cerr), places):
-                if not e[i, k] <= rtol:
+                if not e[i, k] <= _RTOL:
                     failures.append(f"{kind}: {basis[k]!r} at {where}: rel err {e[i, k]:.3e}")
     return {
         "name": "model_axioms",

@@ -1,12 +1,24 @@
-"""The recentred evaluation Π as it was before it became a substitution into
-``model.pi_symbolic``: a walk over the tree, forest and formal sum, kept
-verbatim as the oracle that ``test_model`` compares ``model.eval_pi``
-against."""
+"""Oracles that ``test_model`` compares the model against, each kept verbatim
+from before it was rewritten: the recentred evaluation Π as it was before it
+became a substitution into ``model.pi_symbolic`` (a walk over the tree,
+forest and formal sum), and the transport rule as it was before it became a
+binomial sum per run of equal root factors (a product of one two-term sum
+per root factor)."""
 
 import numpy as np
 
 from roughrenorm.errors import DomainError
-from roughrenorm.trees import Forest, Tree
+from roughrenorm.model import _factor_name
+from roughrenorm.poly import Poly
+from roughrenorm.trees import (
+    LEAF,
+    FormalSum,
+    Forest,
+    Tree,
+    branch,
+    in_symbol_family,
+    tree_product,
+)
 
 
 def _factor_arrays(et, sub, path, s_idx):
@@ -44,3 +56,24 @@ def eval_pi(x, s_idx, path):
     for key, c in x.sorted_terms():
         acc = acc + float(c) * eval_pi(key, s_idx, path)
     return acc
+
+
+def gamma_direct(tree, spec):
+    """Transport of a symbol by the direct recentring rules.
+
+    Noise factors are fixed; each integration factor ``f`` picks up the
+    free increment ``g[<text of f>]``.  Returns a tree-keyed FormalSum
+    with Poly coefficients, except that the untransported term has the
+    integer coefficient 1.
+    """
+    if not in_symbol_family(tree, d=spec.d):
+        raise DomainError(f"tree {tree!r} lies outside the symbol family")
+    out = FormalSum.lift(LEAF, 1)
+    for et, sub in tree.children:
+        factor = branch(et, sub)
+        if et.is_noise:
+            fac = FormalSum.lift(factor, 1)
+        else:
+            fac = FormalSum([(factor, 1), (LEAF, Poly.var(_factor_name("g", et, sub)))])
+        out = out.combine(fac, tree_product)
+    return out

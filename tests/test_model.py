@@ -105,6 +105,78 @@ def test_gamma_routes_agree_symbolically():
             assert all(c == 0 for _, c in diff), tree
 
 
+def _assert_transport_equals_the_oracle(tree, spec):
+    """``gamma_direct`` equals the product of two-term sums exactly: the
+    same targets, equal coefficients of the same types, and the integer 1
+    on the untransported term."""
+    got = gamma_direct(tree, spec)
+    expected = reference_model.gamma_direct(tree, spec)
+    assert got.terms.keys() == expected.terms.keys(), tree
+    for key, c in expected:
+        assert got.terms[key] == c, (tree, key)
+        assert type(got.terms[key]) is type(c), (tree, key)
+        if isinstance(c, Poly):
+            assert [type(k) for _, k in got.terms[key]] == [type(k) for _, k in c], (tree, key)
+    assert type(got.terms[tree]) is int and got.terms[tree] == 1, tree
+
+
+@pytest.mark.parametrize("d, truncation", [(1, 8), (2, 6), (3, 4), (2, 9)])
+def test_gamma_direct_equals_the_product_of_two_term_sums_on_the_basis(d, truncation):
+    spec = generic_spec(d, truncation)
+    for tree in enumerate_basis(spec):
+        _assert_transport_equals_the_oracle(tree, spec)
+
+
+@st.composite
+def family_trees(draw):
+    """A channel count d <= 3 and a symbol-family tree: at most one noise
+    and up to three runs, of 1 to 12 equal integration factors each."""
+    d = draw(st.integers(1, 3))
+    kinds = [branch(INTEGRATION)] + [branch(INTEGRATION, branch(noise(j))) for j in range(1, d + 1)]
+    runs = draw(st.lists(st.sampled_from(kinds), max_size=3, unique=True))
+    factors = [f for f in runs for _ in range(draw(st.integers(1, 12)))]
+    noises = draw(st.sampled_from([[]] + [[branch(noise(i))] for i in range(1, d + 1)]))
+    return d, tree_product(*noises, *factors)
+
+
+@given(family_trees())
+@example((2, _tree("Xi_1*I^12*I(Xi_1)^12*I(Xi_2)^12")))
+@settings(max_examples=40, deadline=None)
+def test_gamma_direct_equals_the_product_of_two_term_sums_off_the_basis(d_tree):
+    d, tree = d_tree
+    _assert_transport_equals_the_oracle(tree, generic_spec(d, 1))
+
+
+@pytest.mark.parametrize(
+    "d, truncation, entries", [(1, 8, 178), (2, 6, 246), (3, 4, 228), (2, 9, 489)]
+)
+def test_transport_puts_each_entry_in_a_cell_of_its_own(d, truncation, entries):
+    # TransportMatrices.at assigns the entries to their cells, which adds
+    # nothing up: two entries in one cell would keep only the last
+    spec = generic_spec(d, truncation)
+    flat = TransportMatrices.compile(enumerate_basis(spec), spec).flat
+    assert len(flat) == entries
+    assert len(set(flat.tolist())) == len(flat)
+
+
+@pytest.mark.parametrize("twist, character", [(True, "g_antipode"), (False, "g_minus")])
+def test_gamma_via_coproduct_reads_each_left_legs_character_once(monkeypatch, twist, character):
+    legs = []
+    read = getattr(model, character)
+
+    def counted(a, *args):
+        legs.append(a)
+        return read(a, *args)
+
+    monkeypatch.setattr(model, character, counted)
+    spec = generic_spec(2, 4)
+    tree = _tree("Xi_1*I(Xi_2)^4")
+    assert gamma_via_coproduct(tree, spec, SymbolicCovariance(2), twist=twist) == gamma_direct(
+        tree, spec
+    )
+    assert legs and len(legs) == len(set(legs))
+
+
 def test_numeric_transport_matches_symbolic():
     rng = np.random.default_rng(5)
     names = ["g[I]", "g[I(Xi_1)]", "g[I(Xi_2)]"]
