@@ -75,7 +75,7 @@ def _memo_tables():
         "coalgebra._EVEN_CACHE": _coalgebra._EVEN_CACHE,
         "coalgebra._ANTIPODE_CACHE": _coalgebra._ANTIPODE_CACHE,
         "gaussian._G_ANTIPODE_CACHE": _gaussian._G_ANTIPODE_CACHE,
-        "gaussian._SYMBOLIC._moment_cache": _gaussian.SymbolicCovariance._moment_cache,
+        "gaussian._MOMENTS": _gaussian._MOMENTS,
         "structure._DEGREE_CACHE": _structure._DEGREE_CACHE,
         "trees._BRANCH_KEYS": _trees._BRANCH_KEYS,
     }
@@ -89,10 +89,10 @@ def cache_info():
     chosen entries and of the trees' branches (one per distinct entry or
     branch), the twisted antipodes and the renormalised expansions that
     g∘A and ``model.bphz_expansion`` read (``gaussian._G_ANTIPODE_CACHE``;
-    both per tree and spec), the symbolic Gaussian moments (per monomial)
-    and the degrees (per spec and tree).  None is bounded: each grows
-    with the distinct trees a process sees.  A ``CovarianceSpec`` keeps its own moment
-    cache, which lives and dies with that object.
+    both per tree and spec), the Gaussian moments as polynomials in the
+    covariance entries (``gaussian._MOMENTS``, per monomial, read at every
+    covariance) and the degrees (per spec and tree).  None is bounded: each
+    grows with the distinct trees a process sees.
 
     The intern tables of ``EdgeType``, ``Tree`` and ``Forest`` (class
     attributes, one instance per distinct symbol built) are not memo

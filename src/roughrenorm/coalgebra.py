@@ -58,8 +58,8 @@ from .trees import (
     branch,
     forest_of,
     forest_product,
-    in_symbol_family,
     mul_forests,
+    require_symbol,
     tree_product,
 )
 
@@ -296,8 +296,8 @@ def delta_minus(x, repair=True):
     for f, c in x:
         term = FormalSum.lift((EMPTY_FOREST, EMPTY_FOREST))
         for i, t in enumerate(f.trees):
-            if repair and not in_symbol_family(t):
-                raise DomainError(f"tree {t!r} lies outside the symbol family")
+            if repair:
+                require_symbol(t)
             table = _extract(t, _finish_repaired, _REPAIRED_CACHE) if repair else _extract(t)
             tree_terms = _pair_sum(table.items())
             # the unit pair is the identity of the product: start from the first tree
@@ -405,8 +405,7 @@ def delta_minus_ex_even(tree, spec):
     parent.  The screened table itself is not cached: its one reader,
     ``gaussian.renormalised_expansion``, caches what it builds from it.
     """
-    if not in_symbol_family(tree):
-        raise DomainError(f"tree {tree!r} lies outside the symbol family")
+    require_symbol(tree)
     ranked, states = _states(tree, _finish_repaired, _EVEN_CACHE, even=True)
     may_be_kept = _may_be_kept(ranked)
     kept = ((c, m) for c, m in states.items() if may_be_kept(c))
@@ -437,8 +436,7 @@ def delta_plus_ex(tree, spec):
     lives in the full tree span, the right leg in the positive space.
     Multiplicative over the tree product of root factors.
     """
-    if not in_symbol_family(tree, d=spec.d):
-        raise DomainError(f"tree {tree!r} lies outside the symbol family")
+    require_symbol(tree, d=spec.d)
     out = FormalSum.lift((LEAF, LEAF))
     for et, sub in tree.children:
         fac = FormalSum(

@@ -7,10 +7,12 @@ root noise edge) and ``X_j`` (the channel-j path value at the origin,
 from an integrated noise branch ``I(Xi_j)``).  A bare integration branch
 evaluates to the origin itself and annihilates the monomial.
 
-One recursion, :func:`renormalised_expansion`, gives the renormalised
-expansion of a tree and, as its unit coefficient, the BPHZ character g∘A,
-never expanding an antipode; it is cached with polynomial coefficients in
-the entries ``C[u][v]`` and evaluated against a covariance by substitution.
+Every Gaussian quantity is a polynomial in the covariance entries
+``C[u][v]``, computed once; a numeric covariance is only substituted into
+it (:func:`at_covariance`).  Moments sit in one table, ``_MOMENTS``.  g and
+g∘A share one character rule, :func:`_character`: a tree's value is the
+moment of its monomial for g and, for g∘A, the unit coefficient of its
+cached :func:`renormalised_expansion`, which never expands an antipode.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .config import rational, read_config
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .poly import Poly
-from .trees import EMPTY_FOREST, FormalSum, Forest, Tree, as_formal_sum, forest_of, in_symbol_family
+from .trees import EMPTY_FOREST, FormalSum, as_formal_sum, forest_of, require_symbol
 from .coalgebra import _record_size, delta_minus_ex_even, require_negative
 
 # A variable is ("D", i) or ("X", j) with a 1-based channel index.
@@ -47,7 +50,6 @@ class CovarianceSpec:
     def __init__(self, d, entries):
         self.d = d
         self._entries = {_entry_name(u, v): Fraction(e) for (u, v), e in entries.items()}
-        self._moment_cache = {}
 
     @classmethod
     def from_matrix(cls, d, matrix):
@@ -100,8 +102,6 @@ class CovarianceSpec:
 class SymbolicCovariance:
     """Covariance whose entries are free polynomial indeterminates."""
 
-    _moment_cache = {}  # one table for every instance: entry names do not depend on d
-
     def __init__(self, d):
         self.d = d
 
@@ -109,46 +109,48 @@ class SymbolicCovariance:
         return Poly.var(_entry_name(u, v))
 
 
-# g∘A is computed against this covariance
-_SYMBOLIC = SymbolicCovariance(d=None)
+# The moment of each even sorted monomial, a Poly in the entries C[u][v]
+_MOMENTS = {}
+
+
+def _moment(mono):
+    """Moment of a sorted monomial, by Isserlis' pairings on its first
+    variable's partner, as a Poly in the entries ``C[u][v]``."""
+    if len(mono) % 2:
+        return Poly()
+    if not mono:
+        return Poly.const(1)
+    hit = _MOMENTS.get(mono)
+    if hit is None:
+        first, rest = mono[0], mono[1:]
+        hit = Poly()
+        for k, v in enumerate(rest):
+            hit = hit + Poly.var(_entry_name(first, v)) * _moment(rest[:k] + rest[k + 1 :])
+        _MOMENTS[mono] = hit
+    return hit
+
+
+def at_covariance(value, cov):
+    """A polynomial in the entries ``C[u][v]`` at ``cov``: itself for a
+    ``SymbolicCovariance``, its value (a Fraction) for a ``CovarianceSpec``."""
+    if isinstance(cov, SymbolicCovariance):
+        return value
+    return Fraction(value.substitute(defaultdict(Fraction, cov._entries)))
 
 
 def isserlis_moment(monomial, cov):
     """Moment of a product of centered jointly Gaussian variables.
 
-    ``monomial`` is a sequence of variables; pairings are expanded
-    recursively on the first element's partner.  Exact (Fraction or Poly
-    coefficients, depending on the covariance).
+    ``monomial`` is a sequence of variables.  Exact: the symbolic moment
+    :func:`at_covariance`, a Poly or a Fraction.
     """
-    mono = tuple(sorted(monomial))
-    cache = cov._moment_cache
-    hit = cache.get(mono)
-    if hit is not None:
-        return hit
-    value = _isserlis(mono, cov)
-    cache[mono] = value
-    return value
-
-
-def _isserlis(mono, cov):
-    n = len(mono)
-    if n == 0:
-        return Fraction(1)
-    if n % 2:
-        return Fraction(0)
-    first, rest = mono[0], mono[1:]
-    total = Fraction(0)
-    for k in range(len(rest)):
-        sub = rest[:k] + rest[k + 1 :]
-        total = total + cov.entry(first, rest[k]) * isserlis_moment(sub, cov)
-    return total
+    return at_covariance(_moment(tuple(sorted(monomial))), cov)
 
 
 def tree_monomial(tree):
     """Gaussian monomial of a symbol tree, or None when a bare
     integration branch makes the evaluation vanish."""
-    if not in_symbol_family(tree):
-        raise DomainError(f"tree {tree!r} lies outside the symbol family")
+    require_symbol(tree)
     variables = []
     for et, sub in tree.children:
         if et.is_noise:
@@ -160,23 +162,28 @@ def tree_monomial(tree):
     return tuple(sorted(variables))
 
 
+def _character(x, tree_value):
+    """The character that is ``tree_value(t)`` (a Poly) on a tree t,
+    multiplicative over forests and linear over sums, on a tree, forest
+    or forest-keyed FormalSum."""
+    total = Poly()
+    for forest, c in as_formal_sum(x):
+        value = c
+        for t in forest.trees:
+            value = value * tree_value(t)
+        total = total + value
+    return total
+
+
+def _tree_moment(tree):
+    mono = tree_monomial(tree)
+    return Poly() if mono is None else _moment(mono)
+
+
 def g_minus(x, cov):
     """Centered Gaussian character: expectation of the evaluated symbol
     at the origin, multiplicative over forest components."""
-    if isinstance(x, Tree):
-        x = forest_of(x)
-    if isinstance(x, Forest):
-        total = Fraction(1)
-        for t in x.trees:
-            mono = tree_monomial(t)
-            if mono is None:
-                return Fraction(0)
-            total = total * isserlis_moment(mono, cov)
-        return total
-    acc = Fraction(0)
-    for f, c in x:
-        acc = acc + c * g_minus(f, cov)
-    return acc
+    return at_covariance(_character(x, _tree_moment), cov)
 
 
 _G_ANTIPODE_CACHE = {}
@@ -198,32 +205,22 @@ def renormalised_expansion(tree, spec):
     if hit is None:
         table = delta_minus_ex_even(tree, spec)
         own = (forest_of(tree), EMPTY_FOREST) if tree.children else None
+        unit_coefficient = partial(_unit_coefficient, spec=spec)
         expansion = FormalSum()
         for (a, r), c in table:
             if (a, r) != own:
-                expansion += FormalSum.lift(r, c * _g_antipode_forest(a, spec))
+                expansion += FormalSum.lift(r, c * _character(a, unit_coefficient))
         if own in table.terms:
-            expansion += FormalSum.lift(EMPTY_FOREST, -g_minus(expansion, _SYMBOLIC))
+            expansion += FormalSum.lift(EMPTY_FOREST, -_character(expansion, _tree_moment))
         hit = _G_ANTIPODE_CACHE[key] = (expansion, len(table))
     _record_size(hit[1])
     return hit[0]
 
 
-def _g_antipode_forest(forest, spec):
-    """g∘A of a forest, a polynomial: its trees' unit coefficients multiplied."""
-    value = Poly.const(1)
-    for t in forest.trees:
-        require_negative(t, spec)
-        value = value * renormalised_expansion(t, spec).terms.get(EMPTY_FOREST, Poly())
-    return value
-
-
-def at_covariance(value, cov):
-    """A polynomial in the entries ``C[u][v]`` at ``cov``: itself for a
-    ``SymbolicCovariance``, its value (a Fraction) for a ``CovarianceSpec``."""
-    if isinstance(cov, SymbolicCovariance):
-        return value
-    return Fraction(value.substitute(defaultdict(Fraction, cov._entries)))
+def _unit_coefficient(tree, spec):
+    """g∘A of a tree, a polynomial: the unit coefficient of its expansion."""
+    require_negative(tree, spec)
+    return renormalised_expansion(tree, spec).terms.get(EMPTY_FOREST, Poly())
 
 
 def g_antipode(x, cov, spec):
@@ -231,8 +228,7 @@ def g_antipode(x, cov, spec):
     twisted negative antipode A, linear and multiplicative over forests;
     on a negative-degree tree, the unit coefficient of its
     :func:`renormalised_expansion`.  Returns it :func:`at_covariance`."""
-    value = sum((c * _g_antipode_forest(f, spec) for f, c in as_formal_sum(x)), Poly())
-    return at_covariance(value, cov)
+    return at_covariance(_character(x, partial(_unit_coefficient, spec=spec)), cov)
 
 
 def mc_moment_oracle(monomial, cov, n_samples, seed):

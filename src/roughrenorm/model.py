@@ -34,8 +34,8 @@ from .trees import (
     Tree,
     branch,
     format_atom,
-    in_symbol_family,
     noise,
+    require_symbol,
     tree_product,
 )
 from .structure import enumerate_basis
@@ -132,8 +132,7 @@ def eval_pi(x, s_idx, path):
     terms = x.sorted_terms() if isinstance(x, FormalSum) else [(x, 1)]
     for key, _ in terms:
         for tree in _trees(key):
-            if not in_symbol_family(tree, d=path.d):
-                raise DomainError(f"tree {tree!r} lies outside the symbol family")
+            require_symbol(tree, d=path.d)
     rows = _pi_table([key for key, _ in terms]).at(_pi_values(path, s_idx))
     zero = np.zeros(np.shape(s_idx) + path.t.shape)
     return sum((float(c) * rows[..., r, :] for r, (_, c) in enumerate(terms)), zero)
@@ -182,8 +181,7 @@ def gamma_direct(tree, spec):
     binomials.  Returns a tree-keyed FormalSum with Poly coefficients,
     except that the untransported term has the integer coefficient 1.
     """
-    if not in_symbol_family(tree, d=spec.d):
-        raise DomainError(f"tree {tree!r} lies outside the symbol family")
+    require_symbol(tree, d=spec.d)
     runs = []  # per run, its choices (kept factors, their increments' names, binomial)
     for factor, copies in groupby(tree.children):
         m = len(list(copies))
@@ -216,20 +214,21 @@ def gamma_via_coproduct(tree, spec, cov, twist=True, minus_tables=None):
     composed with the twisted antipode; with ``twist=False`` it is the
     plain Gaussian character.  Both must reproduce :func:`gamma_direct`.
     ``minus_tables``, a dict, keeps each right leg's ``delta_minus_ex``
-    table across calls with the same ``spec``; the inner character is
-    read once per distinct left leg per call.
+    table, remainders replaced by their transport characters, across calls
+    with the same ``spec``; the inner character is read once per distinct
+    left leg per call.
     """
     tables = {} if minus_tables is None else minus_tables
     chars = {}  # the inner character of each distinct left leg
     out = FormalSum()
     for (t1, t2), c in delta_plus_ex(tree, spec):
         if t2 not in tables:
-            tables[t2] = delta_minus_ex(t2, spec)
+            tables[t2] = [(a, c2 * _gamma_char(r)) for (a, r), c2 in delta_minus_ex(t2, spec)]
         inner = Poly.const(0)
-        for (a, r), c2 in tables[t2]:
+        for a, transport in tables[t2]:
             if a not in chars:
                 chars[a] = g_antipode(a, cov, spec) if twist else g_minus(a, cov)
-            inner = inner + c2 * chars[a] * _gamma_char(r)
+            inner = inner + chars[a] * transport
         out += FormalSum.lift(t1, c * inner)
     return out
 

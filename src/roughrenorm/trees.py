@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +261,12 @@ def in_symbol_family(tree, d=None):
             if d is not None and set2.index > d:
                 return False
     return True
+
+
+def require_symbol(tree, d=None):
+    """A DomainError unless ``tree`` is a symbol, noise indices up to ``d``."""
+    if not in_symbol_family(tree, d=d):
+        raise DomainError(f"tree {tree!r} lies outside the symbol family")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Gaussian moments (pairing recursion + Monte Carlo oracle) and the
 renormalization character."""
 
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_gaussian
 from roughrenorm import cache_info, clear_caches
 from roughrenorm.coalgebra import twisted_antipode
 from roughrenorm.errors import ConfigError
@@ -16,10 +19,11 @@ from roughrenorm.gaussian import (
     g_minus,
     isserlis_moment,
     mc_moment_oracle,
+    variable_order,
 )
 from roughrenorm.poly import Poly
 from roughrenorm.structure import enumerate_basis, generic_spec
-from roughrenorm.trees import Forest, parse_symbol
+from roughrenorm.trees import FormalSum, Forest, parse_symbol
 
 SPEC = generic_spec(2, 8)
 
@@ -71,14 +75,63 @@ def test_symbolic_moment():
 
 
 def test_symbolic_covariances_share_one_moment_table():
-    # entry names do not depend on d, so every SymbolicCovariance reads one table
+    # every covariance, symbolic or numeric, reads one table of symbolic moments
     clear_caches()
-    first, second = SymbolicCovariance(2), SymbolicCovariance(3)
-    assert isserlis_moment((D1, X2), first) == Poly.var("C[D1][X2]")
-    assert second._moment_cache == first._moment_cache != {}
-    assert cache_info()["gaussian._SYMBOLIC._moment_cache"] == len(first._moment_cache)
+    assert cache_info()["gaussian._MOMENTS"] == 0
+    assert isserlis_moment((D1, X2), SymbolicCovariance(2)) == Poly.var("C[D1][X2]")
+    filled = cache_info()["gaussian._MOMENTS"]
+    assert filled > 0
+    assert isserlis_moment((X2, D1), SymbolicCovariance(3)) == Poly.var("C[D1][X2]")
+    numeric = CovarianceSpec(2, {(D1, X2): Fraction(3, 7), (X2, X2): Fraction(2)})
+    assert isserlis_moment((X2, D1), numeric) == Fraction(3, 7)
+    assert cache_info()["gaussian._MOMENTS"] == filled
+    assert isserlis_moment((D1, X2, X2, X2), numeric) == 3 * Fraction(3, 7) * 2
+    grown = cache_info()["gaussian._MOMENTS"]
+    assert grown > filled
+    moment = isserlis_moment((X2, D1, X2, X2), SymbolicCovariance(2))
+    assert moment == 3 * Poly.var("C[D1][X2]") * Poly.var("C[X2][X2]")
+    assert cache_info()["gaussian._MOMENTS"] == grown
     clear_caches()
-    assert second._moment_cache == {}
+    assert cache_info()["gaussian._MOMENTS"] == 0
+
+
+def _random_rational_cov(d, seed):
+    rng = random.Random(seed)
+    order = variable_order(d)
+    entries = {
+        (u, v): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        for a, u in enumerate(order)
+        for v in order[a:]
+    }
+    return CovarianceSpec(d, entries)
+
+
+_COVARIANCES = [_random_rational_cov(2, 11), SymbolicCovariance(2)]
+
+
+@pytest.mark.parametrize("cov", _COVARIANCES, ids=["rational", "symbolic"])
+def test_moments_equal_the_ring_generic_recursion(cov):
+    kind = Fraction if isinstance(cov, CovarianceSpec) else Poly
+    monomials = [
+        mono for n in range(7) for mono in combinations_with_replacement(variable_order(2), n)
+    ]
+    assert len(monomials) == 210
+    for mono in monomials:
+        value = isserlis_moment(mono, cov)
+        assert type(value) is kind and value == reference_gaussian.isserlis_moment(mono, cov), mono
+
+
+@pytest.mark.parametrize("cov", _COVARIANCES, ids=["rational", "symbolic"])
+def test_gaussian_character_equals_the_ring_generic_recursion(cov):
+    kind = Fraction if isinstance(cov, CovarianceSpec) else Poly
+    basis = enumerate_basis(generic_spec(2, 4))
+    forests = [Forest([t]) for t in basis]
+    forests += [Forest([s, t]) for s, t in combinations_with_replacement(basis, 2)]
+    for forest in forests:
+        value = g_minus(forest, cov)
+        assert type(value) is kind and value == reference_gaussian.g_minus(forest, cov), forest
+    total = sum((FormalSum.lift(f, Fraction(k + 1, 3)) for k, f in enumerate(forests)), FormalSum())
+    assert g_minus(total, cov) == reference_gaussian.g_minus(total, cov)
 
 
 def test_mc_oracle_agrees():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import reference_gaussian
 import reference_model
 from roughrenorm import model
 from roughrenorm.coalgebra import delta_minus_ex, twisted_antipode
@@ -15,7 +16,6 @@ from roughrenorm.gaussian import (
     CovarianceSpec,
     SymbolicCovariance,
     g_antipode,
-    g_minus,
     variable_order,
 )
 from roughrenorm.model import (
@@ -175,6 +175,26 @@ def test_gamma_via_coproduct_reads_each_left_legs_character_once(monkeypatch, tw
         tree, spec
     )
     assert legs and len(legs) == len(set(legs))
+
+
+def test_gamma_via_coproduct_reads_each_remainders_transport_once(monkeypatch):
+    # with shared minus_tables, a later call reads no transport character again
+    remainders = []
+    read = model._gamma_char
+
+    def counted(r):
+        remainders.append(r)
+        return read(r)
+
+    monkeypatch.setattr(model, "_gamma_char", counted)
+    spec = generic_spec(2, 4)
+    tree = _tree("Xi_1*I(Xi_2)^4")
+    tables = {}
+    for twist in (True, False):
+        cov = SymbolicCovariance(2)
+        via = gamma_via_coproduct(tree, spec, cov, twist=twist, minus_tables=tables)
+        assert via == gamma_direct(tree, spec)
+    assert remainders and len(remainders) == len(set(remainders))
 
 
 def test_numeric_transport_matches_symbolic():
@@ -575,8 +595,9 @@ def specs_and_covariances(draw):
 
 def _oracle(x, cov, spec):
     """g∘A of ``x`` by the full route: g of the expanded twisted antipode,
-    a Poly for free entries and a Fraction for rational ones."""
-    value = g_minus(twisted_antipode(x, spec), cov)
+    by the ring-generic Isserlis recursion, a Poly for free entries and a
+    Fraction for rational ones."""
+    value = reference_gaussian.g_minus(twisted_antipode(x, spec), cov)
     return Poly() + value if isinstance(cov, SymbolicCovariance) else value
 
 
