@@ -26,11 +26,12 @@ variants agree, so :func:`delta_minus_ex` reads the repaired one and
 everything downstream (the twisted antipode, the renormalization
 characters) is variant-independent.
 
-The BPHZ character g∘A (``gaussian``) reads a third, pruned table,
+The BPHZ character g∘A (``gaussian``) and the coproduct route of
+transport (``model.gamma_via_coproduct``) read a third, pruned table,
 :func:`delta_minus_ex_even`: the repaired, projected coproduct less every
-term whose left leg holds a tree with an odd number of noise edges.
-g∘A is 0 on such a tree for every centred Gaussian covariance, so those
-terms contribute nothing to g∘A or to ``model.bphz_expansion``.
+term whose left leg holds a tree with an odd number of noise edges.  g∘A
+and g are 0 on such a tree for every centred Gaussian covariance, so those
+terms add nothing to g∘A, ``model.bphz_expansion`` or the transport.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .trees import (
     EMPTY_FOREST,
     FormalSum,
     Forest,
-    LEAF,
     Tree,
     _KeyMemo,
     _TREE_KEY,
@@ -60,7 +60,7 @@ from .trees import (
     forest_product,
     mul_forests,
     require_symbol,
-    tree_product,
+    root_splits,
 )
 
 # ---------------------------------------------------------------------------
@@ -317,9 +317,10 @@ _TABLE_SIZES = ContextVar("coproduct_table_sizes", default=None)
 
 @contextmanager
 def coproduct_sizes():
-    """Collect the sizes of the ``delta_minus_ex`` tables built and of the
-    renormalised expansions' tables read inside the block, in a list, for
-    reports; the context variable keeps threads and nested blocks apart."""
+    """Collect the sizes of the pruned tables read inside the block, in a
+    list, for reports: the renormalised expansions' and the right-leg
+    tables of ``model.gamma_via_coproduct``; the context variable keeps
+    threads and nested blocks apart."""
     sizes = []
     token = _TABLE_SIZES.set(sizes)
     try:
@@ -337,9 +338,7 @@ def _record_size(terms):
 def delta_minus_ex(x, spec):
     """Repaired coproduct with the left leg projected onto negative-degree
     forests."""
-    table = FormalSum([((a, r), c) for (a, r), c in delta_minus(x) if is_negative_forest(a, spec)])
-    _record_size(len(table))
-    return table
+    return FormalSum([((a, r), c) for (a, r), c in delta_minus(x) if is_negative_forest(a, spec)])
 
 
 _EVEN_CACHE = {}
@@ -417,36 +416,20 @@ def delta_minus_ex_even(tree, spec):
 # positive-space coproduct
 
 
-def _plus_factor_terms(et, sub, spec):
-    """Coproduct of a single root factor after projecting the right leg
-    onto the positive space."""
-    factor = branch(et, sub)
-    terms = [(factor, LEAF)]
-    if not et.is_noise:
-        # 1 (x) factor survives; the cross term I (x) noise is killed by
-        # the positive projection of its right leg.
-        terms.append((LEAF, factor))
-    return [(l, r) for (l, r) in terms if r.is_leaf or tree_survives_plus(r, spec)]
-
-
 def delta_plus_ex(tree, spec):
     """Positive-twisted coproduct of a symbol tree.
 
     Returns a FormalSum keyed by ``(tree, tree)`` pairs: the left leg
-    lives in the full tree span, the right leg in the positive space.
-    Multiplicative over the tree product of root factors.
+    lives in the full tree span, the right leg in the positive space.  A
+    root factor may move to the right leg only if it survives the positive
+    projection there, which no noise factor does, so a run ``f^m`` of
+    such factors gives ``sum_k C(m, k) f^k (x) f^(m - k)`` and any other
+    run stays on the left (:func:`~roughrenorm.trees.root_splits`): Π (m +
+    1) terms over those runs, with Fraction coefficients.
     """
     require_symbol(tree, d=spec.d)
-    out = FormalSum.lift((LEAF, LEAF))
-    for et, sub in tree.children:
-        fac = FormalSum(
-            [((l, r), Fraction(1)) for (l, r) in _plus_factor_terms(et, sub, spec)]
-        )
-        out = out.combine(
-            fac,
-            lambda k1, k2: (tree_product(k1[0], k2[0]), tree_product(k1[1], k2[1])),
-        )
-    return out
+    splits = root_splits(tree, lambda factor: tree_survives_plus(branch(*factor), spec))
+    return FormalSum([((Tree(kept), Tree(moved)), Fraction(b)) for kept, moved, b in splits])
 
 
 # ---------------------------------------------------------------------------

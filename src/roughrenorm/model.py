@@ -18,11 +18,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, product
-from math import comb, prod
 
 import numpy as np
 
-from .coalgebra import coproduct_sizes, delta_minus_ex, delta_plus_ex
+from .coalgebra import _record_size, coproduct_sizes, delta_minus_ex_even, delta_plus_ex
 from .errors import DomainError
 from .gaussian import at_covariance, g_antipode, g_minus, renormalised_expansion
 from .poly import Poly
@@ -36,6 +35,7 @@ from .trees import (
     format_atom,
     noise,
     require_symbol,
+    root_splits,
     tree_product,
 )
 from .structure import enumerate_basis
@@ -174,28 +174,20 @@ def gamma_direct(tree, spec):
     """Transport of a symbol by the direct recentring rules.
 
     Noise factors are fixed; each integration factor ``f`` picks up the
-    free increment ``g[<text of f>]``.  Root factors are walked as runs of
-    equal ones (``tree.children`` is in canonical order): a run ``f^m`` of
-    integration factors expands as ``sum_k C(m, k) f^k g[f]^(m - k)``, so
-    every target tree is reached once, with the product of its runs'
-    binomials.  Returns a tree-keyed FormalSum with Poly coefficients,
-    except that the untransported term has the integer coefficient 1.
+    free increment ``g[<text of f>]``.  A run ``f^m`` of integration
+    factors expands as ``sum_k C(m, k) f^k g[f]^(m - k)``
+    (:func:`~roughrenorm.trees.root_splits`), so every target tree is
+    reached once, with the product of its runs' binomials.  Returns a
+    tree-keyed FormalSum with Poly coefficients, except that the
+    untransported term has the integer coefficient 1.
     """
     require_symbol(tree, d=spec.d)
-    runs = []  # per run, its choices (kept factors, their increments' names, binomial)
-    for factor, copies in groupby(tree.children):
-        m = len(list(copies))
-        if factor[0].is_noise:
-            runs.append([((factor,) * m, (), 1)])
-        else:
-            name = _factor_name("g", *factor)
-            runs.append([((factor,) * k, (name,) * (m - k), comb(m, k)) for k in range(m + 1)])
+    # one increment name per distinct integration factor: exactly those runs split
+    names = {f: _factor_name("g", *f) for f in dict.fromkeys(tree.children) if not f[0].is_noise}
     terms = []
-    for choice in product(*runs):
-        target = Tree([f for kept, _, _ in choice for f in kept])
-        incs = tuple(sorted(name for _, names, _ in choice for name in names))
-        coeff = Fraction(prod(b for _, _, b in choice))
-        terms.append((target, Poly.lift(incs, coeff) if incs else 1))
+    for kept, moved, binomial in root_splits(tree, names.__contains__):
+        incs = tuple(sorted(map(names.__getitem__, moved)))
+        terms.append((Tree(kept), Poly.lift(incs, Fraction(binomial)) if incs else 1))
     return FormalSum(terms)
 
 
@@ -213,17 +205,21 @@ def gamma_via_coproduct(tree, spec, cov, twist=True, minus_tables=None):
     With ``twist=True`` the inner character is the Gaussian character
     composed with the twisted antipode; with ``twist=False`` it is the
     plain Gaussian character.  Both must reproduce :func:`gamma_direct`.
-    ``minus_tables``, a dict, keeps each right leg's ``delta_minus_ex``
-    table, remainders replaced by their transport characters, across calls
-    with the same ``spec``; the inner character is read once per distinct
-    left leg per call.
+    Both are multiplicative and 0 on every tree of odd noise count, so each
+    right leg's screened table (:func:`~roughrenorm.coalgebra.delta_minus_ex_even`)
+    holds every term that counts.  ``minus_tables``, a dict, keeps those
+    tables, remainders replaced by their transport characters, across calls
+    with the same ``spec``; each records its size as it is built
+    (``coalgebra.coproduct_sizes``).  The inner character is read once per
+    distinct left leg per call.
     """
     tables = {} if minus_tables is None else minus_tables
     chars = {}  # the inner character of each distinct left leg
     out = FormalSum()
     for (t1, t2), c in delta_plus_ex(tree, spec):
         if t2 not in tables:
-            tables[t2] = [(a, c2 * _gamma_char(r)) for (a, r), c2 in delta_minus_ex(t2, spec)]
+            tables[t2] = [(a, c2 * _gamma_char(r)) for (a, r), c2 in delta_minus_ex_even(t2, spec)]
+            _record_size(len(tables[t2]))
         inner = Poly.const(0)
         for a, transport in tables[t2]:
             if a not in chars:
@@ -373,8 +369,8 @@ def check_gamma_bphz(spec, nmax, cov):
     For every basis symbol of power <= nmax, the transport computed
     through the coproduct route (with and without the antipode twist on
     the inner character) must coincide exactly with the direct
-    recentring rules.  Returns a report dict, with the same ``elapsed_s``
-    and ``max_coproduct_terms`` as :func:`check_bphz_plain`.
+    recentring rules.  Returns a report dict as :func:`check_bphz_plain`
+    does; the tables it reads are the right legs' screened ones.
     """
     start = time.perf_counter()
     failures = []
@@ -383,7 +379,7 @@ def check_gamma_bphz(spec, nmax, cov):
     # symbols of power 0 (the unit and the noises), as check_bphz_plain does
     small = type(spec)(d=spec.d, alpha=spec.alpha, truncation=max(min(spec.truncation, nmax), 1))
     symbols = [tau for tau in enumerate_basis(small) if _power(tau) <= nmax]
-    minus_tables = {}  # one delta_minus_ex table per right leg, across twists and symbols
+    minus_tables = {}  # one screened table per right leg, across twists and symbols
     with coproduct_sizes() as sizes:
         for tau in symbols:
             direct = gamma_direct(tau, small)

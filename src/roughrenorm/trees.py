@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
+from math import comb, prod
 from operator import attrgetter
 
 from .errors import DomainError, ParseError
@@ -176,6 +177,22 @@ def tree_product(*trees):
     for t in trees:
         children.extend(t.children)
     return Tree(children)
+
+
+def root_splits(tree, movable):
+    """Each way of moving root factors out of ``tree``, as ``(kept, moved,
+    binomial)``.  Of a run ``f^m`` of equal root factors that ``movable(f)``
+    accepts, k copies stay and m - k move, in C(m, k) ways; any other run
+    stays.  ``kept`` and ``moved`` are in canonical order, ``binomial`` is
+    the product of the runs' C(m, k), and there are Π (m + 1) splits."""
+    runs = [[((), (), 1)]]  # a unit run, so that zip(*choice) never sees no run
+    for factor, copies in groupby(tree.children):
+        m = len(list(copies))
+        stays = range(m + 1) if movable(factor) else (m,)
+        runs.append([((factor,) * k, (factor,) * (m - k), comb(m, k)) for k in stays])
+    for choice in product(*runs):
+        kept, moved, binomials = zip(*choice)
+        yield sum(kept, ()), sum(moved, ()), prod(binomials)
 
 
 _TREE_KEY = attrgetter("key")

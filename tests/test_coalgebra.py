@@ -22,8 +22,10 @@ from roughrenorm.trees import (
     FormalSum,
     Forest,
     INTEGRATION,
+    LEAF,
     branch,
     forest_of,
+    forest_product,
     mul_forests,
     noise,
     parse_symbol,
@@ -140,6 +142,33 @@ def test_positive_coproduct_is_coassociative(d, truncation):
     for tree in enumerate_basis(spec):
         dp = delta_plus_ex(tree, spec)
         assert _iterate_plus(dp, 0, spec) == _iterate_plus(dp, 1, spec), tree
+
+
+def _cointeraction_sides(tau, spec):
+    """Both sides of the cointeraction of Δ⁻ex and Δ⁺ex on ``tau``, keyed
+    by forest triples (a tree leg as its forest):
+    (id (x) Δ⁺ex) Δ⁻ex τ and M^(13)(2)(4) (Δ⁻ex (x) Δ⁻ex) Δ⁺ex τ."""
+    left = FormalSum()
+    for (a, r), c in delta_minus_ex(tau, spec):
+        (root,) = r.trees or (LEAF,)  # a remainder has at most one tree
+        for (r1, r2), c2 in delta_plus_ex(root, spec):
+            left += FormalSum.lift((a, forest_of(r1), forest_of(r2)), c * c2)
+    right = FormalSum()
+    for (l, r), c in delta_plus_ex(tau, spec):
+        for (a1, r1), c1 in delta_minus_ex(l, spec):
+            for (a2, r2), c2 in delta_minus_ex(r, spec):
+                right += FormalSum.lift((forest_product(a1, a2), r1, r2), c * c1 * c2)
+    return left, right
+
+
+@pytest.mark.parametrize("d, truncation", [(1, 6), (2, 5), (3, 4)])
+def test_negative_and_positive_coproducts_cointeract(d, truncation):
+    # Bruned-Hairer-Zambotti (arXiv:1610.08468): renormalisation commutes
+    # with recentring
+    spec = generic_spec(d, truncation)
+    for tau in enumerate_basis(spec):
+        left, right = _cointeraction_sides(tau, spec)
+        assert left == right, tau
 
 
 def test_variants_agree_after_negative_projection():

@@ -10,12 +10,18 @@ from hypothesis.extra import numpy as hnp
 import reference_gaussian
 import reference_model
 from roughrenorm import model
-from roughrenorm.coalgebra import delta_minus_ex, twisted_antipode
+from roughrenorm.coalgebra import (
+    delta_minus_ex,
+    delta_minus_ex_even,
+    delta_plus_ex,
+    twisted_antipode,
+)
 from roughrenorm.errors import DomainError
 from roughrenorm.gaussian import (
     CovarianceSpec,
     SymbolicCovariance,
     g_antipode,
+    g_minus,
     variable_order,
 )
 from roughrenorm.model import (
@@ -33,6 +39,7 @@ from roughrenorm.model import (
 from roughrenorm.poly import Poly
 from roughrenorm.structure import StructureSpec, enumerate_basis, generic_spec
 from roughrenorm.trees import (
+    EMPTY_FOREST,
     INTEGRATION,
     LEAF,
     FormalSum,
@@ -147,6 +154,32 @@ def test_gamma_direct_equals_the_product_of_two_term_sums_off_the_basis(d_tree):
     _assert_transport_equals_the_oracle(tree, generic_spec(d, 1))
 
 
+def _assert_plus_equals_the_oracle(tree, spec):
+    """``delta_plus_ex`` equals the product of two-term sums exactly: the
+    same pairs, equal coefficients of the same types."""
+    got = delta_plus_ex(tree, spec)
+    expected = reference_model.delta_plus_ex(tree, spec)
+    assert got.terms.keys() == expected.terms.keys(), tree
+    for key, c in expected:
+        assert got.terms[key] == c, (tree, key)
+        assert type(got.terms[key]) is type(c), (tree, key)
+
+
+@pytest.mark.parametrize("d, truncation", [(1, 10), (2, 8), (3, 5)])
+def test_delta_plus_equals_the_product_of_two_term_sums_on_the_basis(d, truncation):
+    spec = generic_spec(d, truncation)
+    for tree in enumerate_basis(spec):
+        _assert_plus_equals_the_oracle(tree, spec)
+
+
+@given(family_trees())
+@example((2, _tree("Xi_1*I^12*I(Xi_1)^12*I(Xi_2)^12")))
+@settings(max_examples=40, deadline=None)
+def test_delta_plus_equals_the_product_of_two_term_sums_off_the_basis(d_tree):
+    d, tree = d_tree
+    _assert_plus_equals_the_oracle(tree, generic_spec(d, 1))
+
+
 @pytest.mark.parametrize(
     "d, truncation, entries", [(1, 8, 178), (2, 6, 246), (3, 4, 228), (2, 9, 489)]
 )
@@ -195,6 +228,42 @@ def test_gamma_via_coproduct_reads_each_remainders_transport_once(monkeypatch):
         via = gamma_via_coproduct(tree, spec, cov, twist=twist, minus_tables=tables)
         assert via == gamma_direct(tree, spec)
     assert remainders and len(remainders) == len(set(remainders))
+
+
+@pytest.mark.parametrize("d, truncation", [(2, 5), (3, 3)])
+def test_screened_tables_give_each_right_leg_the_full_tables_inner_character(d, truncation):
+    """gamma_via_coproduct reads each right leg's screened extraction
+    table; the full-table route it replaced gives the same transport, and
+    each right leg the same inner character under both twists."""
+    spec, cov = generic_spec(d, truncation), SymbolicCovariance(d)
+    screened, full = {}, {}
+    for tau in enumerate_basis(spec):
+        for twist in (True, False):
+            via = gamma_via_coproduct(tau, spec, cov, twist=twist, minus_tables=screened)
+            oracle = reference_model.gamma_via_coproduct(tau, spec, cov, twist, full)
+            assert via == oracle, (tau, twist)
+    assert screened.keys() == full.keys()
+
+    def inner(table, char):
+        return sum((char(a) * transport for a, transport in table), Poly())
+
+    characters = {True: lambda a: g_antipode(a, cov, spec), False: lambda a: g_minus(a, cov)}
+    for twist, char in characters.items():
+        for t2 in full:
+            assert inner(screened[t2], char) == inner(full[t2], char), (t2, twist)
+
+
+def test_every_right_legs_screened_table_is_its_unit_term():
+    # renormalisation acts on every positive right leg through its unit term
+    # alone: no negative forest of even noise count can be extracted from it
+    right_legs = 0
+    for spec in (generic_spec(1, 10), generic_spec(2, 8), generic_spec(3, 5)):
+        legs = {t2 for tau in enumerate_basis(spec) for (_, t2), _ in delta_plus_ex(tau, spec)}
+        for t2 in legs:
+            unit = FormalSum([((EMPTY_FOREST, forest_of(t2)), 1)])
+            assert delta_minus_ex_even(t2, spec) == unit, t2
+        right_legs += len(legs)
+    assert right_legs == 67
 
 
 def test_numeric_transport_matches_symbolic():
