@@ -131,6 +131,16 @@ def _sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _platform_string():
+    """``platform.platform()`` on Linux, where its processor name is empty,
+    ``unknown`` or the machine's, built without the ``uname -p`` subprocess
+    it starts to read that name."""
+    u = platform.uname()  # its system, release and machine need no subprocess
+    if u.system != "Linux":
+        return platform.platform()
+    return platform._platform(u.system, u.release, u.machine, "with", "".join(platform.libc_ver()))
+
+
 def _write_manifest(out_dir, command, config_text, seed, outputs, **extra):
     manifest = {
         "command": command,
@@ -143,7 +153,7 @@ def _write_manifest(out_dir, command, config_text, seed, outputs, **extra):
             "python": platform.python_version(),
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
-            "platform": platform.platform(),
+            "platform": _platform_string(),
             "cpus": usable_cpus(),
         },
     }

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import sys
 import time
@@ -222,8 +223,9 @@ def _fbm_smoother(n, H, dt):
     return _smoother(n, [(math.sqrt(2.0 * H) * (m * dt) ** (H - 0.5), 0)])
 
 
-def _hat_smoother(n, kernel, dt):
-    return _smoother(n, [(kernel.khat(np.arange(1, n + 1, dtype=float) * dt), 0)])
+def _hat_smoother(n, kernel, dt, taps=None):
+    """The :func:`_smoother` of ``n`` points by ``kernel.khat`` at lags 1 .. ``taps`` (or n)."""
+    return _smoother(n, [(kernel.khat(np.arange(1, (taps or n) + 1, dtype=float) * dt), 0)])
 
 
 def fbm_rl(increments, H, dt):
@@ -306,6 +308,7 @@ def c_eps(eps, kernel):
     _normal_width(eps)
     H = kernel.H
     norm = _bump_norm()
+    exp = math.exp
 
     def phi(u):
         lo, hi = -eps, eps - u
@@ -314,11 +317,13 @@ def c_eps(eps, kernel):
 
         def pair(b):
             # _rho_eps_at(b) * _rho_eps_at(b + u), inlined: the same float
-            # operations in the same order, without two calls per point
+            # operations in the same order, without two calls per point, and
+            # 0.0 with no exp when either point lies outside (-1, 1)
             y, z = b / eps, (b + u) / eps
-            at_b = 0.0 if abs(y) >= 1.0 else math.exp(-1.0 / (1.0 - y * y)) / norm / eps
-            at_bu = 0.0 if abs(z) >= 1.0 else math.exp(-1.0 / (1.0 - z * z)) / norm / eps
-            return at_b * at_bu
+            if abs(y) >= 1.0 or abs(z) >= 1.0:
+                return 0.0
+            at_b = exp(-1.0 / (1.0 - y * y)) / norm / eps
+            return at_b * (exp(-1.0 / (1.0 - z * z)) / norm / eps)
 
         val, _ = integrate.quad(pair, lo, hi, limit=100)
         return val
@@ -420,7 +425,7 @@ class TestFunction:
             if order == 1:
                 return 2.0 * x
             return np.full_like(x, 2.0) if order == 2 else np.zeros_like(x)
-        return np.sin(x + order * math.pi / 2.0)
+        return np.sin(x + order * math.pi / 2.0) if order else np.sin(x)
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +625,16 @@ def renormalised_terms(c, spec, powers):
 
 
 def _evaluate(terms, w_dot, delta):
-    """The renormalised model: ``c * w_dot**xi * delta**j`` summed over ``terms``."""
-    return sum(c * delta**j * w_dot**xi for (xi, j), c in terms.items())
+    """The renormalised model: ``c * delta**j * w_dot**xi`` summed over ``terms``,
+    less its exact identities: a coefficient 1.0, a power 0, ``x**1`` (read as
+    ``x``) and the sum's ``0 +``.  That changes no bit but the sign of an exact
+    zero; the value may be ``w_dot`` itself, never to be written into."""
+    total = None
+    for (xi, j), c in terms.items():
+        factors = [x if p == 1 else x**p for x, p in ((delta, j), (w_dot, xi)) if p]
+        term = functools.reduce(operator.mul, factors if c == 1.0 and factors else [c, *factors])
+        total = term if total is None else total + term
+    return 0 if total is None else total
 
 
 # ---------------------------------------------------------------------------
@@ -709,13 +722,13 @@ def wz_experiment(config):
             wh_ext = np.concatenate((np.zeros((rows, pad)), wh_pos), axis=-1)
             smoothed = zip(config.eps_list, ladder.smooth_dw(w_ext), ladder.smooth_w(wh_ext))
         with _timed(seconds, "route"):
-            i_ito = np.sum(f(wh_ext[:, sl]) * np.diff(w_ext)[:, sl], axis=-1)
+            i_ito = np.sum(f(wh_ext[:, sl]) * np.diff(w_ext[:, pad : pad + n + 1]), axis=-1)
             out = []
             for e, w_dot, wh_sm in smoothed:
-                vals = wh_sm[:, sl]
-                i_unc = np.sum(f(vals) * w_dot[:, sl], axis=-1) * dt
-                i_corr = i_unc + drifts[e] * (np.sum(f(vals, 1), axis=-1) * dt)
-                i_model = _model_route(f, wh_sm, w_dot, pad, n, dt, ladder.terms[e])
+                f_grid = f(wh_sm[:, sl]), f(wh_sm[:, sl], 1)
+                i_unc = np.sum(f_grid[0] * w_dot[:, sl], axis=-1) * dt
+                i_corr = i_unc + drifts[e] * (np.sum(f_grid[1], axis=-1) * dt)
+                i_model = _model_route(f, wh_sm, w_dot, pad, n, dt, ladder.terms[e], f_grid)
                 out.append((i_unc, i_corr, i_model, i_ito))
         return np.array(out), seconds
 
@@ -738,7 +751,7 @@ def wz_experiment(config):
     return result
 
 
-def _model_route(f, wh_sm, w_dot, pad, n, dt, terms):
+def _model_route(f, wh_sm, w_dot, pad, n, dt, terms, f_grid=()):
     """Blockwise renormalized-expansion quadrature of the integral.
 
     The ``n`` grid points from ``pad`` on split into blocks of ``_BLOCK``
@@ -749,17 +762,21 @@ def _model_route(f, wh_sm, w_dot, pad, n, dt, terms):
     block-by-block loop: ascending order, block sums, then a
     left-to-right sum.  The grid is the last axis: a path gives a float,
     a stack of paths an array of one value per path, each the float of
-    its row alone.
+    its row alone.  ``f_grid`` may hold ``f(x, m)`` for m = 0, 1, ... on
+    those ``n`` points; the route reads those orders at the block bases.
     """
     lead = np.shape(wh_sm)[:-1]
     blocks = wh_sm[..., pad : pad + n].reshape(lead + (-1, _BLOCK))
     base = blocks[..., 0].copy()  # contiguous, as the loop's one-point arrays were
     delta = blocks - base[..., None]
     w_blocks = w_dot[..., pad : pad + n].reshape(lead + (-1, _BLOCK))
-    acc = np.zeros_like(delta)
+    acc = None
     for m, expansion in terms.items():
-        fm = f(base, m) / math.factorial(m)
-        acc += fm[..., None] * _evaluate(expansion, w_blocks, delta)
+        fm = f_grid[m][..., ::_BLOCK] if m < len(f_grid) else f(base, m)
+        if m > 1:
+            fm = fm / math.factorial(m)
+        term = fm[..., None] * _evaluate(expansion, w_blocks, delta)  # a new array
+        acc = term if acc is None else np.add(acc, term, out=acc)
     # cumsum adds the block sums left to right, as a running total would
     total = np.cumsum(np.sum(acc, axis=-1) * dt, axis=-1)[..., -1]
     return float(total) if total.ndim == 0 else total
@@ -812,7 +829,9 @@ def model_bound_probe(config):
     s_idx = pad + n_grid // 2
     lo, hi = s_idx - reach, s_idx + reach + 1  # the window; T/2 is its point reach
     ladder = _ladder(config, config.powers, hi - lo)
-    hat_smooth = _hat_smoother(n_ext, config.kernel, dt)
+    # khat is 0 from lag 2T on, so hat[lo:hi] reads the increments from lo - taps on
+    taps = _steps(2 * config.T, dt) + 1
+    hat_smooth = _hat_smoother(hi - 1 - (lo - taps), config.kernel, dt, taps)
     names = {k: f"Xi*I(Xihat)^{k}" if k > 1 else "Xi*I(Xihat)" for k in config.powers}
     taus = ["Xi", "I(Xihat)", *names.values()]
     chunks = _path_chunks(config.n_paths, n_ext + 1)
@@ -829,7 +848,8 @@ def model_bound_probe(config):
         with _timed(seconds, "paths"):
             inc = _increments(chunks[i], n_ext, dt, config.seed)
             w_ext = np.concatenate((np.zeros((len(inc), 1)), np.cumsum(inc, axis=-1)), axis=-1)
-            hat = _causal(hat_smooth, inc)[:, lo:hi]  # stationary_hat_process on the window
+            # stationary_hat_process on the window
+            hat = _causal(hat_smooth, inc[:, lo - taps : hi - 1])[:, taps:]
             inc = inc[:, lo:hi]
             smoothed = zip(ladder.smooth_dw(w_ext[:, lo:hi]), ladder.smooth_w(hat))
             per_eps = dict(zip(eps_list, smoothed))

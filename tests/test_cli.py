@@ -17,7 +17,7 @@ import scipy
 from hypothesis import example, given, settings, strategies as st
 
 import roughrenorm
-from roughrenorm import cache_info, clear_caches
+from roughrenorm import cache_info, cli, clear_caches
 from roughrenorm.cli import main
 
 
@@ -228,6 +228,32 @@ def test_wong_zakai_outputs(tmp_path, wz_config, capsys):
     for row, srow in zip(manifest["c_eps"], srows):
         assert row["value"] == float(srow["c_eps"])
         assert 0.0 < row["quad_error"] < 1e-6 * row["value"]
+
+
+@pytest.fixture
+def uncached_platform(monkeypatch):
+    """platform's uname and platform string, to be read afresh."""
+    monkeypatch.setattr(platform, "_uname_cache", None)
+    monkeypatch.setattr(platform, "_platform_cache", {})
+
+
+@pytest.mark.parametrize("processor", ["", "unknown", "machine"])
+def test_platform_string_is_platform_platform(uncached_platform, processor):
+    uname = platform.uname()
+    # the processor name platform.platform() would read from `uname -p`
+    uname.__dict__["processor"] = uname.machine if processor == "machine" else processor
+    assert cli._platform_string() == platform.platform()
+
+
+def test_manifest_starts_no_subprocess(uncached_platform, monkeypatch, tmp_path, wz_config):
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError("a subprocess was started")
+
+    monkeypatch.setattr(subprocess, "Popen", no_subprocess)
+    out = tmp_path / "out"
+    assert main(["simulate", "wong-zakai", "--config", str(wz_config), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["environment"]["platform"] == cli._platform_string()
 
 
 def test_bad_config_exit_code(tmp_path, capsys):

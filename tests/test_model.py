@@ -362,7 +362,7 @@ _INTEGRATIONS = [branch(INTEGRATION)] + [branch(INTEGRATION, branch(noise(j))) f
 
 
 @st.composite
-def family_trees(draw):
+def two_channel_trees(draw):
     """A symbol-family tree on two channels: at most one root noise and up
     to three of each integration factor."""
     root = draw(st.lists(st.sampled_from(_NOISES), max_size=1))
@@ -370,14 +370,14 @@ def family_trees(draw):
     return tree_product(*root, *(f for f, k in zip(_INTEGRATIONS, counts) for _ in range(k)))
 
 
-forests = st.lists(family_trees(), max_size=3).map(Forest)
+forests = st.lists(two_channel_trees(), max_size=3).map(Forest)
 formal_sums = st.lists(
     st.tuples(forests, st.fractions(min_value=-5, max_value=5, max_denominator=7)), max_size=4
 ).map(FormalSum)
 base_points = st.integers(0, 128) | st.lists(st.integers(0, 128), min_size=1, max_size=4)
 
 
-@given(family_trees() | forests | formal_sums, base_points)
+@given(two_channel_trees() | forests | formal_sums, base_points)
 @example(_tree("Xi_1*I(Xi_2)^2*I"), 5)
 @settings(max_examples=80, deadline=None)
 def test_eval_pi_equals_the_tree_walk(path, x, s_idx):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_roughsim
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
@@ -539,7 +540,7 @@ def _loop_model_route(f, wh_sm, w_dot, pad, n, dt, correction, order_max, block)
     log_n=st.integers(3, 10),
     pad=st.integers(0, 40),
     order=st.integers(0, 5),
-    name=st.sampled_from(["sine", "quadratic", "constant"]),
+    name=st.sampled_from(["sine", "quadratic", "constant", "linear"]),
     correction=st.floats(-5.0, 5.0),
     scale=st.floats(1e-3, 3.0),
     T=st.floats(0.1, 10.0),
@@ -564,6 +565,55 @@ def test_model_route_equals_block_loop(seed, log_n, pad, order, name, correction
     stacked = roughsim._model_route(f, wh_sm, w_dot, pad, n, T / n, terms)
     assert stacked.shape == (rows,)
     assert stacked.tolist() == singles
+
+
+_COEFFICIENTS = st.sampled_from([1.0, -1.0, 0.0]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    terms=st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)), _COEFFICIENTS, min_size=1, max_size=8
+    ),
+    kind=st.sampled_from(["float", "0-d", "rows"]),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 1e3),
+)
+@settings(max_examples=300, deadline=None)
+def test_evaluate_equals_the_plain_sum(terms, kind, seed, scale):
+    # the plain sum multiplies by every 1.0, x**0 and x**1 and starts from 0;
+    # leaving those out changes no bit but the sign of an exact zero, which
+    # np.array_equal does not see.  A lone (0, 0) term gives its coefficient
+    # as a float where the plain sum gives an array of it: both broadcast alike.
+    rng = np.random.default_rng(seed)
+    w_dot, delta = scale * rng.standard_normal((2, 3, 16))
+    if kind == "float":
+        w_dot, delta = float(w_dot[0, 0]), float(delta[0, 0])
+    elif kind == "0-d":
+        w_dot, delta = np.array(w_dot[0, 0]), np.array(delta[0, 0])
+    before = np.copy(w_dot), np.copy(delta)
+    with np.errstate(over="ignore", invalid="ignore"):  # coefficients up to 1.8e308
+        want = reference_roughsim._evaluate(terms, w_dot, delta)
+        got = roughsim._evaluate(terms, w_dot, delta)
+    assert np.array_equal(np.broadcast_to(got, np.shape(want)), want, equal_nan=True)
+    assert np.array_equal(w_dot, before[0]) and np.array_equal(delta, before[1])
+
+
+@pytest.mark.parametrize("name", ["constant", "linear", "quadratic", "sine"])
+@pytest.mark.parametrize("correction", [0.0, 0.37])
+def test_model_route_reads_f_off_the_full_grid(name, correction):
+    # wz_experiment hands the route f and f' on the whole grid; read at the
+    # block bases they must give the route's bits, as taking f there does
+    rng = np.random.default_rng(17)
+    pad, n, rows, dt = 5, 256, 3, 1 / 256
+    wh_sm = 0.4 * np.cumsum(rng.standard_normal((rows, n + 2 * pad + 1)), axis=-1)
+    w_dot = rng.standard_normal((rows, n + 2 * pad + 1))
+    f = FunctionSpec(name)
+    terms = renormalised_terms(correction, SPEC_H01, range(6))
+    args = (f, wh_sm, w_dot, pad, n, dt, terms)
+    f_grid = (f(wh_sm[:, pad : pad + n]), f(wh_sm[:, pad : pad + n], 1))
+    want = reference_roughsim._model_route(*args).tolist()
+    assert roughsim._model_route(*args).tolist() == want
+    assert roughsim._model_route(*args, f_grid).tolist() == want
 
 
 @given(
@@ -653,6 +703,12 @@ def _full_length_pairings(config):
         # widths off the grid: the outermost mollifier weights and test-function
         # values are not 0, so a window one point too short changes the pairings
         {"eps_list": (0.05, 0.03), "lambdas": (0.03, 0.02)},
+        # T off a power of two: 2T is 512 steps of 0.7/256, and 54 + 45 window
+        # steps stay within N/2
+        {"T": 0.7, "lambdas": (0.15, 0.1)},
+        # a rougher kernel, whose history weighs more against the window
+        {"H": 0.1},
+        {"powers": (1, 2, 3)},
     ],
 )
 def test_windowed_probe_equals_full_length_smoothing(widths):
