@@ -92,7 +92,8 @@ def cache_info():
     both per tree and spec), the Gaussian moments as polynomials in the
     covariance entries (``gaussian._MOMENTS``, per monomial, read at every
     covariance) and the degrees (per spec and tree).  None is bounded: each
-    grows with the distinct trees a process sees.
+    grows with the distinct trees a process sees.  Tree and entry keys hold
+    ``trees._BRANCH_KEYS`` entries; clearing it only makes later keys equal.
 
     The intern tables of ``EdgeType``, ``Tree`` and ``Forest`` (class
     attributes, one instance per distinct symbol built) are not memo

@@ -72,7 +72,7 @@ _EXTRACT_CACHE = {}
 
 def _entry_key(entry):
     et, aroot, riders = entry
-    return (et.sort_key(), aroot.key, tuple(map(_branch_key, riders)))
+    return (_branch_key((et, aroot)), tuple(map(_branch_key, riders)))
 
 
 _ENTRY_KEYS = _KeyMemo(_entry_key)

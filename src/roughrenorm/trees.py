@@ -111,10 +111,11 @@ def _bsort(branches):
 class Tree:
     """Immutable rooted tree with typed edges, kept in canonical order.
 
-    ``children`` is a tuple of ``(EdgeType, Tree)`` pairs sorted by a
-    canonical key (``key`` is the tree's, a nested tuple that orders
-    trees).  ``num_edges`` and ``num_noises`` count all edges and the
-    noise edges.
+    ``children`` is a tuple of ``(EdgeType, Tree)`` pairs in canonical
+    order, and ``key``, which orders trees, is the tuple of their
+    ``_BRANCH_KEYS`` entries, one object per distinct branch (clearing
+    that table only makes later trees build equal keys).  ``num_edges``
+    and ``num_noises`` count all edges and the noise edges.
 
     Trees are interned, as are :class:`EdgeType` and :class:`Forest`: the
     constructor returns the one instance per canonical children tuple, so
@@ -139,15 +140,11 @@ class Tree:
         if self is None:
             self = object.__new__(cls)
             self.children = children
-            key = []
-            edges = noises = 0
+            self.key = tuple(map(_branch_key, children))
+            self.num_edges = self.num_noises = 0
             for et, sub in children:
-                key.append((et.kind, et.index, sub.key))
-                edges += 1 + sub.num_edges
-                noises += et.is_noise + sub.num_noises
-            self.key = tuple(key)
-            self.num_edges = edges
-            self.num_noises = noises
+                self.num_edges += 1 + sub.num_edges
+                self.num_noises += et.is_noise + sub.num_noises
             self._text = None  # format_tree's text, once printed
             self = cls._interned.setdefault(children, self)
         return self

@@ -13,6 +13,7 @@ import reference_extraction
 import reference_symbols
 from roughrenorm import clear_caches
 from roughrenorm.coalgebra import (
+    _ENTRY_KEYS,
     _entry_key,
     _extract,
     _finish_plain,
@@ -33,6 +34,8 @@ from roughrenorm.trees import (
     INTEGRATION,
     LEAF,
     Tree,
+    _BRANCH_KEYS,
+    _TREE_KEY,
     _bsort,
     branch,
     forest_of,
@@ -276,6 +279,52 @@ def test_run_length_tables_equal_the_sorted_tuple_dp_on_depth_3_trees(tree):
 def test_format_tree_equals_reference_printer(tree):
     # depth-3 trees lie outside the symbol family: their debug form too
     assert format_tree(tree) == reference_symbols.format_tree(tree)
+
+
+# ---------------------------------------------------------------------------
+# canonical keys
+
+
+def _old_branch_key(branch):
+    """A branch's key in the per-factor encoding ``(kind, index, sub-key)``,
+    the order oracle for ``Tree.key``."""
+    et, sub = branch
+    return (et.kind, et.index, _old_tree_key(sub))
+
+
+def _old_tree_key(tree):
+    return tuple(map(_old_branch_key, tree.children))
+
+
+def _assert_same_order(trees):
+    trees = list(set(trees))
+    assert sorted(trees, key=_TREE_KEY) == sorted(trees, key=_old_tree_key)
+
+
+def test_a_tree_key_holds_one_object_per_distinct_root_branch():
+    trees = [tree_product(XI1, *[IXI2] * 40), *enumerate_basis(generic_spec(2, 8))]
+    for tree in trees:
+        assert len({id(k) for k in tree.key}) == len(set(tree.children)), tree
+    # a DP entry's key holds its root branch's key and its riders' keys
+    clear_caches()
+    ranked, _ = _states(trees[0], _finish_repaired, {}, False)
+    assert ranked[1]
+    for et, aroot, riders in ranked[1]:
+        branch_key, rider_keys = _ENTRY_KEYS[(et, aroot, riders)]
+        assert branch_key is _BRANCH_KEYS[(et, aroot)]
+        assert all(k is _BRANCH_KEYS[r] for k, r in zip(rider_keys, riders, strict=True))
+
+
+def test_tree_keys_order_trees_as_the_per_factor_encoding_does():
+    _assert_same_order(enumerate_basis(generic_spec(2, 8)))
+
+
+@given(st.lists(bounded_trees(), min_size=2, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_tree_keys_order_depth_3_trees_as_the_per_factor_encoding_does(trees):
+    _assert_same_order(trees)
+    for tree in trees:
+        assert tree.children == tuple(sorted(tree.children, key=_old_branch_key))
 
 
 # ---------------------------------------------------------------------------
