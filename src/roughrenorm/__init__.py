@@ -70,9 +70,7 @@ from . import structure as _structure, trees as _trees
 def _memo_tables():
     return {
         "coalgebra._EXTRACT_CACHE": _coalgebra._EXTRACT_CACHE,
-        "coalgebra._ENTRY_KEYS": _coalgebra._ENTRY_KEYS,
         "coalgebra._REPAIRED_CACHE": _coalgebra._REPAIRED_CACHE,
-        "coalgebra._EVEN_CACHE": _coalgebra._EVEN_CACHE,
         "coalgebra._ANTIPODE_CACHE": _coalgebra._ANTIPODE_CACHE,
         "gaussian._G_ANTIPODE_CACHE": _gaussian._G_ANTIPODE_CACHE,
         "gaussian._MOMENTS": _gaussian._MOMENTS,
@@ -84,15 +82,15 @@ def _memo_tables():
 def cache_info():
     """Entry count of each of the package's process-wide memo tables.
 
-    The tables hold the plain and repaired extraction tables, the
-    repaired ones pruned for g∘A, the sort keys of the extraction DP's
-    chosen entries and of the trees' branches (one per distinct entry or
-    branch), the twisted antipodes and the renormalised expansions that
-    g∘A and ``model.bphz_expansion`` read (``gaussian._G_ANTIPODE_CACHE``;
-    both per tree and spec), the Gaussian moments as polynomials in the
-    covariance entries (``gaussian._MOMENTS``, per monomial, read at every
-    covariance) and the degrees (per spec and tree).  None is bounded: each
-    grows with the distinct trees a process sees.  Tree and entry keys hold
+    The seven tables hold the plain extraction tables (of every subtree,
+    and of ``delta_minus(repair=False)``), the repaired ones, the sort keys
+    of the trees' branches (one per distinct branch), the twisted
+    antipodes and the renormalised expansions that g∘A and
+    ``model.bphz_expansion`` read (``gaussian._G_ANTIPODE_CACHE``; both per
+    tree and spec), the Gaussian moments as polynomials in the covariance
+    entries (``gaussian._MOMENTS``, per monomial, read at every covariance)
+    and the degrees (per spec and tree).  None is bounded: each grows with
+    the distinct trees a process sees.  Tree and entry keys hold
     ``trees._BRANCH_KEYS`` entries; clearing it only makes later keys equal.
 
     The intern tables of ``EdgeType``, ``Tree`` and ``Forest`` (class

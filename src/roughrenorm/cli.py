@@ -28,7 +28,7 @@ from .config import rational
 from .errors import ConfigError, DomainError, ParseError
 from .gaussian import CovarianceSpec, SymbolicCovariance, g_antipode
 from .model import check_bphz_plain, check_gamma_bphz
-from .structure import MAX_TRUNCATION, StructureSpec, generic_spec
+from .structure import MAX_TRUNCATION, StructureSpec, generic_spec, require_channels
 from .trees import LEAF, FormalSum, format_forest, format_symbol, format_tree, parse_symbol
 from .roughsim import (
     KernelSpec,
@@ -303,6 +303,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "symbolic":
+            require_channels(args.d)  # delta-minus builds no StructureSpec to check it
         code = args.fn(args)
         sys.stdout.flush()
         return code

@@ -3,10 +3,11 @@ negative antipode.
 
 ``delta_minus`` enumerates extractions of edge subsets: the extracted
 components form the left leg, the contraction of the extracted edges the
-right leg.  The enumeration is one dynamic programme, :func:`_extract`,
+right leg.  The enumeration is one dynamic programme, :func:`_states`,
 whose states record for every extracted root edge the noise branches
-("riders") that contracting it leaves at the remainder's root.  Two
-finishers read those states:
+("riders") that contracting it leaves at the remainder's root.  It reads
+each subtree's plain table; :func:`_extract` finishes the top tree's
+states with one of two finishers:
 
 * ``repair=False`` -- the plain finisher (:func:`_finish_plain`) keeps
   every rider at the remainder's root: plain contraction of every edge
@@ -20,6 +21,10 @@ finishers read those states:
   coefficient 2 on the ``I(Xi_1) (x) Xi_1`` term of the coproduct of
   ``Xi_1*I(Xi_1)``), at the price of coassociativity of the unprojected
   coproduct.
+
+The finishers and the parity screen act on the top tree only, which is
+exact for the symbols their readers take: no state of a symbol's
+subtrees ``1`` and ``Xi_j`` has a rider or an off-root tree.
 
 After projecting the left leg onto negative-degree forests the two
 variants agree, so :func:`delta_minus_ex` reads the repaired one and
@@ -50,7 +55,6 @@ from .trees import (
     FormalSum,
     Forest,
     Tree,
-    _KeyMemo,
     _TREE_KEY,
     _branch_key,
     _msort,
@@ -68,14 +72,12 @@ from .trees import (
 
 
 _EXTRACT_CACHE = {}
+_REPAIRED_CACHE = {}
 
 
 def _entry_key(entry):
     et, aroot, riders = entry
     return (_branch_key((et, aroot)), tuple(map(_branch_key, riders)))
-
-
-_ENTRY_KEYS = _KeyMemo(_entry_key)
 
 
 def _finish_plain(aoff, chosen, rem):
@@ -84,7 +86,7 @@ def _finish_plain(aoff, chosen, rem):
     return aoff, Tree((et, aroot) for et, aroot, _ in chosen), Tree(rem + riders)
 
 
-def _extract(tree, finish=_finish_plain, cache=_EXTRACT_CACHE, even=False):
+def _extract(tree, finish=_finish_plain):
     """All edge-subset extractions of ``tree``.
 
     Returns a dict mapping ``(off_root, root_part, remainder)`` to a
@@ -94,11 +96,12 @@ def _extract(tree, finish=_finish_plain, cache=_EXTRACT_CACHE, even=False):
     chosen), and ``remainder`` is the tree obtained by contracting the
     chosen edges (each removed edge identifies its endpoints): the
     :func:`_states` of ``tree``, each turned into an output key by
-    ``finish``.  Only finished tables are cached, in ``cache``.
+    ``finish``; cached per finisher (``_EXTRACT_CACHE``, ``_REPAIRED_CACHE``).
     """
+    cache = _REPAIRED_CACHE if finish is _finish_repaired else _EXTRACT_CACHE
     cached = cache.get(tree)
     if cached is None:
-        ranked, states = _states(tree, finish, cache, even)
+        ranked, states = _states(tree)
         cached = cache[tree] = _finished(ranked, states.items(), finish)
     return cached
 
@@ -113,10 +116,9 @@ def _finished(ranked, states, finish):
     return out
 
 
-def _states(tree, finish, cache, even):
+def _states(tree, even=False):
     """The final DP states of the extractions of ``tree``, with
-    multiplicities; subtrees are extracted by :func:`_extract` with the
-    same ``finish``, ``cache`` and ``even``.
+    multiplicities; each subtree's table is its plain :func:`_extract`.
 
     The DP walks the root branches group by group, a group being a run
     of k equal ``(edge type, subtree)`` branches (``Tree.children`` is in
@@ -136,24 +138,24 @@ def _states(tree, finish, cache, even):
     and a state is the tuple of the items' counts by rank.  Adding a
     group to a state adds two count tuples.  Returns ``(ranked,
     states)``: ``ranked`` holds the items of each part in canonical
-    order (trees by ``key``, entries by ``_ENTRY_KEYS``, branches by
+    order (trees by ``key``, entries by :func:`_entry_key`, branches by
     ``trees._BRANCH_KEYS``), and ``states`` maps each count tuple, in
     that order, to its multiplicity.  :func:`_parts` expands a count
     tuple into the sorted tuples the finishers read.
 
-    With ``even=True`` a kept edge whose detaching root part has an odd
+    With ``even=True`` a kept root edge whose detaching part has an odd
     number of noise edges is not a choice, so no state holds an off-root
-    tree of odd noise count; the finisher never moves edges into the
-    off-root trees, so the table is the full one less exactly those
-    entries.  Its ``cache`` must hold only tables built the same way.
+    tree of odd noise count; the finishers never move edges into the
+    off-root trees, so the finished table is the full one less exactly
+    those entries.
     """
     groups = [
-        (_branch_choices(et, _extract(sub, finish, cache, even), even), len(list(copies)))
+        (_branch_choices(et, _extract(sub), even), len(list(copies)))
         for (et, sub), copies in groupby(tree.children)
     ]
     ranked = tuple(
         tuple(sorted({x for choices, _ in groups for part, _ in choices for x in part[kind]}, key=key))
-        for kind, key in enumerate((_TREE_KEY, _ENTRY_KEYS.__getitem__, _branch_key))
+        for kind, key in enumerate((_TREE_KEY, _entry_key, _branch_key))
     )
     rank = {x: i for i, x in enumerate(chain(*ranked))}
     zero = (0,) * len(rank)
@@ -260,9 +262,6 @@ def _finish_repaired(aoff, chosen, rem):
     return aoff, Tree(root_branches), Tree(rem + kept)
 
 
-_REPAIRED_CACHE = {}
-
-
 # ---------------------------------------------------------------------------
 # negative-space coproduct
 
@@ -292,14 +291,14 @@ def delta_minus(x, repair=True):
     plain contraction) and is the one that is coassociative.
     """
     x = as_formal_sum(x)
+    finish = _finish_repaired if repair else _finish_plain
     out = FormalSum()
     for f, c in x:
         term = FormalSum.lift((EMPTY_FOREST, EMPTY_FOREST))
         for i, t in enumerate(f.trees):
             if repair:
                 require_symbol(t)
-            table = _extract(t, _finish_repaired, _REPAIRED_CACHE) if repair else _extract(t)
-            tree_terms = _pair_sum(table.items())
+            tree_terms = _pair_sum(_extract(t, finish).items())
             # the unit pair is the identity of the product: start from the first tree
             term = tree_terms if i == 0 else term.combine(
                 tree_terms,
@@ -339,9 +338,6 @@ def delta_minus_ex(x, spec):
     """Repaired coproduct with the left leg projected onto negative-degree
     forests."""
     return FormalSum([((a, r), c) for (a, r), c in delta_minus(x) if is_negative_forest(a, spec)])
-
-
-_EVEN_CACHE = {}
 
 
 def _may_be_kept(ranked):
@@ -393,19 +389,17 @@ def delta_minus_ex_even(tree, spec):
     remainder carries an odd count.  That holds for every covariance.
 
     An off-root component is final once it detaches, so the extraction
-    never builds one of odd noise count (:func:`_extract` with
-    ``even=True``; the subtrees' tables are cached in ``_EVEN_CACHE``).
-    The root component is final only once finished, but its edge counts
-    are known from the DP state, so only the states that pass
-    :func:`_may_be_kept` (root component the unit, or of even noise count
-    with fewer integration than noise edges) are finished; the others
-    give an odd or a non-negative root tree, so no kept term.  Subtree
-    tables stay unscreened, since a subtree's root part grows inside its
-    parent.  The screened table itself is not cached: its one reader,
+    never builds one of odd noise count (:func:`_states` with
+    ``even=True``).  The root component is final only once finished, but
+    its edge counts are known from the DP state, so only the states that
+    pass :func:`_may_be_kept` (root component the unit, or of even noise
+    count with fewer integration than noise edges) are finished; the
+    others give an odd or a non-negative root tree, so no kept term.  The
+    screened table itself is not cached: its one reader,
     ``gaussian.renormalised_expansion``, caches what it builds from it.
     """
     require_symbol(tree)
-    ranked, states = _states(tree, _finish_repaired, _EVEN_CACHE, even=True)
+    ranked, states = _states(tree, even=True)
     may_be_kept = _may_be_kept(ranked)
     kept = ((c, m) for c, m in states.items() if may_be_kept(c))
     table = _finished(ranked, kept, _finish_repaired)

@@ -33,6 +33,12 @@ _MAX_CHANNELS = 32
 MAX_TRUNCATION = 64
 
 
+def require_channels(d):
+    """A ConfigError unless ``d`` is a channel count the symbolic layer takes."""
+    if not 1 <= d <= _MAX_CHANNELS:
+        raise ConfigError(f"d must lie in 1..{_MAX_CHANNELS}")
+
+
 @dataclass(frozen=True)
 class StructureSpec:
     """Parameters of the symbol space: channel count, exponents, truncation."""
@@ -42,8 +48,7 @@ class StructureSpec:
     truncation: int = 8
 
     def __post_init__(self):
-        if not 1 <= self.d <= _MAX_CHANNELS:
-            raise ConfigError(f"d must lie in 1..{_MAX_CHANNELS}")
+        require_channels(self.d)
         if len(self.alpha) != self.d:
             raise ConfigError("alpha must list one exponent per channel")
         alpha = tuple(Fraction(a) for a in self.alpha)

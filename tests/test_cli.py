@@ -127,7 +127,7 @@ def test_check_bphz_same_after_clear_caches(capsys):
     assert main(["symbolic", "check-bphz", "--nmax", "6"]) == 0
     assert _without_elapsed(capsys.readouterr().out) == first
     filled = cache_info()
-    assert filled["coalgebra._EVEN_CACHE"] > 0
+    assert filled["coalgebra._EXTRACT_CACHE"] > 0
     assert filled["gaussian._G_ANTIPODE_CACHE"] > 0
     assert filled["structure._DEGREE_CACHE"] > 0
     # a cold run fills the same entries every time
@@ -380,6 +380,10 @@ _C_EPS = ["simulate", "c-eps", "--H", "0.3", "--eps"]
         (["symbolic", "check-gamma", "--nmax", "65"], None),
         (["symbolic", "check-bphz", "--nmax", "65"], None),
         (["symbolic", "check-gamma", "--nmax", "1000000000000000000000"], None),
+        # delta-minus builds no StructureSpec, yet reads the same --d rule
+        (["symbolic", "delta-minus", "I", "--d", "-5"], None),
+        (["symbolic", "delta-minus", "I", "--d", "0"], None),
+        (["symbolic", "delta-minus", "Xi_1", "--d", "40"], None),
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, argv, text):

@@ -16,6 +16,7 @@ from roughrenorm.coalgebra import (
     twisted_antipode,
 )
 from roughrenorm.errors import DomainError
+from roughrenorm.gaussian import SymbolicCovariance, g_antipode
 from roughrenorm.structure import enumerate_basis, generic_spec, rough_vol_spec
 from roughrenorm.trees import (
     EMPTY_FOREST,
@@ -230,7 +231,7 @@ def test_even_table_is_the_full_table_less_odd_left_legs(spec):
 def test_screen_reads_the_counts_of_the_finished_root_part(d, truncation):
     for tree in enumerate_basis(generic_spec(d, truncation)):
         for even in (False, True):
-            ranked, states = _states(tree, _finish_repaired, {}, even)
+            ranked, states = _states(tree, even)
             may_be_kept = _may_be_kept(ranked)
             for counts in states:
                 state = _parts(counts, ranked)
@@ -306,3 +307,29 @@ def test_antipode_requires_negative_degree():
     spec = rough_vol_spec(Fraction(3, 10), Fraction(1, 100), truncation=4)
     with pytest.raises(DomainError):
         twisted_antipode(parse_symbol("I(Xi_2)", d=2), spec)
+
+
+# depth-3 trees and a noise edge with a child lie outside the symbol family
+_OUTSIDE_THE_FAMILY = {
+    "I(I(Xi_1))": branch(INTEGRATION, branch(INTEGRATION, branch(noise(1)))),
+    "Xi_1*I(I(Xi_2))": tree_product(
+        branch(noise(1)), branch(INTEGRATION, branch(INTEGRATION, branch(noise(2))))
+    ),
+    "Xi_1(Xi_2)": branch(noise(1), branch(noise(2))),
+}
+_MODE_READERS = {
+    "delta_minus": delta_minus,
+    "delta_minus_ex": lambda t: delta_minus_ex(t, SPEC),
+    "delta_minus_ex_even": lambda t: delta_minus_ex_even(t, SPEC),
+    "twisted_antipode": lambda t: twisted_antipode(t, SPEC),
+    "g_antipode": lambda t: g_antipode(t, SymbolicCovariance(2), SPEC),
+}
+
+
+@pytest.mark.parametrize("reader", _MODE_READERS)
+@pytest.mark.parametrize("tree", _OUTSIDE_THE_FAMILY)
+def test_readers_of_the_top_level_modes_reject_trees_outside_the_family(reader, tree):
+    # the repaired finisher and the parity screen act on the top tree only,
+    # which is exact only for symbols, whose subtrees have one table in every mode
+    with pytest.raises(DomainError):
+        _MODE_READERS[reader](_OUTSIDE_THE_FAMILY[tree])

@@ -7,13 +7,12 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_extraction
 import reference_symbols
 from roughrenorm import clear_caches
 from roughrenorm.coalgebra import (
-    _ENTRY_KEYS,
     _entry_key,
     _extract,
     _finish_plain,
@@ -224,30 +223,31 @@ def bounded_trees(draw, depth=3, max_edges=10):
 @pytest.mark.parametrize("finish", [_finish_plain, _finish_repaired])
 def test_grouped_extraction_equals_reference_on_basis(finish):
     for tree in enumerate_basis(generic_spec(2, 8)):
-        assert _extract(tree, finish, {}) == _reference_extract(tree, finish, {}), tree
+        assert _extract(tree, finish) == _reference_extract(tree, finish, {}), tree
 
 
 @given(powered_family_trees(), st.sampled_from([_finish_plain, _finish_repaired]))
 @settings(max_examples=40, deadline=None)
 def test_grouped_extraction_equals_reference_on_family_trees(tree, finish):
-    assert _extract(tree, finish, {}) == _reference_extract(tree, finish, {})
+    assert _extract(tree, finish) == _reference_extract(tree, finish, {})
 
 
 @given(bounded_trees())
 @settings(max_examples=60, deadline=None)
 def test_grouped_extraction_equals_reference_on_depth_3_trees(tree):
-    assert _extract(tree, _finish_plain, {}) == _reference_extract(tree, _finish_plain, {})
+    assert _extract(tree, _finish_plain) == _reference_extract(tree, _finish_plain, {})
 
 
 def _run_length_tables(tree):
-    """The tables of the run-length DP: plain and repaired, full and even,
-    and the screened table that g∘A reads."""
+    """The tables of the run-length DP: plain and repaired, full and even
+    (the top tree's root branches screened), and the screened table that
+    g∘A reads."""
+    ranked, states = _states(tree, even=True)
     tables = [
-        _extract(tree, finish, {}, even)
+        table
         for finish in (_finish_plain, _finish_repaired)
-        for even in (False, True)
+        for table in (_extract(tree, finish), _finished(ranked, states.items(), finish))
     ]
-    ranked, states = _states(tree, _finish_repaired, {}, True)
     may_be_kept = _may_be_kept(ranked)
     kept = ((counts, m) for counts, m in states.items() if may_be_kept(counts))
     return tables + [_finished(ranked, kept, _finish_repaired)]
@@ -268,10 +268,27 @@ def test_run_length_tables_equal_the_sorted_tuple_dp_on_basis():
             assert _run_length_tables(tree) == _reference_tables(tree), tree
 
 
-@given(bounded_trees())
+@given(bounded_trees(depth=2))
 @settings(max_examples=30, deadline=None)
-def test_run_length_tables_equal_the_sorted_tuple_dp_on_depth_3_trees(tree):
+def test_run_length_tables_equal_the_sorted_tuple_dp_on_depth_2_trees(tree):
+    # the oracle applies the finisher and the parity screen at every level, the
+    # DP at the top only; the two agree up to depth 2 (see the next test)
     assert _run_length_tables(tree) == _reference_tables(tree)
+
+
+@given(bounded_trees(depth=1))
+@example(LEAF)  # a symbol's subtrees
+@example(XI1)
+@example(XI2)
+@example(branch(noise(3)))
+@settings(max_examples=100, deadline=None)
+def test_depth_1_trees_have_one_table_in_every_mode(tree):
+    # no state of a depth-1 tree has a rider or an off-root tree
+    for finish in (_finish_plain, _finish_repaired):
+        for even in (False, True):
+            assert reference_extraction.extract(tree, finish, {}, even) == _extract(tree), (
+                finish, even,
+            )
 
 
 @given(bounded_trees())
@@ -307,10 +324,10 @@ def test_a_tree_key_holds_one_object_per_distinct_root_branch():
         assert len({id(k) for k in tree.key}) == len(set(tree.children)), tree
     # a DP entry's key holds its root branch's key and its riders' keys
     clear_caches()
-    ranked, _ = _states(trees[0], _finish_repaired, {}, False)
+    ranked, _ = _states(trees[0])
     assert ranked[1]
     for et, aroot, riders in ranked[1]:
-        branch_key, rider_keys = _ENTRY_KEYS[(et, aroot, riders)]
+        branch_key, rider_keys = _entry_key((et, aroot, riders))
         assert branch_key is _BRANCH_KEYS[(et, aroot)]
         assert all(k is _BRANCH_KEYS[r] for k, r in zip(rider_keys, riders, strict=True))
 
@@ -423,7 +440,8 @@ def test_parser_rejects_double_root_noise():
 
 
 def test_parser_rejects_bad_index():
-    with pytest.raises(ParseError):
+    # the tree's family check would reject Xi_3 too, with a message that names no index
+    with pytest.raises(ParseError, match="noise index 3 out of range"):
         parse_symbol("Xi_3", d=2)
     with pytest.raises(ParseError):
         parse_symbol("Xi_0", d=2)
