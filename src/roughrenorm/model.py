@@ -8,8 +8,9 @@ checked mechanically.  Π (:func:`pi_symbolic`) and the transport rule
 (:func:`gamma_direct`) are each written once, as monomials in named root
 factors and increments.  The numeric layer substitutes into them: one
 evaluator (:class:`_Monomials`), which evaluates each distinct monomial
-once, gives Π rows on a :class:`SamplePath` (smooth channel paths with
-analytic derivatives on a common grid) and the transport matrices' entries.
+once, as its prefix times one power, gives Π rows on a :class:`SamplePath`
+(smooth channel paths with analytic derivatives on a common grid) and the
+transport matrices' entries.
 """
 
 from __future__ import annotations
@@ -73,36 +74,65 @@ class SamplePath:
 class _Monomials:
     """Monomials, sorted tuples of names repeated for powers, each distinct
     one compiled once: ``distinct[k]`` holds the k-th one's ``(name, power)``
-    factors in name order, and ``index[r]`` is row ``r``'s distinct one."""
+    factors in name order, and ``index[r]`` is row ``r``'s distinct one.
+
+    Each distinct monomial is a slot, computed as its prefix (its factors
+    but the last) times the last factor's power.  A prefix that is not
+    listed is one more slot, of ``spare`` ones after the listed ones.
+    ``steps`` holds ``(slot, prefix slot, name, power)`` in order of length,
+    the empty monomial's prefix slot being None; ``tops`` each name's
+    highest power that a step reads."""
 
     distinct: tuple
     index: np.ndarray
+    steps: tuple
+    spare: int
+    tops: tuple
 
     @classmethod
     def compile(cls, monomials):
         keys = {m: k for k, m in enumerate(dict.fromkeys(monomials))}
         distinct = tuple(tuple((name, len(list(run))) for name, run in groupby(m)) for m in keys)
-        return cls(distinct, np.array([keys[m] for m in monomials], dtype=int))
+        slots = {factors: k for k, factors in enumerate(distinct)}
+        for factors in distinct:
+            while factors and factors[:-1] not in slots:
+                factors = factors[:-1]
+                slots[factors] = len(slots)
+        steps = tuple(
+            (k, slots[f[:-1]], *f[-1]) if f else (k, None, None, 0)
+            for f, k in sorted(slots.items(), key=lambda item: len(item[0]))
+        )
+        tops = {}
+        for _, _, name, p in steps:
+            if name is not None:
+                tops[name] = max(tops.get(name, 0), p)
+        index = np.array([keys[m] for m in monomials], dtype=int)
+        return cls(distinct, index, steps, len(slots) - len(distinct), tuple(tops.items()))
 
     def at(self, values):
         """The monomials at ``values`` (name -> array, all broadcasting to
         one shape ``(..., n)``), as an array ``(..., rows, n)``.  Each name's
-        powers are built once, by repeated multiplication, and each distinct
-        monomial once, as the left-to-right product of its powers (1 if none);
-        rows are gathered from the distinct monomials only if some repeat."""
+        powers are built once, by repeated multiplication, and each slot by
+        one multiplication into its own contiguous ``(..., n)`` block, of its
+        prefix by its last power, shorter slots first; the empty monomial is
+        1.  So a monomial is the left-to-right product of its powers.  Rows
+        are gathered from the distinct monomials only if some repeat; the
+        result is a view of the slot-major blocks with the rows axis moved."""
         *lead, n = np.broadcast_shapes(*(np.shape(v) for v in values.values()))
-        tables = {name: [value] for name, value in values.items()}  # [value, value**2, ...]
-        out = np.empty((*lead, len(self.distinct), n))
-        for k, factors in enumerate(self.distinct):
-            for name, p in factors:
-                while len(tables[name]) < p:
-                    tables[name].append(tables[name][-1] * values[name])
-            powers = [tables[name][p - 1] for name, p in factors]
-            row = out[..., k, :]
-            row[...] = powers[0] if powers else 1.0
-            for power in powers[1:]:
-                row *= power
-        return out if len(self.distinct) == len(self.index) else np.take(out, self.index, axis=-2)
+        powers = {}  # name -> [value, value**2, ...]
+        for name, top in self.tops:
+            table = powers[name] = [values[name]]
+            while len(table) < top:
+                table.append(table[-1] * values[name])
+        listed = len(self.distinct)
+        slots = np.empty((listed + self.spare, *lead, n))  # each slot contiguous
+        for k, prefix, name, p in self.steps:
+            if prefix is None:
+                slots[k] = 1.0
+            else:
+                np.multiply(slots[prefix], powers[name][p - 1], out=slots[k])
+        rows = slots[:listed] if listed == len(self.index) else slots[self.index]
+        return np.moveaxis(rows, 0, -2)
 
 
 def _pi_values(path, s_idx):
@@ -397,8 +427,9 @@ def check_gamma_bphz(spec, nmax, cov):
 # numeric model-axiom checks
 
 
-# Bytes of the stacked arrays of one batch of triples in check_model_axioms
-_BATCH_BYTES = 2**20
+# Bytes of the stacked arrays of one batch of triples in check_model_axioms:
+# one core's L2 cache (2 MiB on the 2-vCPU Xeon VM the axioms benchmark ran on)
+_BATCH_BYTES = 2**21
 # The relative error above which check_model_axioms fails a symbol at a triple
 _RTOL = 1e-10
 

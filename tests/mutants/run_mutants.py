@@ -57,7 +57,10 @@ MUTANTS = [
         "        return max(riders, key=_branch_key)\n",
         # the DP's oracles read the package's finishers, so only outputs pinned
         # elsewhere see a finisher break
-        ["tests/test_golden.py::test_symbolic_commands_match_golden"],
+        [
+            _COALGEBRA + "test_the_smallest_competing_rider_stays_at_the_remainders_root",
+            "tests/test_golden.py::test_symbolic_commands_match_golden",
+        ],
     ),
     (
         "coalgebra.py",
@@ -142,15 +145,37 @@ MUTANTS = [
         "        hit = _G_ANTIPODE_CACHE[key] = (expansion, len(table))\n        _record_size(hit[1])\n",
         [_CLI + "test_check_report_same_from_warm_and_cold_caches"],
     ),
-    # numeric model: monomials and transport
+    # numeric model: monomials, transport and batches
     (
         "model.py",
-        "            row[...] = powers[0] if powers else 1.0\n",
-        "            row[...] = powers[0] if powers else 0.0\n",
+        "                slots[k] = 1.0\n",
+        "                slots[k] = 0.0\n",
         [
             _MODEL + "test_eval_pi_equals_the_tree_walk_on_the_basis",
             _MODEL + "test_monomials_equal_the_naive_product_row_by_row",
         ],
+    ),
+    (
+        "model.py",
+        "np.multiply(slots[prefix], powers[name][p - 1], out=slots[k])",
+        "np.multiply(slots[prefix - 1], powers[name][p - 1], out=slots[k])",
+        [
+            _MODEL + "test_eval_pi_equals_the_tree_walk_on_the_basis",
+            _MODEL + "test_monomials_equal_the_naive_product_row_by_row",
+        ],
+    ),
+    (
+        "model.py",
+        "            while factors and factors[:-1] not in slots:\n",
+        "            if factors and factors[:-1] not in slots:\n",
+        # only the oracle test's example of a monomial whose prefixes are not listed
+        [_MODEL + "test_monomials_equal_the_naive_product_row_by_row"],
+    ),
+    (
+        "model.py",
+        "    return max(1, _BATCH_BYTES // (8 * symbols * (3 * points + 4 * symbols)))\n",
+        "    return max(0, _BATCH_BYTES // (8 * symbols * (3 * points + 4 * symbols)))\n",
+        [_MODEL + "test_model_axioms_do_not_depend_on_the_batch_size"],
     ),
     (
         "model.py",

@@ -83,6 +83,18 @@ def test_coproduct_of_product_symbol():
     )
 
 
+def test_the_smallest_competing_rider_stays_at_the_remainders_root():
+    """Of the competing riders, the smallest in branch order stays at the
+    remainder's root.  Contracting both I edges of I(Xi_1)*I(Xi_2) and
+    neither noise edge leaves the riders Xi_1 and Xi_2; Xi_1 stays, and Xi_2
+    goes back into its extracted component: I*I(Xi_2) (x) Xi_1.  Extracting
+    the whole I(Xi_2) and the I over Xi_1 gives that term once more, so it
+    has coefficient 2 and I*I(Xi_1) (x) Xi_2 has 1."""
+    got = _pairs(delta_minus(parse_symbol("I(Xi_1)*I(Xi_2)", d=2)))
+    assert got[(_forest("I*I(Xi_1)"), _forest("Xi_2"))] == 1
+    assert got[(_forest("I*I(Xi_2)"), _forest("Xi_1"))] == 2
+
+
 def test_coproduct_counit():
     for text in ["Xi_1", "I(Xi_2)", "Xi_1*I(Xi_2)^2", "I^2", "Xi_2*I"]:
         x = parse_symbol(text, d=2)

@@ -478,6 +478,16 @@ def monomial_tables(draw):
 @settings(max_examples=200, deadline=None)
 @given(monomial_tables())
 @example(([(), ("a",), ("a", "a", "b"), ()], {"a": np.array([2.0, -0.0]), "b": np.ones((2, 2))}))
+# a monomial whose prefixes (a^2 b, a^2 and 1) are not listed
+@example(([("a", "a", "b", "c")], {"a": np.array([3.0, -0.5]), "b": np.array([-2.0, 1.5]),
+                                    "c": np.array([[0.25, 4.0], [-1.0, 0.0]])}))
+# a listed monomial, a b, that is the prefix of another, a b c^3
+@example(([("a", "b", "c", "c", "c"), ("a", "b")], {"a": np.array([1.5, -3.0]),
+                                                   "b": np.array([-0.75, 2.0]),
+                                                   "c": np.array([1.25, -1.5])}))
+# repeated rows, in no order of length
+@example(([("b", "b"), ("a", "b"), ("b", "b"), ("a",), ("a", "b")],
+          {"a": np.array([[0.5, -2.0]]), "b": np.array([-3.0, 1.0])}))
 def test_monomials_equal_the_naive_product_row_by_row(table):
     monomials, values = table
     got = model._Monomials.compile(monomials).at(values)
