@@ -250,12 +250,13 @@ def gamma_via_coproduct(tree, spec, cov, twist=True, minus_tables=None):
         if t2 not in tables:
             tables[t2] = [(a, c2 * _gamma_char(r)) for (a, r), c2 in delta_minus_ex_even(t2, spec)]
             _record_size(len(tables[t2]))
-        inner = Poly.const(0)
+        products = []
         for a, transport in tables[t2]:
             if a not in chars:
                 chars[a] = g_antipode(a, cov, spec) if twist else g_minus(a, cov)
-            inner = inner + chars[a] * transport
-        out += FormalSum.lift(t1, c * inner)
+            products.append(chars[a] * transport)
+        # every table holds the unit extraction, so the sum starts from its first product
+        out += FormalSum.lift(t1, sum(products[1:], products[0]).scale(c))
     return out
 
 

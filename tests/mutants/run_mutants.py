@@ -77,11 +77,33 @@ MUTANTS = [
         "            kept, stay, n = (), None, n - 1\n",
         [_COALGEBRA + "test_coproduct_of_product_symbol", _COALGEBRA + "test_coproduct_counit"],
     ),
+    # the even DP's screen: E = 2N kept, so more states are built; their root
+    # parts have degree >= 0, so the projected tables stay the same
     (
         "coalgebra.py",
-        "        return not noises % 2 and edges < 2 * noises\n",
-        "        return not noises % 2 and edges <= 2 * noises\n",
-        [_COALGEBRA + "test_screen_reads_the_counts_of_the_finished_root_part"],
+        "    return not entries or excess < spare\n",
+        "    return not entries or excess <= spare\n",
+        [
+            _COALGEBRA + "test_screen_reads_the_counts_of_the_finished_root_part",
+            _COALGEBRA + "test_even_dp_builds_o_n_states_on_xi_times_a_power",
+        ],
+    ),
+    # it never prunes: only the counts see it
+    (
+        "coalgebra.py",
+        "    return not entries or excess < spare\n",
+        "    return True\n",
+        [_COALGEBRA + "test_even_dp_builds_o_n_states_on_xi_times_a_power"],
+    ),
+    # it prunes too much: the root noise's -1 forgotten, whole I(Xi_j) are no choice
+    (
+        "coalgebra.py",
+        "        spare = int(bool(tree.children) and tree.children[-1][0].is_noise)\n",
+        "        spare = 0\n",
+        [
+            _COALGEBRA + "test_even_table_is_the_full_table_less_odd_left_legs",
+            _COALGEBRA + "test_pruned_even_dp_builds_the_screened_states_on_basis",
+        ],
     ),
     (
         "coalgebra.py",

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import reference_extraction
 from roughrenorm.coalgebra import (
     _finish_repaired,
-    _may_be_kept,
     _parts,
     _states,
     delta_minus,
@@ -241,17 +241,54 @@ def test_even_table_is_the_full_table_less_odd_left_legs(spec):
 
 @pytest.mark.parametrize("d, truncation", [(2, 6), (3, 3)])
 def test_screen_reads_the_counts_of_the_finished_root_part(d, truncation):
+    # the even DP builds exactly the unpruned states whose off-root trees have
+    # even noise counts and whose finished root part passes the screen, with
+    # their multiplicities; the oracle's screen on counts reads that root part
     for tree in enumerate_basis(generic_spec(d, truncation)):
+        ranked, states = _states(tree, even=True)
+        pruned = {_parts(counts, ranked): m for counts, m in states.items()}
         for even in (False, True):
-            ranked, states = _states(tree, even)
-            may_be_kept = _may_be_kept(ranked)
-            for counts in states:
-                state = _parts(counts, ranked)
+            o_ranked, o_states = reference_extraction.run_length_states(tree, even)
+            may_be_kept = reference_extraction.run_length_screen(o_ranked)
+            expected = {}
+            for counts, m in o_states.items():
+                state = _parts(counts, o_ranked)
                 root = _finish_repaired(*state)[1]
                 kept = root.is_leaf or (
                     not root.num_noises % 2 and root.num_edges < 2 * root.num_noises
                 )
                 assert may_be_kept(counts) == kept, (tree, state)
+                if kept and not any(t.num_noises % 2 for t in state[0]):
+                    expected[state] = m
+            assert pruned == expected, (tree, even)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    # the rough-volatility spec's truncation is 54
+    [generic_spec(2, 30), rough_vol_spec(Fraction(1, 20), Fraction(1, 25)), generic_spec(3, 4)],
+)
+def test_pruned_even_dp_builds_the_screened_states_on_basis(spec):
+    for tree in enumerate_basis(spec):
+        ranked, states = _states(tree, even=True)
+        o_ranked, o_states = reference_extraction.run_length_states(tree, even=True)
+        may_be_kept = reference_extraction.run_length_screen(o_ranked)
+        expected = {_parts(c, o_ranked): m for c, m in o_states.items() if may_be_kept(c)}
+        assert {_parts(c, ranked): m for c, m in states.items()} == expected, tree
+
+
+@pytest.mark.parametrize("n, count", [(1, 2), (9, 6), (30, 16)])
+def test_even_dp_builds_o_n_states_on_xi_times_a_power(n, count):
+    # the unit, and Xi_1 extracted with an odd number of whole I(Xi_2): the
+    # unpruned DP built 2 * C(n + 2, 2) states, 110 at n = 9 and 992 at n = 30
+    ((f, _),) = list(parse_symbol(f"Xi_1*I(Xi_2)^{n}", d=2))
+    _, states = _states(f.trees[0], even=True)
+    assert len(states) == count == 1 + (n + 1) // 2
+    # a pure power has no negative entry: the state that keeps every edge alone
+    power = tree_product(*[branch(INTEGRATION, branch(noise(1)))] * n)
+    ranked, states = _states(power, even=True)
+    ((counts, m),) = states.items()
+    assert m == 1 and _parts(counts, ranked) == ((), (), power.children)
 
 
 def test_delta_plus_binomial():

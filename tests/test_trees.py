@@ -18,7 +18,6 @@ from roughrenorm.coalgebra import (
     _finish_plain,
     _finish_repaired,
     _finished,
-    _may_be_kept,
     _msort,
     _states,
     delta_minus,
@@ -239,40 +238,43 @@ def test_grouped_extraction_equals_reference_on_depth_3_trees(tree):
 
 
 def _run_length_tables(tree):
-    """The tables of the run-length DP: plain and repaired, full and even
-    (the top tree's root branches screened), and the screened table that
-    g∘A reads."""
-    ranked, states = _states(tree, even=True)
-    tables = [
-        table
-        for finish in (_finish_plain, _finish_repaired)
-        for table in (_extract(tree, finish), _finished(ranked, states.items(), finish))
-    ]
-    may_be_kept = _may_be_kept(ranked)
-    kept = ((counts, m) for counts, m in states.items() if may_be_kept(counts))
-    return tables + [_finished(ranked, kept, _finish_repaired)]
+    """The tables of the run-length DP: plain and repaired, and, on a symbol,
+    the even DP's states finished both ways (the repaired one is the table
+    g∘A reads)."""
+    finishers = (_finish_plain, _finish_repaired)
+    tables = [_extract(tree, finish) for finish in finishers]
+    if in_symbol_family(tree):
+        ranked, states = _states(tree, even=True)
+        tables += [_finished(ranked, states.items(), finish) for finish in finishers]
+    return tables
 
 
 def _reference_tables(tree):
-    tables = [
-        reference_extraction.extract(tree, finish, {}, even)
-        for finish in (_finish_plain, _finish_repaired)
-        for even in (False, True)
-    ]
-    return tables + [reference_extraction.screened(tree, _finish_repaired, {})]
+    finishers = (_finish_plain, _finish_repaired)
+    tables = [reference_extraction.extract(tree, finish, {}) for finish in finishers]
+    if in_symbol_family(tree):
+        tables += [reference_extraction.screened(tree, finish, {}) for finish in finishers]
+    return tables
 
 
 def test_run_length_tables_equal_the_sorted_tuple_dp_on_basis():
     for spec in (generic_spec(2, 8), generic_spec(3, 4)):
         for tree in enumerate_basis(spec):
             assert _run_length_tables(tree) == _reference_tables(tree), tree
+            # the even DP before the pruning, its oracle, finished both ways
+            ranked, states = reference_extraction.run_length_states(tree, even=True)
+            for finish in (_finish_plain, _finish_repaired):
+                table = reference_extraction.extract(tree, finish, {}, even=True)
+                assert _finished(ranked, states.items(), finish) == table, tree
 
 
 @given(bounded_trees(depth=2))
+@example(tree_product(XI1, *[IXI2] * 3))
+@example(tree_product(XI2, IXI1, IXI2, branch(INTEGRATION)))
 @settings(max_examples=30, deadline=None)
 def test_run_length_tables_equal_the_sorted_tuple_dp_on_depth_2_trees(tree):
-    # the oracle applies the finisher and the parity screen at every level, the
-    # DP at the top only; the two agree up to depth 2 (see the next test)
+    # the oracle applies the finisher at every level, the DP at the top only;
+    # the two agree up to depth 2 (see the next test); the even DP takes symbols
     assert _run_length_tables(tree) == _reference_tables(tree)
 
 
