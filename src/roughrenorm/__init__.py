@@ -83,15 +83,17 @@ def cache_info():
     """Entry count of each of the package's process-wide memo tables.
 
     The seven tables hold the plain extraction tables (of every subtree,
-    and of ``delta_minus(repair=False)``), the repaired ones, the sort keys
-    of the trees' branches (one per distinct branch), the twisted
-    antipodes and the renormalised expansions that g∘A and
-    ``model.bphz_expansion`` read (``gaussian._G_ANTIPODE_CACHE``; both per
-    tree and spec), the Gaussian moments as polynomials in the covariance
-    entries (``gaussian._MOMENTS``, per monomial, read at every covariance)
-    and the degrees (per spec and tree).  None is bounded: each grows with
-    the distinct trees a process sees.  Tree and entry keys hold
-    ``trees._BRANCH_KEYS`` entries; clearing it only makes later keys equal.
+    and of ``delta_minus(repair=False)``), the repaired ones (g∘A and the
+    transport fill neither: they read the closed-form
+    ``coalgebra.delta_minus_ex_even``), the sort keys of the trees'
+    branches (one per distinct branch), the twisted antipodes and the
+    renormalised expansions that g∘A and ``model.bphz_expansion`` read
+    (``gaussian._G_ANTIPODE_CACHE``; both per tree and spec), the Gaussian
+    moments as polynomials in the covariance entries (``gaussian._MOMENTS``,
+    per monomial, read at every covariance) and the degrees (per spec and
+    tree).  None is bounded: each grows with the distinct trees a process
+    sees.  Tree and entry keys hold ``trees._BRANCH_KEYS`` entries;
+    clearing it only makes later keys equal.
 
     The intern tables of ``EdgeType``, ``Tree`` and ``Forest`` (class
     attributes, one instance per distinct symbol built) are not memo

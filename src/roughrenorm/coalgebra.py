@@ -22,9 +22,9 @@ states with one of two finishers:
   ``Xi_1*I(Xi_1)``), at the price of coassociativity of the unprojected
   coproduct.
 
-The finishers and the parity screen act on the top tree only, which is
-exact for the symbols their readers take: no state of a symbol's
-subtrees ``1`` and ``Xi_j`` has a rider or an off-root tree.
+The finishers act on the top tree only, which is exact for the symbols
+their readers take: no state of a symbol's subtrees ``1`` and ``Xi_j``
+has a rider or an off-root tree.
 
 After projecting the left leg onto negative-degree forests the two
 variants agree, so :func:`delta_minus_ex` reads the repaired one and
@@ -32,23 +32,13 @@ everything downstream (the twisted antipode, the renormalization
 characters) is variant-independent.
 
 The BPHZ character g∘A (``gaussian``) and the coproduct route of
-transport (``model.gamma_via_coproduct``) read a third, pruned table,
+transport (``model.gamma_via_coproduct``) read a third table,
 :func:`delta_minus_ex_even`: the repaired, projected coproduct less every
 term whose left leg holds a tree with an odd number of noise edges.  g∘A
 and g are 0 on such a tree for every centred Gaussian covariance, so those
-terms add nothing to g∘A, ``model.bphz_expansion`` or the transport.
-
-Its DP (:func:`_states` with ``even=True``) builds only the states whose
-finished root part can lie in a kept left leg: the unit, or a tree of
-even noise count N and negative excess E - 2N, E being its edge count (a
-tree with E >= 2N has a non-negative degree).  Each state carries its
-root part's tallies as integers.  In a symbol, the root noise's entry
-adds excess -1 and an integration entry 0 or +1; the rider that stays at
-the remainder's root is a noise leaf, so it adds +1 and flips N's
-parity, and one stays unless the root noise is kept, which leaves
-nothing negative.  So an entry with a rider, or with an excess no lower
-than the root noise could take off, is never a choice; the root noise's
-group is the last, and there a state is built only if it passes.
+terms add nothing.  On a symbol that table has a closed form, the run
+split of :func:`~roughrenorm.trees.root_splits` that :func:`delta_plus_ex`
+reads too, and it runs no DP.
 """
 
 from __future__ import annotations
@@ -114,21 +104,15 @@ def _extract(tree, finish=_finish_plain):
     cached = cache.get(tree)
     if cached is None:
         ranked, states = _states(tree)
-        cached = cache[tree] = _finished(ranked, states.items(), finish)
+        table = {}
+        for counts, m in states.items():
+            key = finish(*_parts(counts, ranked))
+            table[key] = table.get(key, 0) + m
+        cached = cache[tree] = table
     return cached
 
 
-def _finished(ranked, states, finish):
-    """The table of ``(counts, multiplicity)`` pairs of :func:`_states`,
-    each state expanded by :func:`_parts` and finished."""
-    out = {}
-    for counts, m in states:
-        key = finish(*_parts(counts, ranked))
-        out[key] = out.get(key, 0) + m
-    return out
-
-
-def _states(tree, even=False):
+def _states(tree):
     """The final DP states of the extractions of ``tree``, with
     multiplicities; each subtree's table is its plain :func:`_extract`.
 
@@ -154,67 +138,35 @@ def _states(tree, even=False):
     ``trees._BRANCH_KEYS``), and ``states`` maps each count tuple, in
     that order, to its multiplicity.  :func:`_parts` expands a count
     tuple into the sorted tuples the finishers read.
-
-    With ``even=True`` ``tree`` is a symbol, and the DP builds only the
-    states that :func:`delta_minus_ex_even` finishes.  A count tuple then
-    ends with three tallies of the root part: its chosen entries, their
-    excess E - 2N (E edges, N noise edges) and N.  An extracted edge is
-    a choice only if its entry passes :func:`_may_be_kept` with the
-    ``spare`` that the root noise's entry could still take off; the
-    root noise, if any, is the last group, where a state is built only
-    if its root part passes the screen itself: the unit, or negative
-    excess and even N.
     """
     groups = [
-        (_branch_choices(et, _extract(sub), even), len(list(copies)))
+        (_branch_choices(et, _extract(sub)), len(list(copies)))
         for (et, sub), copies in groupby(tree.children)
     ]
-    if even:
-        # a symbol's one root noise is its last group, its -1 the most the
-        # other choices can take off an entry's excess
-        spare = int(bool(tree.children) and tree.children[-1][0].is_noise)
-        groups = [
-            ([(part, w) for part, w in choices if _may_be_kept(*part[3:5], spare)], k)
-            for choices, k in groups
-        ]
     ranked = tuple(
         tuple(sorted({x for choices, _ in groups for part, _ in choices for x in part[kind]}, key=key))
         for kind, key in enumerate((_TREE_KEY, _entry_key, _branch_key))
     )
     rank = {x: i for i, x in enumerate(chain(*ranked))}
-    zero = (0,) * (len(rank) + 3 * even)
+    zero = (0,) * len(rank)
     states = {zero: 1}
-    screened = len(groups) - 1 if even else -1
-    for i, (choices, k) in enumerate(groups):
+    for choices, k in groups:
         group = _distribute([(_counts(part, rank, zero), w) for part, w in choices], k, zero)
         nxt = {}
         for counts, m in states.items():
             for g_counts, w in group:
                 key = tuple(map(add, counts, g_counts))
-                if i != screened or _may_be_kept(key[-3], key[-2]) and not key[-1] % 2:
-                    nxt[key] = nxt.get(key, 0) + m * w
+                nxt[key] = nxt.get(key, 0) + m * w
         states = nxt
     return ranked, states
 
 
-def _may_be_kept(entries, excess, spare=0):
-    """Whether a root part with this many chosen entries and this excess
-    E - 2N can still be kept, when the choices still to come can lower
-    its excess by at most ``spare``: a kept root part is the unit or has
-    negative excess.  An integration edge has degree 1 and a noise edge
-    a degree in (-1, 0), so a tree with E >= 2N, no fewer integration
-    than noise edges, has a non-negative degree under every spec."""
-    return not entries or excess < spare
-
-
 def _counts(part, rank, zero):
-    """The count tuple of a choice given as sorted tuples of items, then
-    its tallies, if any (see :func:`_branch_choices`)."""
+    """The count tuple of a choice given as sorted tuples of items."""
     counts = list(zero)
-    for items in part[:3]:
+    for items in part:
         for x in items:
             counts[rank[x]] += 1
-    counts[len(rank):] = part[3:]
     return tuple(counts)
 
 
@@ -230,26 +182,19 @@ def _parts(counts, ranked):
     )
 
 
-def _branch_choices(et, sub_ext, even):
+def _branch_choices(et, sub_ext):
     """The state parts one root branch ``(et, sub)`` can add, with weights:
-    per entry of the subtree's table, the edge kept or extracted.  When
-    ``even``, an edge is kept only if the detaching part has even noise
-    count, and a part ends with the tallies it adds to the root part
-    (see :func:`_states`); an entry is tallied without its riders, as if
-    they stayed at the remainder's root."""
+    per entry of the subtree's table, the edge kept or extracted."""
     choices = {}
     for (s_off, s_root, s_rem), sm in sub_ext.items():
         # edge kept: the sub-extraction's root component detaches
-        if not (even and s_root.num_noises % 2):
-            off = _msort(s_off + ((s_root,) if s_root.children else ()))
-            part = (off, (), ((et, s_rem),)) + (0, 0, 0) * even
-            choices[part] = choices.get(part, 0) + sm
+        off = _msort(s_off + ((s_root,) if s_root.children else ()))
+        part = (off, (), ((et, s_rem),))
+        choices[part] = choices.get(part, 0) + sm
         # edge extracted: endpoints identified, remainder splices up
         riders = tuple(b for b in s_rem.children if b[0].is_noise)
         others = tuple(b for b in s_rem.children if not b[0].is_noise)
-        noises = et.is_noise + s_root.num_noises
         part = (s_off, ((et, s_root, riders),), others)
-        part += (1, 1 + s_root.num_edges - 2 * noises, noises) * even
         choices[part] = choices.get(part, 0) + sm
     return list(choices.items())
 
@@ -309,16 +254,14 @@ def _finish_repaired(aoff, chosen, rem):
 # negative-space coproduct
 
 
-def _pair_sum(entries, keep=lambda a: True):
+def _pair_sum(entries):
     """The FormalSum over ``(extracted forest, remainder forest)`` pairs of
     the ``((off_root, root_part, remainder), multiplicity)`` entries of a
-    :func:`_extract` table whose extracted forest passes ``keep``."""
+    :func:`_extract` table."""
     pairs = {}
     for (aoff, aroot, rem), m in entries:
-        a = Forest(aoff + (aroot,))
-        if keep(a):
-            key = (a, forest_of(rem))
-            pairs[key] = pairs.get(key, 0) + Fraction(m)
+        key = (Forest(aoff + (aroot,)), forest_of(rem))
+        pairs[key] = pairs.get(key, 0) + Fraction(m)
     return FormalSum(pairs)
 
 
@@ -394,39 +337,39 @@ def delta_minus_ex_even(tree, spec):
     noise count: in each antipode term either a left-leg tree or the
     remainder carries an odd count.  That holds for every covariance.
 
-    An off-root component is final once it detaches, so the extraction
-    never builds one of odd noise count.  The root component is final
-    only once finished, and :func:`_states` with ``even=True`` builds
-    only the states whose root component is the unit, or has even noise
-    count N and negative excess E - 2N (E its edges), as
-    ``_finish_repaired`` makes it; the others give an odd or a
-    non-negative root tree, so no kept term.  The DP bounds the excess
-    with exact integer tallies:
+    On a symbol ``Xi_i * I^a * Π_j I(Xi_j)^(n_j)`` the terms are the unit
+    ``1 (x) tree`` and, per way of moving k_j copies of each whole
+    ``I(Xi_j)`` to the root noise with Σ k_j odd, the root part ``Xi_i *
+    Π_j I(Xi_j)^(k_j)`` (x) the factors left, with coefficient Π C(n_j,
+    k_j), if that root part has negative degree; its noise count 1 + Σ
+    k_j is even.  No other left leg is even and negative.  A tree with
+    E >= 2N (E edges, N of them noise) has a non-negative degree, since
+    an integration edge has degree 1 and a noise edge one in (-1, 0).
+    An off-root component is a lone ``Xi_j``, which is odd.  In the root
+    part the root noise adds -1 to E - 2N, a bare ``I`` +1 and a whole
+    ``I(Xi_j)`` 0.  An ``I`` extracted without its ``Xi_j`` leaves that
+    noise as a rider: if the root noise stays, nothing is negative; if
+    not, the remainder's root has no noise, so one rider stays there,
+    and the ``I`` it rode in on adds +1 to the root part.
 
-    * a symbol's root branches are one root noise at most, bare ``I``
-      and ``I(Xi_j)``; as a chosen entry, the root noise adds excess -1,
-      every integration entry 0 or +1;
-    * an entry with a rider, a noise leaf, is never kept: if the root
-      noise is extracted, the remainder's root has no noise branch, so
-      one rider stays there (excess +1 over the root part without it,
-      parity flipped) and cancels the -1; if not, nothing is negative;
-    * so an entry is tallied as if its riders stayed, and is a choice
-      only if its excess is below the root noise's 1 (0 without a root
-      noise): the unit, the root noise and whole ``I(Xi_j)`` remain;
-    * no kept state fails before the root noise's group, the last in
-      canonical order: there each state is screened as it is built,
-      its excess final and its N read for parity.
-
-    At ``check-bphz --d 2 --nmax 9`` the DP builds 157 final states, the
-    157 of 2,195 that the unpruned DP built and then finished.  The
-    screened table itself is not cached: its readers,
+    The terms come in the order in which the extraction DP lists them,
+    which the readers' dicts keep: the unit first, then the moved counts
+    ascending, the first run outermost, ``root_splits``'s order
+    reversed.  The table is not cached: its readers,
     ``gaussian.renormalised_expansion`` and the right-leg tables of
     ``model.gamma_via_coproduct``, keep what they build from it.
     """
     require_symbol(tree)
-    ranked, states = _states(tree, even=True)
-    table = _finished(ranked, states.items(), _finish_repaired)
-    return _pair_sum(table.items(), lambda a: is_negative_forest(a, spec))
+    # the root noise, last in canonical order, moves with whole I(Xi_j); a
+    # moved tuple holding it and an odd count of them has even length
+    splits = root_splits(tree, lambda factor: factor[0].is_noise or factor[1].children)
+    terms = []
+    for kept, moved, b in reversed(list(splits)):
+        if not moved or (
+            moved[-1][0].is_noise and len(moved) % 2 == 0 and spec.degree_tree(Tree(moved)) < 0
+        ):
+            terms.append(((forest_of(Tree(moved)), forest_of(Tree(kept))), Fraction(b)))
+    return FormalSum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -193,12 +193,13 @@ def renormalised_expansion(tree, spec):
     """The renormalised expansion M(tree), keyed by remainder forests, with
     polynomial coefficients in the entries ``C[u][v]``: M(tau) = sum c *
     g∘A(a) * r over the terms ``((a, r), c)`` of ``delta_minus_ex_even(tau,
-    spec)``, g∘A of a left-leg tree being the unit coefficient of its own
-    expansion.  The own term ``tau (x) 1`` of a tree with edges is not
-    recursed: the BPHZ condition g(M(tau)) = 0 fixes g∘A(tau) = -sum
-    coeff_r * g(r) over the other terms.  Odd and non-negative trees have
-    no own term.  Cached by ``(tree, spec)``; every read, cached or not,
-    records the table's size (``coalgebra.coproduct_sizes``).
+    spec)``, a closed form with no extraction DP, g∘A of a left-leg tree
+    being the unit coefficient of its own expansion.  The own term ``tau
+    (x) 1`` of a tree with edges is not recursed: the BPHZ condition
+    g(M(tau)) = 0 fixes g∘A(tau) = -sum coeff_r * g(r) over the other
+    terms.  Odd and non-negative trees have no own term.  Cached by
+    ``(tree, spec)``; every read, cached or not, records the table's size
+    (``coalgebra.coproduct_sizes``).
     """
     key = (tree, spec)
     hit = _G_ANTIPODE_CACHE.get(key)

@@ -85,21 +85,17 @@ def _branch_sort_key(branch):
     return (et.sort_key(), sub.key)
 
 
-class _KeyMemo(dict):
-    """Sort key of each item, computed by ``fn`` on its first lookup."""
+class _BranchKeys(dict):
+    """Sort key of each branch, computed on its first lookup."""
 
-    __slots__ = ("_fn",)
+    __slots__ = ()
 
-    def __init__(self, fn):
-        super().__init__()
-        self._fn = fn
-
-    def __missing__(self, item):
-        key = self[item] = self._fn(item)
+    def __missing__(self, branch):
+        key = self[branch] = _branch_sort_key(branch)
         return key
 
 
-_BRANCH_KEYS = _KeyMemo(_branch_sort_key)
+_BRANCH_KEYS = _BranchKeys()
 _branch_key = _BRANCH_KEYS.__getitem__
 
 
@@ -328,7 +324,8 @@ class FormalSum:
     def __add__(self, other):
         d = dict(self.terms)
         for k, c in other.terms.items():
-            c = d.get(k, 0) + c
+            if k in d:
+                c = d[k] + c
             if c:
                 d[k] = c
             elif k in d:

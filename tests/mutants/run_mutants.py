@@ -44,15 +44,6 @@ MUTANTS = [
     # the extraction DP
     (
         "coalgebra.py",
-        "        if not (even and s_root.num_noises % 2):\n",
-        "        if True:\n",
-        [
-            _COALGEBRA + "test_even_table_is_the_full_table_less_odd_left_legs",
-            _TREES + "test_run_length_tables_equal_the_sorted_tuple_dp_on_basis",
-        ],
-    ),
-    (
-        "coalgebra.py",
         "        return min(riders, key=_branch_key)\n",
         "        return max(riders, key=_branch_key)\n",
         # the DP's oracles read the package's finishers, so only outputs pinned
@@ -77,32 +68,43 @@ MUTANTS = [
         "            kept, stay, n = (), None, n - 1\n",
         [_COALGEBRA + "test_coproduct_of_product_symbol", _COALGEBRA + "test_coproduct_counit"],
     ),
-    # the even DP's screen: E = 2N kept, so more states are built; their root
-    # parts have degree >= 0, so the projected tables stay the same
+    # the closed form of the even table: odd root parts kept and even ones dropped
     (
         "coalgebra.py",
-        "    return not entries or excess < spare\n",
-        "    return not entries or excess <= spare\n",
-        [
-            _COALGEBRA + "test_screen_reads_the_counts_of_the_finished_root_part",
-            _COALGEBRA + "test_even_dp_builds_o_n_states_on_xi_times_a_power",
-        ],
-    ),
-    # it never prunes: only the counts see it
-    (
-        "coalgebra.py",
-        "    return not entries or excess < spare\n",
-        "    return True\n",
-        [_COALGEBRA + "test_even_dp_builds_o_n_states_on_xi_times_a_power"],
-    ),
-    # it prunes too much: the root noise's -1 forgotten, whole I(Xi_j) are no choice
-    (
-        "coalgebra.py",
-        "        spare = int(bool(tree.children) and tree.children[-1][0].is_noise)\n",
-        "        spare = 0\n",
+        "moved[-1][0].is_noise and len(moved) % 2 == 0 and",
+        "moved[-1][0].is_noise and len(moved) % 2 == 1 and",
         [
             _COALGEBRA + "test_even_table_is_the_full_table_less_odd_left_legs",
-            _COALGEBRA + "test_pruned_even_dp_builds_the_screened_states_on_basis",
+            _COALGEBRA + "test_even_table_of_xi_times_a_power_has_one_term_per_odd_count",
+        ],
+    ),
+    # a root part of degree 0 kept: only a spec that gives one degree 0 sees it
+    (
+        "coalgebra.py",
+        "spec.degree_tree(Tree(moved)) < 0",
+        "spec.degree_tree(Tree(moved)) <= 0",
+        [
+            _COALGEBRA + "test_even_table_equals_the_screened_sorted_tuple_dp_on_basis[zero-degree]",
+            _COALGEBRA + "test_a_degree_zero_root_part_is_left_out",
+        ],
+    ),
+    # the same terms in another order: only the tests that compare the order see it
+    (
+        "coalgebra.py",
+        "    for kept, moved, b in reversed(list(splits)):\n",
+        "    for kept, moved, b in splits:\n",
+        [
+            _COALGEBRA + "test_even_table_equals_the_screened_sorted_tuple_dp_on_basis",
+            _COALGEBRA + "test_even_table_equals_the_screened_sorted_tuple_dp_on_symbols_with_runs",
+        ],
+    ),
+    (
+        "coalgebra.py",
+        "forest_of(Tree(kept))), Fraction(b)))",
+        "forest_of(Tree(kept))), Fraction(b + 1)))",
+        [
+            _COALGEBRA + "test_even_table_is_the_full_table_less_odd_left_legs",
+            _COALGEBRA + "test_even_table_of_xi_times_a_power_has_one_term_per_odd_count",
         ],
     ),
     (

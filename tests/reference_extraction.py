@@ -1,24 +1,18 @@
-"""Two earlier extraction DPs, kept as oracles.
+"""An earlier extraction DP, kept as the oracle.
 
-* The DP as it was before its states were run-length encoded: every
-  state part a sorted tuple holding one copy per item, re-sorted at each
-  merge.  Kept verbatim (its key memo aside) as the oracle that
-  ``test_trees`` compares ``coalgebra._extract`` and the g∘A screen
-  against; the finishers are the package's, which read the same sorted
-  tuples.
-* The run-length DP as it was before its even mode was pruned
-  (:func:`run_length_states`): the even mode built every state of even
-  off-root trees, and the g∘A screen (:func:`run_length_screen`) picked
-  the ones to finish by recounting each state.  ``test_coalgebra``
-  checks that the pruned DP builds exactly the states that pass it.
+The DP as it was before its states were run-length encoded: every state
+part a sorted tuple holding one copy per item, re-sorted at each merge.
+Kept verbatim (its key memo aside) as the oracle that ``test_trees``
+compares ``coalgebra._extract`` against; its even mode and the g∘A screen
+(:func:`screened`) are the oracle that ``test_coalgebra`` compares the
+closed form of ``coalgebra.delta_minus_ex_even`` against.  The finishers
+are the package's, which read the same sorted tuples.
 """
 
-from itertools import chain, groupby
+from itertools import groupby
 from math import comb
-from operator import add, mul
 
-from roughrenorm import coalgebra
-from roughrenorm.trees import _TREE_KEY, _branch_key, _branch_sort_key
+from roughrenorm.trees import _branch_sort_key
 
 
 def _msort(trees):
@@ -39,7 +33,8 @@ def _csort(entries):
 
 
 def extract(tree, finish, cache, even=False):
-    """The table of ``coalgebra._extract(tree, finish, {}, even)``."""
+    """The table of ``coalgebra._extract(tree, finish)``; with ``even``, no
+    kept edge detaches a part of odd noise count."""
     cached = cache.get(tree)
     if cached is None:
         cached = cache[tree] = finished(states(tree, finish, cache, even).items(), finish)
@@ -123,7 +118,8 @@ def _stay(riders, rem):
 
 
 def may_be_kept(state):
-    """The g∘A screen of ``coalgebra.delta_minus_ex_even`` on one state."""
+    """The g∘A screen on one state: whether its finished root part is the
+    unit, or has an even noise count N and fewer than 2N edges."""
     _, chosen, rem = state
     if not chosen:
         return True
@@ -148,81 +144,3 @@ def screened(tree, finish, cache):
     """The screened top-level table that ``delta_minus_ex_even`` reads."""
     top = states(tree, finish, cache, even=True).items()
     return finished(((state, m) for state, m in top if may_be_kept(state)), finish)
-
-
-# ---------------------------------------------------------------------------
-# the run-length DP before the even mode was pruned
-
-
-def run_length_states(tree, even=False):
-    """``(ranked, states)`` as ``coalgebra._states(tree, even)`` returned
-    them before the pruning: with ``even``, only a kept edge whose
-    detaching part has odd noise count is dropped."""
-    groups = [
-        (_run_length_choices(et, coalgebra._extract(sub), even), len(list(copies)))
-        for (et, sub), copies in groupby(tree.children)
-    ]
-    ranked = tuple(
-        tuple(sorted({x for choices, _ in groups for part, _ in choices for x in part[kind]}, key=key))
-        for kind, key in enumerate((_TREE_KEY, coalgebra._entry_key, _branch_key))
-    )
-    rank = {x: i for i, x in enumerate(chain(*ranked))}
-    zero = (0,) * len(rank)
-    states = {zero: 1}
-    for choices, k in groups:
-        group = coalgebra._distribute(
-            [(coalgebra._counts(part, rank, zero), w) for part, w in choices], k, zero
-        )
-        nxt = {}
-        for counts, m in states.items():
-            for g_counts, w in group:
-                key = tuple(map(add, counts, g_counts))
-                nxt[key] = nxt.get(key, 0) + m * w
-        states = nxt
-    return ranked, states
-
-
-def _run_length_choices(et, sub_ext, even):
-    choices = {}
-    for (s_off, s_root, s_rem), sm in sub_ext.items():
-        if not (even and s_root.num_noises % 2):
-            off = _msort(s_off + ((s_root,) if s_root.children else ()))
-            part = (off, (), ((et, s_rem),))
-            choices[part] = choices.get(part, 0) + sm
-        riders = tuple(b for b in s_rem.children if b[0].is_noise)
-        others = tuple(b for b in s_rem.children if not b[0].is_noise)
-        part = (s_off, ((et, s_root, riders),), others)
-        choices[part] = choices.get(part, 0) + sm
-    return list(choices.items())
-
-
-def run_length_screen(ranked):
-    """The g∘A screen of the count tuples over ``ranked``: whether the root
-    part that ``coalgebra._finish_repaired`` makes of a state is the
-    unit, or has an even noise count and fewer integration than noise
-    edges, counted without building a tree."""
-    off, entries, branches = ranked
-    start = len(off)
-    stop = start + len(entries)
-    # noise branches come last in canonical order
-    first_noise = stop + sum(not et.is_noise for et, _ in branches)
-    edges_of = []
-    noises_of = []
-    for et, aroot, riders in entries:
-        edges_of.append(1 + aroot.num_edges + sum(1 + sub.num_edges for _, sub in riders))
-        noises_of.append(et.is_noise + aroot.num_noises + sum(1 + sub.num_noises for _, sub in riders))
-    with_riders = [(i, riders) for i, (_, _, riders) in enumerate(entries) if riders]
-
-    def may_be_kept(counts):
-        chosen = counts[start:stop]
-        if not any(chosen):
-            return True
-        edges = sum(map(mul, chosen, edges_of))
-        noises = sum(map(mul, chosen, noises_of))
-        stay = coalgebra._stay([r for i, riders in with_riders if chosen[i] for r in riders], any(counts[first_noise:]))
-        if stay:
-            edges -= 1 + stay[1].num_edges
-            noises -= 1 + stay[1].num_noises
-        return not noises % 2 and edges < 2 * noises
-
-    return may_be_kept

@@ -1,14 +1,14 @@
 """Coproducts, the projected variants, and the twisted antipode."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import reference_extraction
 from roughrenorm.coalgebra import (
     _finish_repaired,
-    _parts,
-    _states,
     delta_minus,
     delta_minus_ex,
     delta_minus_ex_even,
@@ -17,7 +17,13 @@ from roughrenorm.coalgebra import (
 )
 from roughrenorm.errors import DomainError
 from roughrenorm.gaussian import SymbolicCovariance, g_antipode
-from roughrenorm.structure import enumerate_basis, generic_spec, rough_vol_spec
+from roughrenorm.structure import (
+    StructureSpec,
+    enumerate_basis,
+    generic_spec,
+    is_negative_forest,
+    rough_vol_spec,
+)
 from roughrenorm.trees import (
     EMPTY_FOREST,
     FormalSum,
@@ -34,6 +40,7 @@ from roughrenorm.trees import (
 )
 
 SPEC = generic_spec(2, 4)
+IXI2 = branch(INTEGRATION, branch(noise(2)))
 
 
 def _forest(text):
@@ -239,56 +246,95 @@ def test_even_table_is_the_full_table_less_odd_left_legs(spec):
         assert delta_minus_ex_even(tree, spec) == even, tree
 
 
-@pytest.mark.parametrize("d, truncation", [(2, 6), (3, 3)])
-def test_screen_reads_the_counts_of_the_finished_root_part(d, truncation):
-    # the even DP builds exactly the unpruned states whose off-root trees have
-    # even noise counts and whose finished root part passes the screen, with
-    # their multiplicities; the oracle's screen on counts reads that root part
-    for tree in enumerate_basis(generic_spec(d, truncation)):
-        ranked, states = _states(tree, even=True)
-        pruned = {_parts(counts, ranked): m for counts, m in states.items()}
-        for even in (False, True):
-            o_ranked, o_states = reference_extraction.run_length_states(tree, even)
-            may_be_kept = reference_extraction.run_length_screen(o_ranked)
-            expected = {}
-            for counts, m in o_states.items():
-                state = _parts(counts, o_ranked)
-                root = _finish_repaired(*state)[1]
-                kept = root.is_leaf or (
-                    not root.num_noises % 2 and root.num_edges < 2 * root.num_noises
-                )
-                assert may_be_kept(counts) == kept, (tree, state)
-                if kept and not any(t.num_noises % 2 for t in state[0]):
-                    expected[state] = m
-            assert pruned == expected, (tree, even)
+def _oracle_even_table(tree, spec):
+    """The screened table of the sorted-tuple DP with its left legs projected
+    onto negative forests, as ``(key, coefficient)`` pairs in DP order."""
+    pairs = {}
+    for (aoff, aroot, rem), m in reference_extraction.screened(tree, _finish_repaired, {}).items():
+        a = Forest(aoff + (aroot,))
+        if is_negative_forest(a, spec):
+            key = (a, forest_of(rem))
+            pairs[key] = pairs.get(key, 0) + Fraction(m)
+    return list(pairs.items())
+
+
+def _assert_closed_form_is_the_dp(tree, spec):
+    got = list(delta_minus_ex_even(tree, spec))
+    expected = _oracle_even_table(tree, spec)
+    assert got == expected, tree  # keys, coefficients and order
+    assert [type(c) for _, c in got] == [type(c) for _, c in expected], tree
+
+
+# alpha_1 - 1 + 3 * alpha_2 = 0: Xi_1*I(Xi_2)^3, an even root part, has degree 0
+_ZERO_SPEC = StructureSpec(2, (Fraction(1, 2), Fraction(1, 6)), 6)
 
 
 @pytest.mark.parametrize(
     "spec",
-    # the rough-volatility spec's truncation is 54
-    [generic_spec(2, 30), rough_vol_spec(Fraction(1, 20), Fraction(1, 25)), generic_spec(3, 4)],
+    [
+        generic_spec(1, 12),
+        generic_spec(2, 9),
+        generic_spec(2, 14),
+        generic_spec(3, 5),
+        generic_spec(2, 30),
+        rough_vol_spec(Fraction(3, 10), Fraction(1, 100)),
+        _ZERO_SPEC,
+    ],
+    ids=["1-12", "2-9", "2-14", "3-5", "2-30", "rough-vol", "zero-degree"],
 )
-def test_pruned_even_dp_builds_the_screened_states_on_basis(spec):
+def test_even_table_equals_the_screened_sorted_tuple_dp_on_basis(spec):
     for tree in enumerate_basis(spec):
-        ranked, states = _states(tree, even=True)
-        o_ranked, o_states = reference_extraction.run_length_states(tree, even=True)
-        may_be_kept = reference_extraction.run_length_screen(o_ranked)
-        expected = {_parts(c, o_ranked): m for c, m in o_states.items() if may_be_kept(c)}
-        assert {_parts(c, ranked): m for c, m in states.items()} == expected, tree
+        _assert_closed_form_is_the_dp(tree, spec)
 
 
-@pytest.mark.parametrize("n, count", [(1, 2), (9, 6), (30, 16)])
-def test_even_dp_builds_o_n_states_on_xi_times_a_power(n, count):
-    # the unit, and Xi_1 extracted with an odd number of whole I(Xi_2): the
-    # unpruned DP built 2 * C(n + 2, 2) states, 110 at n = 9 and 992 at n = 30
-    ((f, _),) = list(parse_symbol(f"Xi_1*I(Xi_2)^{n}", d=2))
-    _, states = _states(f.trees[0], even=True)
-    assert len(states) == count == 1 + (n + 1) // 2
-    # a pure power has no negative entry: the state that keeps every edge alone
+def test_a_degree_zero_root_part_is_left_out():
+    root_part = tree_product(branch(noise(1)), *[IXI2] * 3)
+    assert _ZERO_SPEC.degree_tree(root_part) == 0
+    table = delta_minus_ex_even(tree_product(root_part, IXI2), _ZERO_SPEC)
+    assert [a for (a, _), _ in table] == [EMPTY_FOREST, forest_of(tree_product(branch(noise(1)), IXI2))]
+
+
+
+@st.composite
+def symbols_with_runs(draw):
+    """A symbol ``Xi_i * I^a * Π_j I(Xi_j)^(n_j)`` over three channels, and a
+    spec whose exponents give its root parts degrees of either sign."""
+    alpha = draw(st.tuples(*[st.fractions(Fraction(1, 24), Fraction(23, 24), max_denominator=24)] * 3))
+    root = draw(st.sampled_from([[], [branch(noise(1))], [branch(noise(2))], [branch(noise(3))]]))
+    factors = [branch(INTEGRATION)] * draw(st.integers(0, 2))
+    for j in (1, 2, 3):
+        factors += [branch(INTEGRATION, branch(noise(j)))] * draw(st.integers(0, 4))
+    return tree_product(*root, *factors), StructureSpec(3, alpha)
+
+
+@given(symbols_with_runs())
+@example((tree_product(branch(noise(1)), *[IXI2] * 4), StructureSpec(3, _ZERO_SPEC.alpha + (Fraction(1, 2),))))
+@settings(max_examples=60, deadline=None)
+def test_even_table_equals_the_screened_sorted_tuple_dp_on_symbols_with_runs(symbol_spec):
+    _assert_closed_form_is_the_dp(*symbol_spec)
+
+
+@pytest.mark.parametrize("n", [1, 9, 30])
+def test_even_table_of_xi_times_a_power_has_one_term_per_odd_count(n):
+    # the unit, and Xi_1 extracted with each odd count k of whole I(Xi_2), in
+    # C(n, k) ways: 1 + ceil(n / 2) terms
+    spec = generic_spec(2, 30)
+    xi = branch(noise(1))
+    table = delta_minus_ex_even(tree_product(xi, *[IXI2] * n), spec)
+    assert len(table) == 1 + (n + 1) // 2
+    assert table == FormalSum(
+        [((EMPTY_FOREST, forest_of(tree_product(xi, *[IXI2] * n))), Fraction(1))]
+        + [
+            (
+                (forest_of(tree_product(xi, *[IXI2] * k)), forest_of(tree_product(*[IXI2] * (n - k)))),
+                Fraction(comb(n, k)),
+            )
+            for k in range(1, n + 1, 2)
+        ]
+    )
+    # a pure power has no root noise: the unit term alone
     power = tree_product(*[branch(INTEGRATION, branch(noise(1)))] * n)
-    ranked, states = _states(power, even=True)
-    ((counts, m),) = states.items()
-    assert m == 1 and _parts(counts, ranked) == ((), (), power.children)
+    assert list(delta_minus_ex_even(power, spec)) == [((EMPTY_FOREST, forest_of(power)), 1)]
 
 
 def test_delta_plus_binomial():
@@ -378,7 +424,8 @@ _MODE_READERS = {
 @pytest.mark.parametrize("reader", _MODE_READERS)
 @pytest.mark.parametrize("tree", _OUTSIDE_THE_FAMILY)
 def test_readers_of_the_top_level_modes_reject_trees_outside_the_family(reader, tree):
-    # the repaired finisher and the parity screen act on the top tree only,
-    # which is exact only for symbols, whose subtrees have one table in every mode
+    # the repaired finisher acts on the top tree only, which is exact only for
+    # symbols, whose subtrees have one table under either finisher; the
+    # closed form of delta_minus_ex_even holds for symbols only
     with pytest.raises(DomainError):
         _MODE_READERS[reader](_OUTSIDE_THE_FAMILY[tree])

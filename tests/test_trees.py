@@ -17,7 +17,6 @@ from roughrenorm.coalgebra import (
     _extract,
     _finish_plain,
     _finish_repaired,
-    _finished,
     _msort,
     _states,
     delta_minus,
@@ -238,34 +237,18 @@ def test_grouped_extraction_equals_reference_on_depth_3_trees(tree):
 
 
 def _run_length_tables(tree):
-    """The tables of the run-length DP: plain and repaired, and, on a symbol,
-    the even DP's states finished both ways (the repaired one is the table
-    g∘A reads)."""
-    finishers = (_finish_plain, _finish_repaired)
-    tables = [_extract(tree, finish) for finish in finishers]
-    if in_symbol_family(tree):
-        ranked, states = _states(tree, even=True)
-        tables += [_finished(ranked, states.items(), finish) for finish in finishers]
-    return tables
+    """The tables of the run-length DP, plain and repaired."""
+    return [_extract(tree, finish) for finish in (_finish_plain, _finish_repaired)]
 
 
 def _reference_tables(tree):
-    finishers = (_finish_plain, _finish_repaired)
-    tables = [reference_extraction.extract(tree, finish, {}) for finish in finishers]
-    if in_symbol_family(tree):
-        tables += [reference_extraction.screened(tree, finish, {}) for finish in finishers]
-    return tables
+    return [reference_extraction.extract(tree, finish, {}) for finish in (_finish_plain, _finish_repaired)]
 
 
 def test_run_length_tables_equal_the_sorted_tuple_dp_on_basis():
     for spec in (generic_spec(2, 8), generic_spec(3, 4)):
         for tree in enumerate_basis(spec):
             assert _run_length_tables(tree) == _reference_tables(tree), tree
-            # the even DP before the pruning, its oracle, finished both ways
-            ranked, states = reference_extraction.run_length_states(tree, even=True)
-            for finish in (_finish_plain, _finish_repaired):
-                table = reference_extraction.extract(tree, finish, {}, even=True)
-                assert _finished(ranked, states.items(), finish) == table, tree
 
 
 @given(bounded_trees(depth=2))
@@ -274,7 +257,7 @@ def test_run_length_tables_equal_the_sorted_tuple_dp_on_basis():
 @settings(max_examples=30, deadline=None)
 def test_run_length_tables_equal_the_sorted_tuple_dp_on_depth_2_trees(tree):
     # the oracle applies the finisher at every level, the DP at the top only;
-    # the two agree up to depth 2 (see the next test); the even DP takes symbols
+    # the two agree up to depth 2 (see the next test)
     assert _run_length_tables(tree) == _reference_tables(tree)
 
 
