@@ -1,9 +1,11 @@
 """Golden output of the symbolic commands.
 
 ``tests/golden`` holds the stdout of ``delta-minus``, ``antipode`` and
-``g-antipode`` on a fixed symbol list and of ``check-bphz`` and
-``check-gamma`` at nmax 8.  The output must stay byte-identical; only the
-``elapsed_s`` line of a check report, a wall time, is left out.
+``g-antipode`` on a fixed symbol list, of ``delta-plus`` on its trees, of
+``g-antipode`` at a covariance file with rational entries, and of
+``check-bphz`` and ``check-gamma`` at nmax 8.  The output must stay
+byte-identical; only the ``elapsed_s`` line of a check report, a wall
+time, is left out.
 """
 
 from pathlib import Path
@@ -20,6 +22,9 @@ SYMBOLS = [
     "Xi_2*I(Xi_1)^2*I(Xi_2)",
     "2*Xi_1*I(Xi_1) - 1/3*Xi_2*I(Xi_1) . Xi_1*I(Xi_2)",
 ]
+# delta-plus acts on trees, so the forest term of the last symbol is left out;
+# its rational scalar stays
+TREE_SYMBOLS = SYMBOLS[:3] + ["2*Xi_1*I(Xi_1) - 1/3*Xi_2*I(Xi_1)"]
 
 
 def _stdout(argv, capsys):
@@ -34,6 +39,23 @@ def test_symbolic_commands_match_golden(capsys):
             text += f"$ roughrenorm symbolic {command} '{symbol}'\n"
             text += _stdout(["symbolic", command, symbol], capsys)
     assert text == (GOLDEN / "symbolic.txt").read_text()
+
+
+def test_delta_plus_matches_golden(capsys):
+    text = ""
+    for symbol in TREE_SYMBOLS:
+        text += f"$ roughrenorm symbolic delta-plus '{symbol}'\n"
+        text += _stdout(["symbolic", "delta-plus", symbol], capsys)
+    assert text == (GOLDEN / "delta-plus.txt").read_text()
+
+
+def test_g_antipode_at_a_rational_covariance_matches_golden(capsys):
+    cov = GOLDEN / "cov-rational.txt"
+    text = ""
+    for symbol in SYMBOLS + ["Xi_1*I(Xi_2)"]:
+        text += f"$ roughrenorm symbolic g-antipode '{symbol}' --cov {cov.name}\n"
+        text += _stdout(["symbolic", "g-antipode", symbol, "--cov", str(cov)], capsys)
+    assert text == (GOLDEN / "g-antipode-cov.txt").read_text()
 
 
 @pytest.mark.parametrize("command", ["check-bphz", "check-gamma"])
