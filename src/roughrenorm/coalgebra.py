@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from fractions import Fraction
 from itertools import chain, groupby, repeat
 from math import comb
 from operator import add
@@ -261,7 +260,7 @@ def _pair_sum(entries):
     pairs = {}
     for (aoff, aroot, rem), m in entries:
         key = (Forest(aoff + (aroot,)), forest_of(rem))
-        pairs[key] = pairs.get(key, 0) + Fraction(m)
+        pairs[key] = pairs.get(key, 0) + m
     return FormalSum(pairs)
 
 
@@ -368,7 +367,7 @@ def delta_minus_ex_even(tree, spec):
         if not moved or (
             moved[-1][0].is_noise and len(moved) % 2 == 0 and spec.degree_tree(Tree(moved)) < 0
         ):
-            terms.append(((forest_of(Tree(moved)), forest_of(Tree(kept))), Fraction(b)))
+            terms.append(((forest_of(Tree(moved)), forest_of(Tree(kept))), b))
     return FormalSum(terms)
 
 
@@ -385,11 +384,11 @@ def delta_plus_ex(tree, spec):
     projection there, which no noise factor does, so a run ``f^m`` of
     such factors gives ``sum_k C(m, k) f^k (x) f^(m - k)`` and any other
     run stays on the left (:func:`~roughrenorm.trees.root_splits`): Π (m +
-    1) terms over those runs, with Fraction coefficients.
+    1) terms over those runs, with int coefficients.
     """
     require_symbol(tree, d=spec.d)
     splits = root_splits(tree, lambda factor: tree_survives_plus(branch(*factor), spec))
-    return FormalSum([((Tree(kept), Tree(moved)), Fraction(b)) for kept, moved, b in splits])
+    return FormalSum([((Tree(kept), Tree(moved)), b) for kept, moved, b in splits])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby, product
 
 import numpy as np
@@ -155,7 +154,7 @@ def eval_pi(x, s_idx, path):
     at the recentred root-factor arrays.
 
     Multiplicative over tree and forest products, linear over formal
-    sums (float or Fraction coefficients).  Returns an array on the grid;
+    sums (int, Fraction or float coefficients).  Returns an array on the grid;
     given a sequence of grid indices, one such row per index.  A tree
     outside the symbol family of the path's channels is a DomainError.
     """
@@ -217,7 +216,7 @@ def gamma_direct(tree, spec):
     terms = []
     for kept, moved, binomial in root_splits(tree, names.__contains__):
         incs = tuple(sorted(map(names.__getitem__, moved)))
-        terms.append((Tree(kept), Poly.lift(incs, Fraction(binomial)) if incs else 1))
+        terms.append((Tree(kept), Poly.lift(incs, binomial) if incs else 1))
     return FormalSum(terms)
 
 

@@ -1,4 +1,4 @@
-"""Multivariate polynomials with exact rational coefficients.
+"""Multivariate polynomials with exact coefficients.
 
 Used for identity checks in which path evaluations, transport
 increments, and covariance entries are kept as free commuting
@@ -6,7 +6,10 @@ indeterminates.  A polynomial is a :class:`~roughrenorm.trees.FormalSum`
 keyed by monomials: sorted tuples of variable names (with repetition for
 powers).  It adds to the formal sum only what a ring of polynomials
 needs: variables and constants, int/Fraction scalars on either side of
-``+ - * ==``, the product of monomials, and substitution.
+``+ - * ==``, the product of monomials, and substitution.  Its
+coefficients follow the formal sum's rule: ints, and a Fraction only
+where a rational scalar or covariance entry enters; a constant keeps
+the type it is given, and a scalar times a polynomial is a scaling.
 """
 
 from __future__ import annotations
@@ -34,8 +37,19 @@ def _mono_product(m1, m2):
     return tuple(sorted(m1 + m2))
 
 
+def _times(self, other):
+    """``self * other``: a scaling by an int or Fraction, else the product
+    of monomials."""
+    if isinstance(other, (int, Fraction)):
+        return self.scale(other)
+    if not isinstance(other, Poly):
+        return NotImplemented
+    return self.combine(other, _mono_product)
+
+
 class Poly(FormalSum):
-    """A polynomial: a formal sum over monomials with Fraction coefficients."""
+    """A polynomial: a formal sum over monomials, with int coefficients
+    unless a rational enters (see the module docstring)."""
 
     __slots__ = ()
 
@@ -45,12 +59,12 @@ class Poly(FormalSum):
 
     @classmethod
     def const(cls, value):
-        return cls.lift((), Fraction(value))
+        return cls.lift((), value)
 
     __add__ = __radd__ = _coerced(FormalSum.__add__)
     __sub__ = _coerced(FormalSum.__sub__)
     __rsub__ = _coerced(lambda self, other: other - self)
-    __mul__ = __rmul__ = _coerced(lambda self, other: self.combine(other, _mono_product))
+    __mul__ = __rmul__ = _times
     __eq__ = _coerced(FormalSum.__eq__)
 
     def substitute(self, values):

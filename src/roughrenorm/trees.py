@@ -287,8 +287,13 @@ class FormalSum:
     """Finite formal linear combination with exact coefficients.
 
     Keys may be any hashable values (forests, pairs of forests, ...).
-    Coefficients are Fractions, ints, or any commutative-ring value
-    supporting ``+``, ``*``, unary ``-`` and truthiness as a zero test.
+    Coefficients are any commutative-ring value supporting ``+``, ``*``,
+    unary ``-`` and truthiness as a zero test.  The package's algebra is
+    integral, so its coefficients are ints (multiplicities, binomials,
+    signs), or polynomials with int coefficients; a Fraction enters only
+    with a rational scalar of :func:`parse_symbol` or a rational
+    covariance entry.  No operation of the package divides, so no float
+    arises.
     Sums, negations, scalings and products keep the subclass, so a
     subclass such as ``poly.Poly`` stays closed under its arithmetic.
     """
@@ -308,7 +313,7 @@ class FormalSum:
         self.terms = d
 
     @classmethod
-    def lift(cls, key, coeff=Fraction(1)):
+    def lift(cls, key, coeff=1):
         return cls([(key, coeff)])
 
     @property
@@ -475,7 +480,8 @@ def parse_symbol(text, d=None):
     ``*``-product of atoms ``1``, ``I``, ``I(Xi_j)``, ``Xi_i`` with
     optional integer powers ``^n``.  A term's leading digit run is its
     coefficient, unless it is a lone ``1`` not followed by ``*`` or
-    ``/``: that ``1`` is the unit atom.  Raises ParseError on malformed
+    ``/``: that ``1`` is the unit atom.  An integral coefficient (``4/2``
+    too) is an int, any other a Fraction.  Raises ParseError on malformed
     input, on noise indices above ``d``, and on monomials outside the
     symbol family (e.g. ``Xi_1^2``).
     """
@@ -485,7 +491,7 @@ def parse_symbol(text, d=None):
     result = FormalSum()
     sign = toks.pop()[0] if toks[-1][0] in ("+", "-") else "+"
     while True:
-        coeff = Fraction(-1 if sign == "-" else 1)
+        coeff = -1 if sign == "-" else 1
         tok, pos = toks[-1]
         bare = False
         if tok.isascii() and tok.isdigit() and (tok != "1" or toks[-2][0] in ("*", "/")):
@@ -493,7 +499,7 @@ def parse_symbol(text, d=None):
             den = _integer(toks) if _take(toks, "/") else 1
             if den == 0:
                 raise ParseError("zero denominator", pos)
-            coeff *= Fraction(num, den)
+            coeff *= num // den if num % den == 0 else Fraction(num, den)
             bare = not _take(toks, "*") and toks[-1][0] in ("", "+", "-")
         result += FormalSum.lift(EMPTY_FOREST if bare else _forest(toks, d), coeff)
         sign, pos = toks.pop()

@@ -100,12 +100,25 @@ MUTANTS = [
     ),
     (
         "coalgebra.py",
-        "forest_of(Tree(kept))), Fraction(b)))",
-        "forest_of(Tree(kept))), Fraction(b + 1)))",
+        "forest_of(Tree(kept))), b))",
+        "forest_of(Tree(kept))), b + 1))",
         [
             _COALGEBRA + "test_even_table_is_the_full_table_less_odd_left_legs",
             _COALGEBRA + "test_even_table_of_xi_times_a_power_has_one_term_per_odd_count",
         ],
+    ),
+    # integer coefficients: a float of equal value leaks, and compares equal
+    (
+        "coalgebra.py",
+        "forest_of(Tree(kept))), b))",
+        "forest_of(Tree(kept))), b / 1))",
+        [_COALGEBRA + "test_integral_coefficients_are_ints_on_whole_bases"],
+    ),
+    (
+        "coalgebra.py",
+        "        pairs[key] = pairs.get(key, 0) + m\n",
+        "        pairs[key] = pairs.get(key, 0) + m * 1.0\n",
+        [_COALGEBRA + "test_integral_coefficients_are_ints_on_whole_bases"],
     ),
     (
         "coalgebra.py",

@@ -6,9 +6,8 @@ transport rule and the positive coproduct as they were before each became
 one binomial sum per run of equal root factors (a product of one two-term
 sum per root factor); and the coproduct route of transport as it was
 before it read the screened extraction tables (the full ``delta_minus_ex``
-table of every right leg)."""
-
-from fractions import Fraction
+table of every right leg).  Their one change since: an integral
+coefficient is an int, not a Fraction, as in the package."""
 
 import numpy as np
 
@@ -111,7 +110,7 @@ def delta_plus_ex(tree, spec):
     out = FormalSum.lift((LEAF, LEAF))
     for et, sub in tree.children:
         fac = FormalSum(
-            [((l, r), Fraction(1)) for (l, r) in _plus_factor_terms(et, sub, spec)]
+            [((l, r), 1) for (l, r) in _plus_factor_terms(et, sub, spec)]
         )
         out = out.combine(
             fac,

@@ -16,7 +16,8 @@ from roughrenorm.coalgebra import (
     twisted_antipode,
 )
 from roughrenorm.errors import DomainError
-from roughrenorm.gaussian import SymbolicCovariance, g_antipode
+from roughrenorm.gaussian import SymbolicCovariance, g_antipode, renormalised_expansion
+from roughrenorm.model import gamma_direct
 from roughrenorm.structure import (
     StructureSpec,
     enumerate_basis,
@@ -254,7 +255,7 @@ def _oracle_even_table(tree, spec):
         a = Forest(aoff + (aroot,))
         if is_negative_forest(a, spec):
             key = (a, forest_of(rem))
-            pairs[key] = pairs.get(key, 0) + Fraction(m)
+            pairs[key] = pairs.get(key, 0) + m
     return list(pairs.items())
 
 
@@ -429,3 +430,49 @@ def test_readers_of_the_top_level_modes_reject_trees_outside_the_family(reader, 
     # closed form of delta_minus_ex_even holds for symbols only
     with pytest.raises(DomainError):
         _MODE_READERS[reader](_OUTSIDE_THE_FAMILY[tree])
+
+
+def _coefficients(table):
+    """Every coefficient of a FormalSum, a Poly coefficient's own included."""
+    for _, c in table:
+        if isinstance(c, FormalSum):
+            yield from _coefficients(c)
+        else:
+            yield c
+
+
+_TYPED_READERS = {
+    "delta_minus": lambda tree, spec: delta_minus(tree),
+    "delta_minus_ex": delta_minus_ex,
+    "delta_minus_ex_even": delta_minus_ex_even,
+    "delta_plus_ex": delta_plus_ex,
+    "gamma_direct": gamma_direct,
+    "renormalised_expansion": renormalised_expansion,
+    "twisted_antipode": twisted_antipode,  # on the negative trees, its domain
+}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [generic_spec(2, 9), generic_spec(3, 4), rough_vol_spec(Fraction(3, 10), Fraction(1, 100))],
+    ids=["2-9", "3-4", "rough-vol"],
+)
+def test_integral_coefficients_are_ints_on_whole_bases(spec):
+    # the algebra is integral: a Fraction enters only with a rational scalar or
+    # covariance entry, and a float never
+    for tree in enumerate_basis(spec):
+        negative = tree.children and spec.degree_tree(tree) < 0
+        for name, reader in _TYPED_READERS.items():
+            if name == "twisted_antipode" and not negative:
+                continue
+            for c in _coefficients(reader(tree, spec)):
+                assert not isinstance(c, float), (name, tree, c)
+                assert type(c) is int or type(c) is Fraction and c.denominator != 1, (name, tree, c)
+
+
+def test_a_rational_scalar_keeps_a_fraction():
+    x = parse_symbol("1/3*Xi_2*I(Xi_1)", d=2)
+    assert [type(c) for _, c in x] == [Fraction] and list(x)[0][1] == Fraction(1, 3)
+    for table in (delta_minus(x), twisted_antipode(x, SPEC)):
+        assert table.terms and all(type(c) is Fraction for c in _coefficients(table)), table
+    assert [type(c) for _, c in parse_symbol("4/2*Xi_1 - Xi_2", d=2)] == [int, int]

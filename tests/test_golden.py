@@ -32,29 +32,29 @@ def _stdout(argv, capsys):
     return capsys.readouterr().out
 
 
-def test_symbolic_commands_match_golden(capsys):
+def _transcript(capsys, command, symbols, *flags):
+    """Per symbol, the command line after ``$ `` and the command's stdout."""
     text = ""
-    for command in ("delta-minus", "antipode", "g-antipode"):
-        for symbol in SYMBOLS:
-            text += f"$ roughrenorm symbolic {command} '{symbol}'\n"
-            text += _stdout(["symbolic", command, symbol], capsys)
+    for symbol in symbols:
+        line = " ".join(["$ roughrenorm symbolic", command, f"'{symbol}'", *flags])
+        text += line + "\n" + _stdout(["symbolic", command, symbol, *flags], capsys)
+    return text
+
+
+def test_symbolic_commands_match_golden(capsys):
+    commands = ("delta-minus", "antipode", "g-antipode")
+    text = "".join(_transcript(capsys, command, SYMBOLS) for command in commands)
     assert text == (GOLDEN / "symbolic.txt").read_text()
 
 
 def test_delta_plus_matches_golden(capsys):
-    text = ""
-    for symbol in TREE_SYMBOLS:
-        text += f"$ roughrenorm symbolic delta-plus '{symbol}'\n"
-        text += _stdout(["symbolic", "delta-plus", symbol], capsys)
+    text = _transcript(capsys, "delta-plus", TREE_SYMBOLS)
     assert text == (GOLDEN / "delta-plus.txt").read_text()
 
 
-def test_g_antipode_at_a_rational_covariance_matches_golden(capsys):
-    cov = GOLDEN / "cov-rational.txt"
-    text = ""
-    for symbol in SYMBOLS + ["Xi_1*I(Xi_2)"]:
-        text += f"$ roughrenorm symbolic g-antipode '{symbol}' --cov {cov.name}\n"
-        text += _stdout(["symbolic", "g-antipode", symbol, "--cov", str(cov)], capsys)
+def test_g_antipode_at_a_rational_covariance_matches_golden(capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)  # the command line names the file as the golden text does
+    text = _transcript(capsys, "g-antipode", SYMBOLS + ["Xi_1*I(Xi_2)"], "--cov", "cov-rational.txt")
     assert text == (GOLDEN / "g-antipode-cov.txt").read_text()
 
 
