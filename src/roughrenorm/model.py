@@ -15,6 +15,7 @@ transport matrices' entries.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import groupby, product
@@ -108,7 +109,12 @@ class _Monomials:
         index = np.array([keys[m] for m in monomials], dtype=int)
         return cls(distinct, index, steps, len(slots) - len(distinct), tuple(tops.items()))
 
-    def at(self, values):
+    @property
+    def slots(self):
+        """The number of slots, listed and spare."""
+        return len(self.distinct) + self.spare
+
+    def at(self, values, buffer=None):
         """The monomials at ``values`` (name -> array, all broadcasting to
         one shape ``(..., n)``), as an array ``(..., rows, n)``.  Each name's
         powers are built once, by repeated multiplication, and each slot by
@@ -116,7 +122,9 @@ class _Monomials:
         prefix by its last power, shorter slots first; the empty monomial is
         1.  So a monomial is the left-to-right product of its powers.  Rows
         are gathered from the distinct monomials only if some repeat; the
-        result is a view of the slot-major blocks with the rows axis moved."""
+        result is a view of the slot-major blocks with the rows axis moved.
+        The blocks are a new array, or the start of ``buffer``, a 1-D float
+        array with room for them all."""
         *lead, n = np.broadcast_shapes(*(np.shape(v) for v in values.values()))
         powers = {}  # name -> [value, value**2, ...]
         for name, top in self.tops:
@@ -124,7 +132,8 @@ class _Monomials:
             while len(table) < top:
                 table.append(table[-1] * values[name])
         listed = len(self.distinct)
-        slots = np.empty((listed + self.spare, *lead, n))  # each slot contiguous
+        shape = (self.slots, *lead, n)  # each slot contiguous
+        slots = np.empty(shape) if buffer is None else buffer[: math.prod(shape)].reshape(shape)
         for k, prefix, name, p in self.steps:
             if prefix is None:
                 slots[k] = 1.0
@@ -286,13 +295,16 @@ class TransportMatrices:
         flat, factors, monomials = zip(*entries)
         return cls(len(basis), np.array(flat), np.array(factors), _Monomials.compile(monomials))
 
-    def at(self, increments):
+    def at(self, increments, out=None):
         """The transport matrices ``G[i, k, j]``, the coefficient of
         symbol ``j`` in the transport of symbol ``k``, at the increments of
-        :func:`eval_gamma` (name -> array over ``i``)."""
+        :func:`eval_gamma` (name -> array over ``i``).  They are written into
+        ``out``, if given, a ``(i, size * size)`` array of zeros that earlier
+        calls may have written: they write only the cells of ``flat``."""
         columns = {name: np.asarray(value)[:, None] for name, value in increments.items()}
         values = self.factors * self.monomials.at(columns)[..., 0]
-        out = np.zeros((len(values), self.size * self.size))
+        if out is None:
+            out = np.zeros((len(values), self.size * self.size))
         out[:, self.flat] = values  # one entry per cell: gamma_direct has one term per target
         return out.reshape(len(values), self.size, self.size)
 
@@ -476,20 +488,29 @@ def check_model_axioms(path, spec, n_triples, seed):
     pi_table = _pi_table(basis)
     triples = _triples(points, n_triples, seed)
     per_batch = _triples_per_batch(len(basis), points)
+    size = len(basis)
+    # one batch's arrays, made once and reused by every batch (the last may be
+    # shorter): the transport matrices, the Π slots and the two products
+    gammas = np.zeros((3 * per_batch, size * size))
+    pi_slots = np.empty(pi_table.slots * 2 * per_batch * points)
+    products = np.empty((per_batch, size, points)), np.empty((per_batch, size, size))
     worst = 0.0
     failures = []
     for lo in range(0, n_triples, per_batch):
         s, u, t = triples[lo:lo + per_batch].T
+        batch = len(s)
         stacked = eval_gamma(np.concatenate([t, u, t]), np.concatenate([s, s, u]), path)
-        g_ts, g_us, g_tu = np.split(transport.at(stacked), 3)
-        pi_s, pi_t = np.split(pi_table.at(_pi_values(path, np.concatenate([s, t]))), 2)
+        g_ts, g_us, g_tu = np.split(transport.at(stacked, gammas[: 3 * batch]), 3)
+        pi_at = _pi_values(path, np.concatenate([s, t]))
+        pi_s, pi_t = np.split(pi_table.at(pi_at, pi_slots), 2)
         scale = np.maximum(np.maximum(pi_s.max(axis=2), -pi_s.min(axis=2)), 1e-30)
-        diff = np.matmul(g_ts, pi_t)
+        diff, two_step = (a[:batch] for a in products)
+        np.matmul(g_ts, pi_t, out=diff)
         diff -= pi_s
         err = np.abs(diff, out=diff).max(axis=2) / scale
-        two_step = np.matmul(g_us, g_tu)
-        cscale = np.maximum(np.abs(g_ts).max(axis=2), 1e-30)
-        cerr = np.abs(g_ts - two_step).max(axis=2) / cscale
+        cscale = np.maximum(np.abs(g_ts, out=two_step).max(axis=2), 1e-30)
+        np.matmul(g_us, g_tu, out=two_step)
+        cerr = np.abs(np.subtract(g_ts, two_step, out=two_step), out=two_step).max(axis=2) / cscale
         worst = float(np.max([worst, err.max(), cerr.max()]))
         # a NaN error fails too; argwhere keeps the order triple, then symbol
         for i, k in np.argwhere(~(err <= _RTOL) | ~(cerr <= _RTOL)):

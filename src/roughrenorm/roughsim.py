@@ -20,6 +20,7 @@ import math
 import operator
 import os
 import sys
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -196,19 +197,67 @@ def brownian_increments(n_steps, dt, seed, path_index):
 def _smoother(n, weights):
     """Per ``(w, start)`` of ``weights``: entries ``start .. start + n - 1`` of
     the full convolution of a signal of ``n`` points (grid on the last axis)
-    with ``w``, bit for bit as ``signal.fftconvolve`` gives them.  Each weight's
-    spectrum is taken here, once, at fftconvolve's FFT length; a call takes one
-    ``rfft`` of the signal per distinct length and one ``irfft`` per weight.
-    Calls only read the spectra, so threads may share the returned function."""
+    with ``w``, bit for bit as ``signal.fftconvolve`` gives them.
+
+    Each weight's spectrum is taken here, once, at fftconvolve's FFT length.
+    A call writes the signal into a zero-padded buffer and takes its ``rfft``
+    once per distinct length, into one spectrum buffer per length; it returns
+    the outputs as a sequence whose item k is computed when read: weight k's
+    spectrum times the signal's, in one product buffer, and its ``irfft``,
+    in one output buffer.  The output buffer is the signal's, free once its
+    spectra are taken, so a call zeroes the padding again.  The buffers are
+    the calling thread's own, made on its first call and grown only for more
+    rows, so threads may share the returned function; an item read is a view
+    of the output buffer, valid until that thread's next read."""
     sizes = [fft.next_fast_len(n + len(w) - 1, True) for w, _ in weights]
     parts = [(size, fft.rfft(w, size), start) for size, (w, start) in zip(sizes, weights)]
+    top = max(sizes)
+    local = threading.local()
+
+    def buffers(rows):
+        held = getattr(local, "held", None)
+        if held is None or len(held[0]) < rows:
+            real = np.zeros((rows, top))  # the signals, then the outputs
+            spectra = {size: np.empty((rows, size // 2 + 1), complex) for size in set(sizes)}
+            held = local.held = real, spectra, np.empty(rows * (top // 2 + 1), complex)
+        return held
 
     def smooth(values):
-        spectra = {size: fft.rfft(values, size) for size in set(sizes)}
-        return [fft.irfft(spectra[size] * w_hat, size)[..., start : start + n]
-                for size, w_hat, start in parts]
+        lead = np.shape(values)[:-1]  # the signals, of any batch shape, go as rows
+        rows = math.prod(lead)
+        real, spectra, product = buffers(rows)
+        padded = real[:rows]
+        padded[:, :n] = np.reshape(values, (rows, n))
+        padded[:, n:] = 0.0
+        for size, spectrum in spectra.items():
+            np.fft.rfft(padded[:, :size], out=spectrum[:rows])
+        flat = real.reshape(-1)
+
+        def output(k):
+            size, w_hat, start = parts[k]
+            prod = product[: rows * (size // 2 + 1)].reshape(rows, -1)
+            out = flat[: rows * size].reshape(rows, size)
+            np.fft.irfft(np.multiply(spectra[size][:rows], w_hat, out=prod), size, out=out)
+            return out[:, start : start + n].reshape(lead + (n,))
+
+        return _Lazy(output, len(parts))
 
     return smooth
+
+
+class _Lazy:
+    """A sequence of ``length`` items, item k being ``item(k)`` when read."""
+
+    def __init__(self, item, length):
+        self._item, self._length = item, length
+
+    def __len__(self):
+        return self._length
+
+    def __getitem__(self, k):
+        if not 0 <= k < self._length:
+            raise IndexError(k)
+        return self._item(k)
 
 
 def _causal(smooth, increments):
@@ -286,7 +335,8 @@ def mollify(values, dt, eps):
     alias zero-padding and must be discarded by the caller.
     """
     w, dw, m = mollification_weights(dt, eps)
-    return (*_smoother(np.shape(values)[-1], [(w, m), (dw, m)])(values), m)
+    outputs = _smoother(np.shape(values)[-1], [(w, m), (dw, m)])(values)
+    return (*(out.copy() for out in outputs), m)  # each item read overwrites the last
 
 
 # ---------------------------------------------------------------------------
@@ -411,21 +461,29 @@ class TestFunction:
             raise ConfigError(f"unknown test function {name!r}")
         self.name = name
 
-    def __call__(self, x, order=0):
+    def __call__(self, x, order=0, out=None):
+        """The ``order``-th derivative at ``x``; written into ``out`` if given."""
         x = np.asarray(x, dtype=float)
+        if self.name == "sine":
+            return np.sin(np.add(x, order * math.pi / 2.0, out=out) if order else x, out=out)
+        value = self._polynomial(x, order)
+        if out is None:
+            return value
+        out[...] = value
+        return out
+
+    def _polynomial(self, x, order):
         if self.name == "constant":
             return np.ones_like(x) if order == 0 else np.zeros_like(x)
         if self.name == "linear":
             if order == 0:
                 return x
             return np.ones_like(x) if order == 1 else np.zeros_like(x)
-        if self.name == "quadratic":
-            if order == 0:
-                return x * x
-            if order == 1:
-                return 2.0 * x
-            return np.full_like(x, 2.0) if order == 2 else np.zeros_like(x)
-        return np.sin(x + order * math.pi / 2.0) if order else np.sin(x)
+        if order == 0:  # quadratic
+            return x * x
+        if order == 1:
+            return 2.0 * x
+        return np.full_like(x, 2.0) if order == 2 else np.zeros_like(x)
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +620,23 @@ def _path_chunks(n_paths, points):
     return [range(start, min(start + size, n_paths)) for start in range(0, n_paths, size)]
 
 
-def _increments(chunk, n_steps, dt, seed):
-    """The :func:`brownian_increments` of each path of ``chunk``, stacked."""
-    return np.stack([brownian_increments(n_steps, dt, seed, p) for p in chunk])
+def _increments(chunk, n_steps, dt, seed, out):
+    """The :func:`brownian_increments` of each path of ``chunk``, one row of ``out`` each."""
+    for row, p in zip(out, chunk):
+        row[:] = brownian_increments(n_steps, dt, seed, p)
+
+
+def _per_thread(make):
+    """A function that returns the calling thread's own ``make()``, made on
+    that thread's first call: scratch arrays a run's chunks reuse."""
+    local = threading.local()
+
+    def mine():
+        if not hasattr(local, "value"):
+            local.value = make()
+        return local.value
+
+    return mine
 
 
 def _run_paths(worker, count, threads):
@@ -710,23 +782,33 @@ def wz_experiment(config):
     fbm = _fbm_smoother(n_ext - pad, config.H, dt)
     chunks = _path_chunks(config.n_paths, n_ext + 1)
     sl = slice(pad, pad + n)
+    # per thread: the increments, both extended paths, f and f' on the grid, a product
+    scratch = _per_thread(lambda: [
+        np.empty((len(chunks[0]), size)) for size in (n_ext, n_ext + 1, n_ext + 1, n, n, n)
+    ])
 
     def one_chunk(i):
         seconds = {}
+        inc, w_ext, wh_ext, f_0, f_1, prod = (a[: len(chunks[i])] for a in scratch())
         with _timed(seconds, "paths"):
-            inc = _increments(chunks[i], n_ext, dt, config.seed)
-            rows = len(inc)
-            w_ext = np.concatenate((np.zeros((rows, 1)), np.cumsum(inc, axis=-1)), axis=-1)
-            w_ext = w_ext - w_ext[:, pad : pad + 1]  # paths vanish at time 0
-            wh_pos = _causal(fbm, inc[:, pad:])  # fbm_rl from time 0 onward
-            wh_ext = np.concatenate((np.zeros((rows, pad)), wh_pos), axis=-1)
-            smoothed = zip(config.eps_list, ladder.smooth_dw(w_ext), ladder.smooth_w(wh_ext))
+            _increments(chunks[i], n_ext, dt, config.seed, inc)
+            w_ext[:, 0] = 0.0
+            np.cumsum(inc, axis=-1, out=w_ext[:, 1:])
+            w_ext -= w_ext[:, pad : pad + 1].copy()  # paths vanish at time 0
+            (wh_pos,) = fbm(inc[:, pad:])  # fbm_rl from time 0 onward, less its first 0
+            wh_ext[:, : pad + 1] = 0.0
+            wh_ext[:, pad + 1 :] = wh_pos
+            w_dots, wh_sms = ladder.smooth_dw(w_ext), ladder.smooth_w(wh_ext)
         with _timed(seconds, "route"):
-            i_ito = np.sum(f(wh_ext[:, sl]) * np.diff(w_ext[:, pad : pad + n + 1]), axis=-1)
-            out = []
-            for e, w_dot, wh_sm in smoothed:
-                f_grid = f(wh_sm[:, sl]), f(wh_sm[:, sl], 1)
-                i_unc = np.sum(f_grid[0] * w_dot[:, sl], axis=-1) * dt
+            np.subtract(w_ext[:, pad + 1 : pad + n + 1], w_ext[:, pad : pad + n], out=prod)
+            i_ito = np.sum(np.multiply(f(wh_ext[:, sl], out=f_0), prod, out=prod), axis=-1)
+        out = []
+        for j, e in enumerate(config.eps_list):  # one width at a time through the buffers
+            with _timed(seconds, "paths"):
+                w_dot, wh_sm = w_dots[j], wh_sms[j]
+            with _timed(seconds, "route"):
+                f_grid = f(wh_sm[:, sl], out=f_0), f(wh_sm[:, sl], 1, out=f_1)
+                i_unc = np.sum(np.multiply(f_grid[0], w_dot[:, sl], out=prod), axis=-1) * dt
                 i_corr = i_unc + drifts[e] * (np.sum(f_grid[1], axis=-1) * dt)
                 i_model = _model_route(f, wh_sm, w_dot, pad, n, dt, ladder.terms[e], f_grid)
                 out.append((i_unc, i_corr, i_model, i_ito))
@@ -842,24 +924,33 @@ def model_bound_probe(config):
         for lam, h in halves.items()
     }
     centre = slice(reach, reach + 1)
+    # per thread: the increments and the driving path
+    scratch = _per_thread(lambda: [np.empty((len(chunks[0]), size)) for size in (n_ext, n_ext + 1)])
 
     def one_chunk(i):
         seconds = {}
+        inc, w_ext = (a[: len(chunks[i])] for a in scratch())
         with _timed(seconds, "paths"):
-            inc = _increments(chunks[i], n_ext, dt, config.seed)
-            w_ext = np.concatenate((np.zeros((len(inc), 1)), np.cumsum(inc, axis=-1)), axis=-1)
-            # stationary_hat_process on the window
-            hat = _causal(hat_smooth, inc[:, lo - taps : hi - 1])[:, taps:]
+            _increments(chunks[i], n_ext, dt, config.seed, inc)
+            w_ext[:, 0] = 0.0
+            np.cumsum(inc, axis=-1, out=w_ext[:, 1:])
+            # stationary_hat_process on the window, less its first taps points
+            (hat,) = hat_smooth(inc[:, lo - taps : hi - 1])
+            hat = hat[:, taps - 1 :]
             inc = inc[:, lo:hi]
-            smoothed = zip(ladder.smooth_dw(w_ext[:, lo:hi]), ladder.smooth_w(hat))
-            per_eps = dict(zip(eps_list, smoothed))
+            w_dots, hat_sms = ladder.smooth_dw(w_ext[:, lo:hi]), ladder.smooth_w(hat)
         with _timed(seconds, "route"):
-            vals = {}
-            for lam, (ks, phi) in windows.items():
-                dw = inc[:, ks]
-                dhat_rough = hat[:, ks] - hat[:, centre]
-                for e in eps_list:
-                    w_dot, hat_sm = per_eps[e]
+            # per lambda: the increments and the hat process's increments it pairs
+            rough_at = {
+                lam: (inc[:, ks], hat[:, ks] - hat[:, centre]) for lam, (ks, _) in windows.items()
+            }
+        vals = {}
+        for j, e in enumerate(eps_list):  # one width at a time through the buffers
+            with _timed(seconds, "paths"):
+                w_dot, hat_sm = w_dots[j], hat_sms[j]
+            with _timed(seconds, "route"):
+                for lam, (ks, phi) in windows.items():
+                    dw, dhat_rough = rough_at[lam]
                     dhat_sm = hat_sm[:, ks] - hat_sm[:, centre]
                     pair = {}
                     pair["Xi"] = np.sum(phi * (w_dot[:, ks] * dt - dw), axis=-1)

@@ -25,6 +25,7 @@ from .trees import (
 )
 
 _DEGREE_CACHE = {}  # (spec, tree) -> exact degree
+_ZERO, _ONE = Fraction(0), Fraction(1)  # a leaf's degree, an integration edge's
 # a symbolic check makes d^2 cases over a covariance of (2d)^2 entries: at
 # d = 32, nmax = 4, check-bphz takes about 3 s and check-gamma about 7 s
 _MAX_CHANNELS = 32
@@ -60,23 +61,25 @@ class StructureSpec:
             raise ConfigError("truncation must be >= 1")
         # every memo table is keyed by spec; hash its fields once
         object.__setattr__(self, "_hash", hash((self.d, alpha, self.truncation)))
+        object.__setattr__(self, "_noise_degrees", tuple(a - 1 for a in alpha))
 
     def __hash__(self):
         return self._hash
 
     def edge_degree(self, et):
+        """``alpha_i - 1`` for a noise edge of channel i, +1 for an integration edge."""
         if et.is_noise:
             if et.index > self.d:
                 raise DomainError(f"noise index {et.index} exceeds d={self.d}")
-            return self.alpha[et.index - 1] - 1
-        return Fraction(1)
+            return self._noise_degrees[et.index - 1]
+        return _ONE
 
     def degree_tree(self, tree):
         """Exact degree of a tree, computed once per spec and tree."""
         key = (self, tree)
         total = _DEGREE_CACHE.get(key)
         if total is None:
-            total = Fraction(0)
+            total = _ZERO
             for et, sub in tree.children:
                 total += self.edge_degree(et) + self.degree_tree(sub)
             _DEGREE_CACHE[key] = total

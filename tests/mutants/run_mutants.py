@@ -241,13 +241,34 @@ MUTANTS = [
     ),
     (
         "roughsim.py",
-        "        return [fft.irfft(spectra[size] * w_hat, size)[..., start : start + n]\n",
-        "        return [fft.irfft(spectra[size] * w_hat, size)[..., start + 1 : start + n + 1]\n",
+        "            return out[:, start : start + n].reshape(lead + (n,))\n",
+        "            return out[:, start + 1 : start + n + 1].reshape(lead + (n,))\n",
         # test_smoother_equals_fftconvolve fails too, but Hypothesis takes ~30 s to shrink
         [
             _ROUGHSIM + "test_hat_process_matches_plain_path_before_cutoff",
             _ROUGHSIM + "test_fbm_half_is_brownian",
         ],
+    ),
+    # a smoother call that reuses the last call's output buffer as its signal's
+    # buffer without zeroing the padding those outputs wrote
+    (
+        "roughsim.py",
+        "        padded[:, n:] = 0.0\n",
+        "",
+        [_ROUGHSIM + "test_smoother_reuses_its_buffers_across_calls"],
+    ),
+    # one set of smoothing buffers, or of chunk scratch, shared by every thread
+    (
+        "roughsim.py",
+        "    local = threading.local()\n\n    def buffers(rows):\n",
+        '    local = type("Shared", (), {})()\n\n    def buffers(rows):\n',
+        [_ROUGHSIM + "test_smoother_shared_by_8_threads_keeps_each_threads_outputs"],
+    ),
+    (
+        "roughsim.py",
+        "    local = threading.local()\n\n    def mine():\n",
+        '    local = type("Shared", (), {})()\n\n    def mine():\n',
+        [_ROUGHSIM + "test_per_thread_scratch_is_each_threads_own"],
     ),
 ]
 

@@ -5,6 +5,7 @@ import functools
 import math
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -151,6 +152,80 @@ def test_smoother_equals_fftconvolve(seed, n, batch, lengths, repeat, data):
     for out, (w, start) in zip(outs, weights):
         expected = signal.fftconvolve(rows, w[None, :], mode="full")[:, start : start + n]
         assert np.array_equal(out, expected[0] if values.ndim == 1 else expected)
+
+
+def test_smoother_reuses_its_buffers_across_calls():
+    # one smoother, called on 3 rows, then 1, then 2: every call equals
+    # fftconvolve, though each writes into the buffers the last one used
+    from scipy import signal
+
+    rng = np.random.default_rng(11)
+    n = 300
+    weights = [(rng.standard_normal(size), start) for size, start in ((41, 20), (97, 48))]
+    smooth = roughsim._smoother(n, weights)
+    last = None
+    for rows in (3, 1, 2):
+        values = rng.standard_normal((rows, n))
+        outs = smooth(values)
+        for k, (w, start) in enumerate(weights):
+            expected = signal.fftconvolve(values, w[None, :], mode="full")[:, start : start + n]
+            out = outs[k]
+            assert np.array_equal(out, expected)
+            if last is not None:
+                assert np.shares_memory(out, last)
+            last = out
+
+
+def test_smoother_shared_by_8_threads_keeps_each_threads_outputs():
+    # each thread reads its own buffers, so a switch between one thread's call
+    # and its reads cannot hand it another thread's signal
+    rng = np.random.default_rng(12)
+    n = 200
+    weights = [(rng.standard_normal(size), size // 2) for size in (31, 63)]
+    smooth = roughsim._smoother(n, weights)
+    signals = [rng.standard_normal((1 + k % 3, n)) for k in range(8)]
+    expected = [[out.copy() for out in smooth(values)] for values in signals]
+    barrier = threading.Barrier(8, timeout=30)
+    wrong = []
+
+    def work(k):
+        barrier.wait()
+        for _ in range(40):
+            outs = smooth(signals[k])
+            wrong.extend(k for out, want in zip(outs, expected[k]) if not np.array_equal(out, want))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_per_thread_scratch_is_each_threads_own():
+    mine = roughsim._per_thread(object)
+    barrier = threading.Barrier(4, timeout=30)
+    seen = []
+
+    def work():
+        first = mine()
+        barrier.wait()  # every thread's object is alive at once
+        seen.append((first, mine()))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(first is again for first, again in seen)
+    assert len({id(first) for first, _ in seen}) == len(seen) == 4
 
 
 def test_import_leaves_scipy_signal_unloaded():
