@@ -25,7 +25,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -202,13 +202,13 @@ def _smoother(n, weights):
     Each weight's spectrum is taken here, once, at fftconvolve's FFT length.
     A call writes the signal into a zero-padded buffer and takes its ``rfft``
     once per distinct length, into one spectrum buffer per length; it returns
-    the outputs as a sequence whose item k is computed when read: weight k's
+    an iterator over the outputs, output k computed when reached: weight k's
     spectrum times the signal's, in one product buffer, and its ``irfft``,
     in one output buffer.  The output buffer is the signal's, free once its
     spectra are taken, so a call zeroes the padding again.  The buffers are
     the calling thread's own, made on its first call and grown only for more
-    rows, so threads may share the returned function; an item read is a view
-    of the output buffer, valid until that thread's next read."""
+    rows, so threads may share the returned function; an output is a view
+    of the output buffer, valid until that thread's next output."""
     sizes = [fft.next_fast_len(n + len(w) - 1, True) for w, _ in weights]
     parts = [(size, fft.rfft(w, size), start) for size, (w, start) in zip(sizes, weights)]
     top = max(sizes)
@@ -240,24 +240,9 @@ def _smoother(n, weights):
             np.fft.irfft(np.multiply(spectra[size][:rows], w_hat, out=prod), size, out=out)
             return out[:, start : start + n].reshape(lead + (n,))
 
-        return _Lazy(output, len(parts))
+        return map(output, range(len(parts)))
 
     return smooth
-
-
-class _Lazy:
-    """A sequence of ``length`` items, item k being ``item(k)`` when read."""
-
-    def __init__(self, item, length):
-        self._item, self._length = item, length
-
-    def __len__(self):
-        return self._length
-
-    def __getitem__(self, k):
-        if not 0 <= k < self._length:
-            raise IndexError(k)
-        return self._item(k)
 
 
 def _causal(smooth, increments):
@@ -336,7 +321,7 @@ def mollify(values, dt, eps):
     """
     w, dw, m = mollification_weights(dt, eps)
     outputs = _smoother(np.shape(values)[-1], [(w, m), (dw, m)])(values)
-    return (*(out.copy() for out in outputs), m)  # each item read overwrites the last
+    return (*(out.copy() for out in outputs), m)  # each output overwrites the last
 
 
 # ---------------------------------------------------------------------------
@@ -620,25 +605,6 @@ def _path_chunks(n_paths, points):
     return [range(start, min(start + size, n_paths)) for start in range(0, n_paths, size)]
 
 
-def _increments(chunk, n_steps, dt, seed, out):
-    """The :func:`brownian_increments` of each path of ``chunk``, one row of ``out`` each."""
-    for row, p in zip(out, chunk):
-        row[:] = brownian_increments(n_steps, dt, seed, p)
-
-
-def _per_thread(make):
-    """A function that returns the calling thread's own ``make()``, made on
-    that thread's first call: scratch arrays a run's chunks reuse."""
-    local = threading.local()
-
-    def mine():
-        if not hasattr(local, "value"):
-            local.value = make()
-        return local.value
-
-    return mine
-
-
 def _run_paths(worker, count, threads):
     """Deterministic map of ``worker`` over ``range(count)`` (the chunks of
     paths), optionally thread-parallel on at most one thread per CPU the
@@ -650,9 +616,35 @@ def _run_paths(worker, count, threads):
     return [worker(idx) for idx in range(count)]
 
 
-def _results(per_chunk, timings):
-    """The results of per-chunk ``(result, phase seconds)`` pairs; the
-    seconds are summed into ``timings``."""
+def _over_chunks(config, n_ext, timings, body, sizes):
+    """``body(inc, path, *scratch, seconds)`` on each chunk of
+    :func:`_path_chunks` of ``config``'s paths on ``n_ext`` steps, mapped by
+    :func:`_run_paths`; the body's results in chunk order.
+
+    Per path of the chunk, one row each: ``inc`` holds its
+    :func:`brownian_increments`, ``path`` their running sum from 0 at the
+    ``n_ext + 1`` points, and ``scratch`` one array per length in ``sizes``.
+    The arrays are the calling thread's own, made on its first chunk.
+    Drawing and summing are timed as ``paths`` in ``seconds``, a dict the
+    body times its own phases into, and each chunk's seconds are summed into
+    ``timings``."""
+    dt = config.dt
+    chunks = _path_chunks(config.n_paths, n_ext + 1)
+    local = threading.local()
+
+    def one_chunk(i):
+        if not hasattr(local, "arrays"):
+            local.arrays = [np.empty((len(chunks[0]), size)) for size in (n_ext, n_ext + 1, *sizes)]
+        inc, path, *scratch = (a[: len(chunks[i])] for a in local.arrays)
+        seconds = {}
+        with _timed(seconds, "paths"):
+            for row, p in zip(inc, chunks[i]):
+                row[:] = brownian_increments(n_ext, dt, config.seed, p)
+            path[:, 0] = 0.0
+            np.cumsum(inc, axis=-1, out=path[:, 1:])
+        return body(inc, path, *scratch, seconds), seconds
+
+    per_chunk = _run_paths(one_chunk, len(chunks), config.threads)
     for _, seconds in per_chunk:
         for phase, value in seconds.items():
             timings[phase] = timings.get(phase, 0.0) + value
@@ -721,12 +713,23 @@ class _Ladder:
     smooth_dw: object  # signal -> its smoothing by each eps's derivative weights
     timings: dict  # phase -> seconds
 
+    def widths(self, w, x, seconds):
+        """Per eps, one width at a time: ``(eps, w smoothed by its derivative
+        weights, x smoothed by its weights)``, the two views valid until the
+        next width; the smoothing is timed as ``paths`` in ``seconds``."""
+        with _timed(seconds, "paths"):
+            pairs = zip(self.smooth_dw(w), self.smooth_w(x))
+        for e in self.c_eps:
+            with _timed(seconds, "paths"):
+                w_dot, x_sm = next(pairs)
+            yield e, w_dot, x_sm
+
 
 def _ladder(config, powers, n):
     """Per eps of ``config``: :func:`c_eps` and its error, :func:`renormalised_terms`
     at ``c_eps`` for ``powers``, both timed, and the :func:`_smoother` of
     signals of ``n`` points by the mollification weights and derivative
-    weights, each aligned with its signal."""
+    weights, each aligned with its signal, read through :meth:`_Ladder.widths`."""
     timings = {}
     with _timed(timings, "c_eps"):
         corrections = {e: c_eps(e, config.kernel) for e in config.eps_list}
@@ -746,9 +749,9 @@ def _ladder(config, powers, n):
 @dataclass
 class WZResult:
     c_eps: dict  # eps -> (correction constant, its quadrature error estimate)
-    rows: list = field(default_factory=list)
-    summary: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)  # phase -> seconds, summed over paths
+    rows: list
+    summary: list
+    timings: dict  # phase -> seconds, summed over paths
 
 
 _WZ_COLUMNS = ("I_uncorr", "I_corr", "I_model", "I_ito")
@@ -766,9 +769,10 @@ def wz_experiment(config):
     read their coefficients from :func:`renormalised_terms` at ``c_eps``,
     for powers up to the truncation of ``rough_vol_spec(H, kappa)``.
     Each RMS over paths comes with its delta-method standard error.
-    The paths go in chunks of :func:`_path_chunks`, each a stacked array
-    with the grid on the last axis; every result depends only on
-    ``(seed, path)``, not on the chunk or the thread count.
+    The paths go through :func:`_over_chunks`, each chunk a stacked array
+    with the grid on the last axis, and each chunk's eps ladder through
+    :meth:`_Ladder.widths`; every result depends only on ``(seed, path)``,
+    not on the chunk or the thread count.
     """
     dt = config.dt
     n = config.n_grid
@@ -780,57 +784,45 @@ def wz_experiment(config):
     # I_corr's drift: the order-1 term at delta = 0, less the Xi part I_uncorr holds
     drifts = {e: _evaluate(ladder.terms[e][1], 0.0, 0.0) for e in config.eps_list}
     fbm = _fbm_smoother(n_ext - pad, config.H, dt)
-    chunks = _path_chunks(config.n_paths, n_ext + 1)
     sl = slice(pad, pad + n)
-    # per thread: the increments, both extended paths, f and f' on the grid, a product
-    scratch = _per_thread(lambda: [
-        np.empty((len(chunks[0]), size)) for size in (n_ext, n_ext + 1, n_ext + 1, n, n, n)
-    ])
 
-    def one_chunk(i):
-        seconds = {}
-        inc, w_ext, wh_ext, f_0, f_1, prod = (a[: len(chunks[i])] for a in scratch())
+    # scratch: the fractional path on the extended grid, f and f' on the grid, a product
+    def one_chunk(inc, w_ext, wh_ext, f_0, f_1, prod, seconds):
         with _timed(seconds, "paths"):
-            _increments(chunks[i], n_ext, dt, config.seed, inc)
-            w_ext[:, 0] = 0.0
-            np.cumsum(inc, axis=-1, out=w_ext[:, 1:])
             w_ext -= w_ext[:, pad : pad + 1].copy()  # paths vanish at time 0
             (wh_pos,) = fbm(inc[:, pad:])  # fbm_rl from time 0 onward, less its first 0
             wh_ext[:, : pad + 1] = 0.0
             wh_ext[:, pad + 1 :] = wh_pos
-            w_dots, wh_sms = ladder.smooth_dw(w_ext), ladder.smooth_w(wh_ext)
         with _timed(seconds, "route"):
             np.subtract(w_ext[:, pad + 1 : pad + n + 1], w_ext[:, pad : pad + n], out=prod)
             i_ito = np.sum(np.multiply(f(wh_ext[:, sl], out=f_0), prod, out=prod), axis=-1)
         out = []
-        for j, e in enumerate(config.eps_list):  # one width at a time through the buffers
-            with _timed(seconds, "paths"):
-                w_dot, wh_sm = w_dots[j], wh_sms[j]
+        for e, w_dot, wh_sm in ladder.widths(w_ext, wh_ext, seconds):
             with _timed(seconds, "route"):
                 f_grid = f(wh_sm[:, sl], out=f_0), f(wh_sm[:, sl], 1, out=f_1)
                 i_unc = np.sum(np.multiply(f_grid[0], w_dot[:, sl], out=prod), axis=-1) * dt
                 i_corr = i_unc + drifts[e] * (np.sum(f_grid[1], axis=-1) * dt)
                 i_model = _model_route(f, wh_sm, w_dot, pad, n, dt, ladder.terms[e], f_grid)
                 out.append((i_unc, i_corr, i_model, i_ito))
-        return np.array(out), seconds
+        return np.array(out)
 
-    result = WZResult(ladder.c_eps, timings=ladder.timings)
-    per_chunk = _results(_run_paths(one_chunk, len(chunks), config.threads), ladder.timings)
+    per_chunk = _over_chunks(config, n_ext, ladder.timings, one_chunk, (n_ext + 1, n, n, n))
     table = np.concatenate(per_chunk, axis=-1)  # (eps, _WZ_COLUMNS, path)
     listed = table.tolist()
-    for p in range(config.n_paths):
-        for e, columns in zip(config.eps_list, listed):
-            result.rows.append(
-                {"eps": e, "path": p, **{key: col[p] for key, col in zip(_WZ_COLUMNS, columns)}}
-            )
+    rows = [
+        {"eps": e, "path": p, **{key: col[p] for key, col in zip(_WZ_COLUMNS, columns)}}
+        for p in range(config.n_paths)
+        for e, columns in zip(config.eps_list, listed)
+    ]
+    summary = []
     for e, arr in zip(config.eps_list, table):
         row = {"eps": e, "c_eps": ladder.c_eps[e][0]}
         for col, name in enumerate(("uncorr", "corr", "model")):
             d2 = (arr[col] - arr[3]) ** 2
             row["rms_" + name] = float(np.sqrt(np.mean(d2)))
             row["se_" + name] = _rms_se(d2, row["rms_" + name])
-        result.summary.append(row)
-    return result
+        summary.append(row)
+    return WZResult(ladder.c_eps, rows, summary, ladder.timings)
 
 
 def _model_route(f, wh_sm, w_dot, pad, n, dt, terms, f_grid=()):
@@ -880,7 +872,8 @@ def model_bound_probe(config):
     :func:`renormalised_terms` at ``c_eps``.  Returns the row table and,
     per symbol, joint log-log regression exponents in lambda and eps,
     ``c_eps`` with its quadrature error per eps, and the seconds per phase
-    (``timings``, summed over paths).  The paths go in chunks, as in
+    (``timings``, summed over paths).  The paths and each chunk's eps ladder
+    go through :func:`_over_chunks` and :meth:`_Ladder.widths`, as in
     :func:`wz_experiment`.
 
     The pairings read the grid points within ``steps(max lambda)`` of T/2,
@@ -916,7 +909,6 @@ def model_bound_probe(config):
     hat_smooth = _hat_smoother(hi - 1 - (lo - taps), config.kernel, dt, taps)
     names = {k: f"Xi*I(Xihat)^{k}" if k > 1 else "Xi*I(Xihat)" for k in config.powers}
     taus = ["Xi", "I(Xihat)", *names.values()]
-    chunks = _path_chunks(config.n_paths, n_ext + 1)
     # per lambda: its points of the window (a slice: a fancy index would give
     # an F-ordered array, whose row sums round differently) and test function
     windows = {
@@ -924,30 +916,20 @@ def model_bound_probe(config):
         for lam, h in halves.items()
     }
     centre = slice(reach, reach + 1)
-    # per thread: the increments and the driving path
-    scratch = _per_thread(lambda: [np.empty((len(chunks[0]), size)) for size in (n_ext, n_ext + 1)])
 
-    def one_chunk(i):
-        seconds = {}
-        inc, w_ext = (a[: len(chunks[i])] for a in scratch())
+    def one_chunk(inc, w_ext, seconds):
         with _timed(seconds, "paths"):
-            _increments(chunks[i], n_ext, dt, config.seed, inc)
-            w_ext[:, 0] = 0.0
-            np.cumsum(inc, axis=-1, out=w_ext[:, 1:])
             # stationary_hat_process on the window, less its first taps points
             (hat,) = hat_smooth(inc[:, lo - taps : hi - 1])
             hat = hat[:, taps - 1 :]
             inc = inc[:, lo:hi]
-            w_dots, hat_sms = ladder.smooth_dw(w_ext[:, lo:hi]), ladder.smooth_w(hat)
         with _timed(seconds, "route"):
             # per lambda: the increments and the hat process's increments it pairs
             rough_at = {
                 lam: (inc[:, ks], hat[:, ks] - hat[:, centre]) for lam, (ks, _) in windows.items()
             }
         vals = {}
-        for j, e in enumerate(eps_list):  # one width at a time through the buffers
-            with _timed(seconds, "paths"):
-                w_dot, hat_sm = w_dots[j], hat_sms[j]
+        for e, w_dot, hat_sm in ladder.widths(w_ext[:, lo:hi], hat, seconds):
             with _timed(seconds, "route"):
                 for lam, (ks, phi) in windows.items():
                     dw, dhat_rough = rough_at[lam]
@@ -960,9 +942,9 @@ def model_bound_probe(config):
                         rough = dhat_rough**k * dw
                         pair[name] = np.sum(phi * (smooth - rough), axis=-1)
                     vals[(lam, e)] = pair
-        return vals, seconds
+        return vals
 
-    per_chunk = _results(_run_paths(one_chunk, len(chunks), config.threads), ladder.timings)
+    per_chunk = _over_chunks(config, n_ext, ladder.timings, one_chunk, ())
     rows = []
     fits = {}
     logs = {tau: ([], [], []) for tau in taus}

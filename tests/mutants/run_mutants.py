@@ -266,9 +266,16 @@ MUTANTS = [
     ),
     (
         "roughsim.py",
-        "    local = threading.local()\n\n    def mine():\n",
-        '    local = type("Shared", (), {})()\n\n    def mine():\n',
-        [_ROUGHSIM + "test_per_thread_scratch_is_each_threads_own"],
+        "    local = threading.local()\n\n    def one_chunk(i):\n",
+        '    local = type("Shared", (), {})()\n\n    def one_chunk(i):\n',
+        [_ROUGHSIM + "test_chunk_driver_arrays_are_each_threads_own"],
+    ),
+    # the chunk arrays made again on every chunk
+    (
+        "roughsim.py",
+        '        if not hasattr(local, "arrays"):\n',
+        "        if True:\n",
+        [_ROUGHSIM + "test_chunk_driver_arrays_are_each_threads_own"],
     ),
 ]
 

@@ -148,8 +148,7 @@ def test_smoother_equals_fftconvolve(seed, n, batch, lengths, repeat, data):
     ]
     outs = roughsim._smoother(n, weights)(values)
     rows = values[None, :] if values.ndim == 1 else values
-    assert len(outs) == len(weights)
-    for out, (w, start) in zip(outs, weights):
+    for out, (w, start) in zip(outs, weights, strict=True):
         expected = signal.fftconvolve(rows, w[None, :], mode="full")[:, start : start + n]
         assert np.array_equal(out, expected[0] if values.ndim == 1 else expected)
 
@@ -166,10 +165,8 @@ def test_smoother_reuses_its_buffers_across_calls():
     last = None
     for rows in (3, 1, 2):
         values = rng.standard_normal((rows, n))
-        outs = smooth(values)
-        for k, (w, start) in enumerate(weights):
+        for out, (w, start) in zip(smooth(values), weights, strict=True):
             expected = signal.fftconvolve(values, w[None, :], mode="full")[:, start : start + n]
-            out = outs[k]
             assert np.array_equal(out, expected)
             if last is not None:
                 assert np.shares_memory(out, last)
@@ -177,8 +174,8 @@ def test_smoother_reuses_its_buffers_across_calls():
 
 
 def test_smoother_shared_by_8_threads_keeps_each_threads_outputs():
-    # each thread reads its own buffers, so a switch between one thread's call
-    # and its reads cannot hand it another thread's signal
+    # each thread reads its own buffers: every thread's call is done before any
+    # thread reads its outputs, which must still be its own signal's
     rng = np.random.default_rng(12)
     n = 200
     weights = [(rng.standard_normal(size), size // 2) for size in (31, 63)]
@@ -192,6 +189,7 @@ def test_smoother_shared_by_8_threads_keeps_each_threads_outputs():
         barrier.wait()
         for _ in range(40):
             outs = smooth(signals[k])
+            barrier.wait()  # every thread's call, then the reads
             wrong.extend(k for out, want in zip(outs, expected[k]) if not np.array_equal(out, want))
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
@@ -208,24 +206,38 @@ def test_smoother_shared_by_8_threads_keeps_each_threads_outputs():
     assert wrong == []
 
 
-def test_per_thread_scratch_is_each_threads_own():
-    mine = roughsim._per_thread(object)
+def test_chunk_driver_arrays_are_each_threads_own(monkeypatch):
+    # 8 chunks of one path on 4 threads, each chunk waiting at one barrier:
+    # each round of 4 chunks takes one per thread, so every thread runs two
+    # chunks, and the four threads' arrays are all in use at once
+    n_ext = 64
+    monkeypatch.setattr(roughsim, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(roughsim, "_CHUNK_BYTES", 8 * (n_ext + 1))
+    config = SimConfig(
+        H=0.3, kappa=0.01, n_grid=64, n_paths=8, seed=4, eps_list=(0.125,), threads=4
+    )
     barrier = threading.Barrier(4, timeout=30)
-    seen = []
 
-    def work():
-        first = mine()
-        barrier.wait()  # every thread's object is alive at once
-        seen.append((first, mine()))
+    def body(inc, path, a, b, seconds):
+        barrier.wait()
+        return threading.get_ident(), (inc, path, a, b), inc[0].copy(), path[0].copy()
 
-    threads = [threading.Thread(target=work) for _ in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
-    assert not any(thread.is_alive() for thread in threads)
-    assert all(first is again for first, again in seen)
-    assert len({id(first) for first, _ in seen}) == len(seen) == 4
+    timings = {}
+    per_chunk = roughsim._over_chunks(config, n_ext, timings, body, (3, 5))
+    for p, (_, arrays, inc, path) in enumerate(per_chunk):
+        assert [a.shape for a in arrays] == [(1, n_ext), (1, n_ext + 1), (1, 3), (1, 5)]
+        assert np.array_equal(inc, brownian_increments(n_ext, config.dt, config.seed, p))
+        assert np.array_equal(path, np.concatenate(([0.0], np.cumsum(inc))))
+    assert list(timings) == ["paths"]
+    held = {}
+    for ident, arrays, _, _ in per_chunk:
+        held.setdefault(ident, []).append(arrays)
+    assert sorted(map(len, held.values())) == [2, 2, 2, 2]
+    for first, again in held.values():
+        assert all(np.shares_memory(x, y) for x, y in zip(first, again))
+    firsts = [(ident, x) for ident, (first, _) in held.items() for x in first]
+    for ident, x in firsts:
+        assert not any(np.shares_memory(x, y) for other, y in firsts if other != ident)
 
 
 def test_import_leaves_scipy_signal_unloaded():
@@ -901,6 +913,8 @@ def test_model_bound_probe_shapes():
     )
     taus = {row["tau"] for row in rep["rows"]}
     assert taus == {"Xi", "I(Xihat)", "Xi*I(Xihat)"}
+    assert list(rep["timings"]) == ["c_eps", "expansion", "paths", "route"]
+    assert all(seconds > 0.0 for seconds in rep["timings"].values())
     assert set(rep["fits"]) == taus
     for fit in rep["fits"].values():
         assert set(fit) == {"lambda_exponent", "eps_exponent"}
