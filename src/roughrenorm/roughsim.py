@@ -29,9 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import fft, integrate
+import numpy.fft  # noqa: F401  numpy loads these lazily; here, not in a run's first chunk
+import numpy.random  # noqa: F401
 
 from . import model
+from . import quadpack as integrate
 from .config import ints, read_config, real, reals
 from .errors import ConfigError, DomainError
 from .gaussian import CovarianceSpec
@@ -67,7 +69,7 @@ def _bump_raw(x):
 def _bump_norm():
     """The integral of :func:`_bump_raw`, by quadrature on first use: at
     import it would add to the start-up of every command."""
-    z, _ = integrate.quad(lambda x: float(_bump_raw(x)), -1.0, 1.0)
+    z, _ = integrate.quad(_bump_raw, -1.0, 1.0)
     return z
 
 
@@ -187,11 +189,12 @@ def _khat_at(kernel, u):
 # path generation
 
 
-def brownian_increments(n_steps, dt, seed, path_index):
-    """Brownian increments from a Philox stream keyed by (seed, path)."""
+def brownian_increments(n_steps, dt, seed, path_index, out=None):
+    """Brownian increments from a Philox stream keyed by (seed, path);
+    written into ``out`` if given."""
     key = np.array([seed % 2**64, path_index % 2**64], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.standard_normal(n_steps) * math.sqrt(dt)
+    return np.multiply(rng.standard_normal(n_steps, out=out), math.sqrt(dt), out=out)
 
 
 def _smoother(n, weights):
@@ -199,7 +202,8 @@ def _smoother(n, weights):
     the full convolution of a signal of ``n`` points (grid on the last axis)
     with ``w``, bit for bit as ``signal.fftconvolve`` gives them.
 
-    Each weight's spectrum is taken here, once, at fftconvolve's FFT length.
+    Each weight's spectrum is taken here, once, at fftconvolve's FFT length
+    :func:`_fast_len`.
     A call writes the signal into a zero-padded buffer and takes its ``rfft``
     once per distinct length, into one spectrum buffer per length; it returns
     an iterator over the outputs, output k computed when reached: weight k's
@@ -209,8 +213,8 @@ def _smoother(n, weights):
     the calling thread's own, made on its first call and grown only for more
     rows, so threads may share the returned function; an output is a view
     of the output buffer, valid until that thread's next output."""
-    sizes = [fft.next_fast_len(n + len(w) - 1, True) for w, _ in weights]
-    parts = [(size, fft.rfft(w, size), start) for size, (w, start) in zip(sizes, weights)]
+    sizes = [_fast_len(n + len(w) - 1) for w, _ in weights]
+    parts = [(size, np.fft.rfft(w, size), start) for size, (w, start) in zip(sizes, weights)]
     top = max(sizes)
     local = threading.local()
 
@@ -243,6 +247,20 @@ def _smoother(n, weights):
         return map(output, range(len(parts)))
 
     return smooth
+
+
+def _fast_len(n):
+    """The least 5-smooth integer from ``n`` on, as fftconvolve's FFT length
+    ``scipy.fft.next_fast_len(n, real=True)``."""
+    best = 1 << (n - 1).bit_length()  # the least power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _causal(smooth, increments):
@@ -336,39 +354,42 @@ def c_eps(eps, kernel):
     against the mollified kernel cross-covariance, reduced to a single
     weakly singular integral of ``khat(u)`` against the mollifier
     autocorrelation and regularized by the substitution
-    ``u = v ** (1 / (H + 1/2))``.
+    ``u = v ** (1 / (H + 1/2))``.  Both levels are :func:`quadpack.quad`:
+    the outer integrand takes a round's panels at once, and the
+    autocorrelations at all their nodes go to one inner call.  Every float
+    operation is the scalar integrand's, in its order: a power of a float
+    is Python's and an exp is ``math.exp`` (libm's; numpy's own round some
+    points differently).
     """
     if not 0.0 < eps < math.inf:
         raise ConfigError("eps must be positive and finite")
     _normal_width(eps)
     H = kernel.H
     norm = _bump_norm()
-    exp = math.exp
 
-    def phi(u):
-        lo, hi = -eps, eps - u
-        if hi <= lo:
-            return 0.0
-
-        def pair(b):
-            # _rho_eps_at(b) * _rho_eps_at(b + u), inlined: the same float
-            # operations in the same order, without two calls per point, and
-            # 0.0 with no exp when either point lies outside (-1, 1)
-            y, z = b / eps, (b + u) / eps
-            if abs(y) >= 1.0 or abs(z) >= 1.0:
-                return 0.0
-            at_b = exp(-1.0 / (1.0 - y * y)) / norm / eps
-            return at_b * (exp(-1.0 / (1.0 - z * z)) / norm / eps)
-
-        val, _ = integrate.quad(pair, lo, hi, limit=100)
-        return val
+    def pair(b, u):
+        # _rho_eps_at(b) * _rho_eps_at(b + u) at nodes b of lag u's integral,
+        # 0.0 with no exp where either point lies outside (-1, 1)
+        y, z = b / eps, (b + u) / eps
+        inside = (np.abs(y) < 1.0) & (np.abs(z) < 1.0)
+        y = np.concatenate((y[inside], z[inside]))  # both points' scaled values
+        at = np.fromiter(map(math.exp, (-1.0 / (1.0 - y * y)).tolist()), float, len(y))
+        at = at / norm / eps
+        out = np.zeros(b.shape)
+        out[inside] = at[: len(y) // 2] * at[len(y) // 2 :]
+        return out
 
     p = 1.0 / (H + 0.5)
     upper = min(2.0 * eps, 2.0 * kernel.T)
 
     def integrand(v):
-        u = v**p
-        return _khat_at(kernel, u) * phi(u) * p * v ** (p - 1.0)
+        vs = v.ravel().tolist()
+        u = np.array([x**p for x in vs])
+        phi = np.zeros(len(vs))  # the autocorrelation at lag u, 0.0 from 2 eps on
+        live = eps - u > -eps
+        phi[live], _ = integrate.quad(pair, -eps, eps - u[live], args=(u[live],), limit=100)
+        khat = np.array([_khat_at(kernel, x) for x in u.tolist()])
+        return (khat * phi * p * np.array([x ** (p - 1.0) for x in vs])).reshape(v.shape)
 
     hi = upper ** (1.0 / p)
     with warnings.catch_warnings(record=True) as caught:
@@ -379,7 +400,10 @@ def c_eps(eps, kernel):
 def c_eps_timedep(t, eps, H):
     """Time-dependent correction E[dot(W^eps)(t) W^(H,eps)(t)] for the
     one-sided fractional path started at time 0 (no cutoff).  From t = eps
-    on it is :func:`c_eps` under a kernel cut off beyond every float lag."""
+    on it is :func:`c_eps` under a kernel cut off beyond every float lag.
+    Before, it is a double quadrature, the inner integrals at all the
+    outer panel's nodes in one :func:`quadpack.quad` call, with the scalar
+    integrand at every point."""
     KernelSpec(H)  # H is checked before eps and t
     if not (0.0 < eps < math.inf and 0.0 < t < math.inf):
         raise ConfigError("eps and t must be positive and finite")
@@ -399,12 +423,18 @@ def c_eps_timedep(t, eps, H):
             return c * 0.0
         return c * (v ** (H + 0.5) - max(v - mn, 0.0) ** (H + 0.5))
 
+    points = np.frompyfunc(
+        lambda a, b: _drho_eps_at(a, eps, norm) * _rho_eps_at(b, eps, norm) * cross(a, b), 2, 1
+    )
+
+    def outer(b):
+        return integrate.quad(
+            lambda a, b: points(a, b).astype(float), -eps, eps, args=(b,), epsabs=1e-9, epsrel=1e-7
+        )[0]
+
     with warnings.catch_warnings(record=True) as caught:
         try:
-            val, _ = integrate.dblquad(
-                lambda a, b: _drho_eps_at(a, eps, norm) * _rho_eps_at(b, eps, norm) * cross(a, b),
-                -eps, eps, -eps, eps, epsabs=1e-9, epsrel=1e-7,
-            )
+            val, _ = integrate.quad(outer, -eps, eps, epsabs=1e-9, epsrel=1e-7)
         except ZeroDivisionError:  # eps * eps underflowed to 0
             val = math.nan
     return _finite(val, eps, caught)
@@ -639,7 +669,7 @@ def _over_chunks(config, n_ext, timings, body, sizes):
         seconds = {}
         with _timed(seconds, "paths"):
             for row, p in zip(inc, chunks[i]):
-                row[:] = brownian_increments(n_ext, dt, config.seed, p)
+                brownian_increments(n_ext, dt, config.seed, p, out=row)
             path[:, 0] = 0.0
             np.cumsum(inc, axis=-1, out=path[:, 1:])
         return body(inc, path, *scratch, seconds), seconds
@@ -688,16 +718,29 @@ def renormalised_terms(c, spec, powers):
     return out
 
 
-def _evaluate(terms, w_dot, delta):
+def _evaluate(terms, w_dot, delta, out=None, tmp=None):
     """The renormalised model: ``c * delta**j * w_dot**xi`` summed over ``terms``,
     less its exact identities: a coefficient 1.0, a power 0, ``x**1`` (read as
     ``x``) and the sum's ``0 +``.  That changes no bit but the sign of an exact
-    zero; the value may be ``w_dot`` itself, never to be written into."""
+    zero; the value may be ``w_dot`` itself, never to be written into.
+
+    Given ``out`` and ``tmp``, arrays of the value's shape, the value is
+    written into ``out`` and each later term into ``tmp``, by the same
+    ufuncs in the same order."""
     total = None
     for (xi, j), c in terms.items():
         factors = [x if p == 1 else x**p for x, p in ((delta, j), (w_dot, xi)) if p]
-        term = functools.reduce(operator.mul, factors if c == 1.0 and factors else [c, *factors])
-        total = term if total is None else total + term
+        factors = factors if c == 1.0 and factors else [c, *factors]
+        if out is None:
+            term = functools.reduce(operator.mul, factors)
+            total = term if total is None else total + term
+            continue
+        term = out if total is None else tmp
+        if len(factors) == 1:
+            term[...] = factors[0]
+        else:
+            functools.reduce(lambda x, y: np.multiply(x, y, out=term), factors)
+        total = out if total is None else np.add(out, tmp, out=out)
     return 0 if total is None else total
 
 
@@ -786,8 +829,9 @@ def wz_experiment(config):
     fbm = _fbm_smoother(n_ext - pad, config.H, dt)
     sl = slice(pad, pad + n)
 
-    # scratch: the fractional path on the extended grid, f and f' on the grid, a product
-    def one_chunk(inc, w_ext, wh_ext, f_0, f_1, prod, seconds):
+    # scratch: the fractional path on the extended grid, f and f' on the grid, a
+    # product, and the model route's four arrays on the grid
+    def one_chunk(inc, w_ext, wh_ext, f_0, f_1, prod, r_0, r_1, r_2, r_3, seconds):
         with _timed(seconds, "paths"):
             w_ext -= w_ext[:, pad : pad + 1].copy()  # paths vanish at time 0
             (wh_pos,) = fbm(inc[:, pad:])  # fbm_rl from time 0 onward, less its first 0
@@ -802,11 +846,13 @@ def wz_experiment(config):
                 f_grid = f(wh_sm[:, sl], out=f_0), f(wh_sm[:, sl], 1, out=f_1)
                 i_unc = np.sum(np.multiply(f_grid[0], w_dot[:, sl], out=prod), axis=-1) * dt
                 i_corr = i_unc + drifts[e] * (np.sum(f_grid[1], axis=-1) * dt)
-                i_model = _model_route(f, wh_sm, w_dot, pad, n, dt, ladder.terms[e], f_grid)
+                i_model = _model_route(
+                    f, wh_sm, w_dot, pad, n, dt, ladder.terms[e], f_grid, (r_0, r_1, r_2, r_3)
+                )
                 out.append((i_unc, i_corr, i_model, i_ito))
         return np.array(out)
 
-    per_chunk = _over_chunks(config, n_ext, ladder.timings, one_chunk, (n_ext + 1, n, n, n))
+    per_chunk = _over_chunks(config, n_ext, ladder.timings, one_chunk, (n_ext + 1,) + (n,) * 7)
     table = np.concatenate(per_chunk, axis=-1)  # (eps, _WZ_COLUMNS, path)
     listed = table.tolist()
     rows = [
@@ -825,7 +871,7 @@ def wz_experiment(config):
     return WZResult(ladder.c_eps, rows, summary, ladder.timings)
 
 
-def _model_route(f, wh_sm, w_dot, pad, n, dt, terms, f_grid=()):
+def _model_route(f, wh_sm, w_dot, pad, n, dt, terms, f_grid=(), scratch=None):
     """Blockwise renormalized-expansion quadrature of the integral.
 
     The ``n`` grid points from ``pad`` on split into blocks of ``_BLOCK``
@@ -838,18 +884,27 @@ def _model_route(f, wh_sm, w_dot, pad, n, dt, terms, f_grid=()):
     a stack of paths an array of one value per path, each the float of
     its row alone.  ``f_grid`` may hold ``f(x, m)`` for m = 0, 1, ... on
     those ``n`` points; the route reads those orders at the block bases.
+    ``scratch`` may hold four arrays of the shape of ``wh_sm``'s ``n``
+    points: the block increments, the expansion's value, its later terms
+    and the sum over orders then go there, by the same ufuncs in the same
+    order, so a chunk of paths makes no temporary of its size.
     """
     lead = np.shape(wh_sm)[:-1]
     blocks = wh_sm[..., pad : pad + n].reshape(lead + (-1, _BLOCK))
     base = blocks[..., 0].copy()  # contiguous, as the loop's one-point arrays were
-    delta = blocks - base[..., None]
+    delta, value, tmp, total = (
+        (None,) * 4 if scratch is None else (a.reshape(blocks.shape) for a in scratch)
+    )
+    delta = np.subtract(blocks, base[..., None], out=delta)
     w_blocks = w_dot[..., pad : pad + n].reshape(lead + (-1, _BLOCK))
     acc = None
     for m, expansion in terms.items():
         fm = f_grid[m][..., ::_BLOCK] if m < len(f_grid) else f(base, m)
         if m > 1:
             fm = fm / math.factorial(m)
-        term = fm[..., None] * _evaluate(expansion, w_blocks, delta)  # a new array
+        out = value if acc is not None else total  # each None without scratch: a new array
+        expanded = _evaluate(expansion, w_blocks, delta, out, tmp)
+        term = np.multiply(fm[..., None], expanded, out=out)
         acc = term if acc is None else np.add(acc, term, out=acc)
     # cumsum adds the block sums left to right, as a running total would
     total = np.cumsum(np.sum(acc, axis=-1) * dt, axis=-1)[..., -1]

@@ -38,6 +38,7 @@ _CLI = "tests/test_cli.py::"
 _MODEL = "tests/test_model.py::"
 _ROUGHSIM = "tests/test_roughsim.py::"
 _GAUSSIAN = "tests/test_gaussian.py::"
+_QUADPACK = "tests/test_quadpack.py::"
 
 # (file under src/roughrenorm, exact old text, new text, test ids expected to fail)
 MUTANTS = [
@@ -219,6 +220,34 @@ MUTANTS = [
         "            (k * len(basis) + index[target], float(factor), incs)\n",
         "            (index[target] * len(basis) + k, float(factor), incs)\n",
         [_MODEL + "test_numeric_transport_matches_symbolic"],
+    ),
+    # the QAGS port: a rule's weight, its summation order, libm's pow, the error ordering
+    (
+        "quadpack.py",
+        "    0.1494455540029169,  # the centre's\n",
+        "    0.1494455540029168,  # the centre's\n",
+        [_QUADPACK + "test_port_equals_scipy_quad_on_the_battery[gauss]"],
+    ),
+    (
+        "quadpack.py",
+        "    resk, resabs = np.cumsum(terms * _WGK_K, axis=2)[:, :, -1]\n",
+        "    resk, resabs = np.sum(terms * _WGK_K, axis=2)\n",
+        [_QUADPACK + "test_port_equals_scipy_quad_on_smooth_integrands"],
+    ),
+    (
+        "quadpack.py",
+        "e = r * (q**1.5 if q < 1.0 else 1.0)",
+        "e = r * (float(np.power(q, 1.5)) if q < 1.0 else 1.0)",
+        [_QUADPACK + "test_port_equals_scipy_quad_on_smooth_integrands"],
+    ),
+    # dqpsrt moving the bisected interval up one rank short of its place; the
+    # swap of its "errmax <= elist[isucc]" for "<" only reorders equal errors,
+    # and no integrand tried tells the two apart
+    (
+        "quadpack.py",
+        "        for _ in range(nrmax - 1):\n",
+        "        for _ in range(nrmax - 2):\n",
+        [_QUADPACK + "test_port_equals_scipy_quad_on_the_battery[cos 50x]"],
     ),
     # simulation
     (

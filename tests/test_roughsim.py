@@ -240,13 +240,38 @@ def test_chunk_driver_arrays_are_each_threads_own(monkeypatch):
         assert not any(np.shares_memory(x, y) for other, y in firsts if other != ident)
 
 
-def test_import_leaves_scipy_signal_unloaded():
+_WZ_TINY = "H = 0.3\nkappa = 0.01\nN = 64\nP = 2\nseed = 1\neps = 0.125\n"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # roughsim.signal, read only by the benchmark's traced runs, loads lazily
+        "from roughrenorm import roughsim\n"
+        "assert roughsim.signal is sys.modules['scipy.signal']\n",
+        # a command loads no module but the cli: nothing that scipy's subpackages
+        # used to load before the run may load in it
+        "import io, contextlib, pathlib, tempfile\n"
+        "out = pathlib.Path(tempfile.mkdtemp())\n"
+        "(out / 'wz.txt').write_text(" + repr(_WZ_TINY) + ")\n"
+        "before = set(sys.modules)\n"
+        "from roughrenorm import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['symbolic', 'check-bphz', '--nmax', '2']) == 0\n"
+        "    assert cli.main(['simulate', 'wong-zakai', '--config', str(out / 'wz.txt'),\n"
+        "                     '--out', str(out / 'run')]) == 0\n"
+        "assert set(sys.modules) - before == {'roughrenorm.cli'}, set(sys.modules) - before\n",
+    ],
+    ids=["signal", "cli"],
+)
+def test_import_leaves_scipy_signal_unloaded(case):
+    # the package's own quadrature and FFT stand in for scipy's: importing it
+    # loads none of scipy.integrate, scipy.fft and scipy.signal
     src = Path(roughsim.__file__).resolve().parents[1]
     code = (
         "import sys, roughrenorm\n"
-        "assert 'scipy.signal' not in sys.modules, 'imported scipy.signal'\n"
-        "from roughrenorm import roughsim\n"
-        "assert roughsim.signal is sys.modules['scipy.signal']\n"
+        "loaded = {'scipy.integrate', 'scipy.fft', 'scipy.signal'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n" + case
     )
     done = subprocess.run(
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=60
@@ -254,6 +279,38 @@ def test_import_leaves_scipy_signal_unloaded():
     assert done.returncode == 0, done.stderr
     with pytest.raises(AttributeError):
         roughsim.no_such_name
+
+
+def test_fast_len_is_scipys_next_fast_len():
+    from scipy import fft
+
+    assert [roughsim._fast_len(n) for n in range(1, 200_001)] == [
+        fft.next_fast_len(n, True) for n in range(1, 200_001)
+    ]
+
+
+@pytest.mark.parametrize("H, eps", [(0.3, 1 / 16), (0.1, 0.25)])
+def test_c_eps_timedep_equals_dblquad_before_the_width(H, eps):
+    # the nested quadrature of the port is scipy's dblquad, bit for bit
+    norm = roughsim._bump_norm()
+    c = math.sqrt(2.0 * H) / (H + 0.5)
+    for t in (eps / 7, eps / 2, 0.9 * eps):
+
+        def cross(a, b):
+            v = t - b
+            if v <= 0:
+                return 0.0
+            mn = min(t - a, v)
+            if mn <= 0:
+                return c * 0.0
+            return c * (v ** (H + 0.5) - max(v - mn, 0.0) ** (H + 0.5))
+
+        def f(a, b):
+            rho = roughsim._rho_eps_at(b, eps, norm)
+            return roughsim._drho_eps_at(a, eps, norm) * rho * cross(a, b)
+
+        want, _ = integrate.dblquad(f, -eps, eps, -eps, eps, epsabs=1e-9, epsrel=1e-7)
+        assert c_eps_timedep(t, eps, H) == want
 
 
 def test_mollify_rejects_coarse_grid():
@@ -381,6 +438,11 @@ def _avx512_power():
 def test_c_eps_bits_are_pinned(eps):
     value, error = c_eps(eps, KernelSpec(0.3))
     assert (value.hex(), error.hex()) == _C_EPS_BITS[eps]
+
+
+@pytest.mark.skipif(not _avx512_power(), reason="bits recorded with numpy's AVX-512 exp")
+def test_bump_norm_bits_are_pinned():
+    assert roughsim._bump_norm().hex() == "0x1.c6a650a045c4ep-2"
 
 
 def _c_eps_by_arrays(eps, kernel):
@@ -701,6 +763,9 @@ def test_model_route_reads_f_off_the_full_grid(name, correction):
     want = reference_roughsim._model_route(*args).tolist()
     assert roughsim._model_route(*args).tolist() == want
     assert roughsim._model_route(*args, f_grid).tolist() == want
+    # and so must the chunk driver's scratch arrays, which hold its temporaries
+    scratch = [np.full((rows, n), np.nan) for _ in range(4)]
+    assert roughsim._model_route(*args, f_grid, scratch).tolist() == want
 
 
 @given(
