@@ -22,7 +22,6 @@ do not depend on how its points are batched.  That takes three choices:
 
 from __future__ import annotations
 
-import itertools
 import sys
 import warnings
 
@@ -56,6 +55,12 @@ _WGK_K = np.concatenate((_WGK[10:], _WGK[_K]))  # per column of [centre, pairs i
 _RESASC = np.argsort(_K)  # the pairs back in natural order, as dqk21's resasc sum takes them
 _WGK_RESASC = _WGK[[10, *range(10)]]
 
+# Integrals per call of dqk21 (each asks for one or two panels).  A call's
+# arrays then stay below 64 KiB, the size from which glibc's free may trim
+# the heap's top, so a large batch does not fault its pages in again and
+# again; a larger group saves little.
+_GROUP = 64
+
 
 class IntegrationWarning(UserWarning):
     """An integral ended with one of QUADPACK's error flags."""
@@ -83,46 +88,47 @@ def quad(f, a, b, args=(), epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
     row per panel of any open integral, and each arg as a ``(panels, 1)``
     column holding its integral's value; it returns the ``(panels, 21)``
     values.  A flag of ``dqagse`` raises one :class:`IntegrationWarning`
-    per flag and call, as scipy's warnings do.
+    per flag and call, not one per integral as scipy does, with the first
+    sentence of scipy's message.
     """
     if limit < 1 or epsabs <= 0.0 and epsrel < max(50.0 * EPMACH, 5e-29):
         raise ValueError("limit must be at least 1, and epsrel above 50 * eps when epsabs <= 0")
     a, b, *args = np.broadcast_arrays(a, b, *args)
     shape = a.shape
-    a, b = a.ravel().tolist(), b.ravel().tolist()
-    args = [np.ravel(arg) for arg in args]
-    ends = [(min(lo, hi), max(lo, hi)) for lo, hi in zip(a, b)]
-    live = [i for i, (lo, hi) in enumerate(ends) if lo != hi]
+    ends = zip(a.ravel().tolist(), b.ravel().tolist())
+    integrals = [_dqagse(lo, hi, epsabs, epsrel, limit) for lo, hi in ends]
     with np.errstate(all="ignore"):  # as QUADPACK's own float arithmetic, which never warns
-        done = _lockstep(
-            f, [_dqagse(*ends[i], epsabs, epsrel, limit) for i in live], [arg[live] for arg in args]
-        )
-    value, error = np.zeros(len(a)), np.zeros(len(a))
-    for i, (result, abserr, ier) in zip(live, done):
-        value[i], error[i] = -result if b[i] < a[i] else result, abserr
+        done = _lockstep(f, integrals, [np.ravel(arg) for arg in args])
     for ier in sorted({ier for _, _, ier in done} - {0}):
         warnings.warn(_FLAGS[ier - 1].format(limit=limit), IntegrationWarning, stacklevel=2)
+    value, error = (np.array([row[k] for row in done]).reshape(shape) for k in (0, 1))
     if not shape:
-        return float(value[0]), float(error[0])
-    return value.reshape(shape), error.reshape(shape)
+        return float(value), float(error)
+    return value, error
 
 
 def _lockstep(f, integrals, args):
     """Each generator of ``integrals`` run to its return value, the list of
-    those; each round, every open one's panels go through one :func:`_dqk21`,
-    with ``args`` (one value per integral) read per panel."""
+    those; each round, every open one's panels go through :func:`_dqk21`,
+    ``_GROUP`` integrals per call, with ``args`` (one value per integral)
+    read per panel."""
     done = [None] * len(integrals)
-    asks = [(i, gen, next(gen)) for i, gen in enumerate(integrals)]  # with their panels
+    asks = [(i, gen, next(gen)) for i, gen in enumerate(integrals)]  # with their panels' ends
     while asks:
-        owner = [i for i, _, panels in asks for _ in panels]
-        ends = np.array([end for _, _, panels in asks for end in panels])
-        rules = iter(_dqk21(f, ends[:, 0], ends[:, 1], [arg[owner, None] for arg in args]))
         later = []
-        for i, gen, panels in asks:
-            try:
-                later.append((i, gen, gen.send(tuple(itertools.islice(rules, len(panels))))))
-            except StopIteration as stop:
-                done[i] = stop.value
+        for start in range(0, len(asks), _GROUP):
+            group = asks[start : start + _GROUP]
+            counts = [len(ends) // 2 for _, _, ends in group]
+            ends = np.array([x for _, _, ends in group for x in ends])
+            owner = np.repeat([i for i, _, _ in group], counts)[:, None]
+            rows = _dqk21(f, ends[0::2], ends[1::2], [arg[owner] for arg in args])
+            k = 0
+            for (i, gen, _), count in zip(group, counts):
+                try:
+                    later.append((i, gen, gen.send(rows[k : k + count])))
+                except StopIteration as stop:
+                    done[i] = stop.value
+                k += count
         asks = later
     return done
 
@@ -148,25 +154,24 @@ def _dqk21(f, a, b, args):
     resabs *= dhlgth
     resasc *= dhlgth
     err = np.abs((resk - resg) * hlgth)
-    rows = []
-    for res, e, s, r, q, floor in zip(
-        (resk * hlgth).tolist(), err.tolist(), resabs.tolist(), resasc.tolist(),
-        (200.0 * err / resasc).tolist(), (EPMACH * 50.0 * resabs).tolist(),
-    ):
-        if r != 0.0 and e != 0.0:
-            e = r * (q**1.5 if q < 1.0 else 1.0)  # fmin(1, pow(q, 1.5)), without overflow
-        if s > UFLOW / (50.0 * EPMACH):
-            e = max(floor, e)
-        rows.append((res, e, s, r))
-    return rows
+    # err = resasc * fmin(1, pow(200 * err / resasc, 1.5)) where both are nonzero
+    q = 200.0 * err / resasc
+    scaled = (resasc != 0.0) & (err != 0.0)
+    small = scaled & (q < 1.0)
+    err[scaled] = resasc[scaled]  # times 1.0
+    err[small] *= [x**1.5 for x in q[small].tolist()]
+    # then at least 50 * eps * resabs, unless resabs is below uflow / (50 * eps)
+    floor = EPMACH * 50.0 * resabs
+    np.copyto(err, floor, where=(resabs > UFLOW / (50.0 * EPMACH)) & ~(err > floor))
+    return list(zip((resk * hlgth).tolist(), err.tolist(), resabs.tolist(), resasc.tolist()))
 
 
 def _dqagse(a, b, epsabs, epsrel, limit):
-    """``dqagse`` on [a, b], a < b, as a generator: it yields the panels it
-    needs, a tuple of ``(lo, hi)``, is sent a tuple of their :func:`_dqk21`
-    rows, and returns ``(result, abserr, ier)``.  Lists are 1-based, as in
-    QUADPACK."""
-    ((result, abserr, defabs, resabs),) = yield ((a, b),)
+    """``dqagse`` on [a, b], either way round, as a generator: it yields the
+    panels it needs, as ``(lo, hi)`` or ``(lo1, hi1, lo2, hi2)``, is sent a
+    list of their :func:`_dqk21` rows, and returns ``(result, abserr, ier)``.
+    Lists are 1-based, as in QUADPACK."""
+    ((result, abserr, defabs, resabs),) = yield a, b
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
     ier = 0
@@ -193,7 +198,7 @@ def _dqagse(a, b, epsabs, epsrel, limit):
         a1, b1 = alist[maxerr], 0.5 * (alist[maxerr] + blist[maxerr])
         a2, b2 = b1, blist[maxerr]
         erlast = errmax
-        (area1, error1, _, defab1), (area2, error2, _, defab2) = yield ((a1, b1), (a2, b2))
+        (area1, error1, _, defab1), (area2, error2, _, defab2) = yield a1, b1, a2, b2
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 import sys
 import threading
@@ -348,53 +347,62 @@ def mollify(values, dt, eps):
 
 def c_eps(eps, kernel):
     """Stationary renormalization constant and the quadrature's error
-    estimate, as ``(value, error)``.
+    estimate, as ``(value, error)``; for a sequence of widths ``eps``, a
+    list of those pairs, one per width.
 
     Computed as the double quadrature of the derivative-of-mollifier
     against the mollified kernel cross-covariance, reduced to a single
     weakly singular integral of ``khat(u)`` against the mollifier
     autocorrelation and regularized by the substitution
-    ``u = v ** (1 / (H + 1/2))``.  Both levels are :func:`quadpack.quad`:
-    the outer integrand takes a round's panels at once, and the
-    autocorrelations at all their nodes go to one inner call.  Every float
-    operation is the scalar integrand's, in its order: a power of a float
-    is Python's and an exp is ``math.exp`` (libm's; numpy's own round some
-    points differently).
+    ``u = v ** (1 / (H + 1/2))``.  Both levels are :func:`quadpack.quad`,
+    every width's integrals run in lockstep: the outer integrand takes a
+    round's panels of every width at once, and the autocorrelations at all
+    their nodes go to one inner call.  So a width's pair is the same alone
+    or in a sequence.  Every float operation is the scalar integrand's, in
+    its order: a power of a float is Python's and an exp is ``math.exp``
+    (libm's; numpy's own round some points differently).  Every width is
+    checked before any is computed; the quadrature's warnings are shown
+    only if every value is finite.
     """
-    if not 0.0 < eps < math.inf:
-        raise ConfigError("eps must be positive and finite")
-    _normal_width(eps)
+    widths = [eps] if np.ndim(eps) == 0 else list(eps)
+    for e in widths:
+        if not 0.0 < e < math.inf:
+            raise ConfigError("eps must be positive and finite")
+        _normal_width(e)
     H = kernel.H
     norm = _bump_norm()
 
-    def pair(b, u):
-        # _rho_eps_at(b) * _rho_eps_at(b + u) at nodes b of lag u's integral,
-        # 0.0 with no exp where either point lies outside (-1, 1)
-        y, z = b / eps, (b + u) / eps
+    def pair(b, u, e):
+        # _rho_eps_at(b) * _rho_eps_at(b + u) at nodes b of lag u's integral at
+        # width e, 0.0 with no exp where either point lies outside (-1, 1)
+        y, z = b / e, (b + u) / e
         inside = (np.abs(y) < 1.0) & (np.abs(z) < 1.0)
+        e = np.broadcast_to(e, b.shape)[inside]
         y = np.concatenate((y[inside], z[inside]))  # both points' scaled values
-        at = np.fromiter(map(math.exp, (-1.0 / (1.0 - y * y)).tolist()), float, len(y))
-        at = at / norm / eps
+        at = np.fromiter(map(math.exp, memoryview(-1.0 / (1.0 - y * y))), float, len(y))
+        at = at / norm / np.concatenate((e, e))
         out = np.zeros(b.shape)
-        out[inside] = at[: len(y) // 2] * at[len(y) // 2 :]
+        out[inside] = at[: len(e)] * at[len(e) :]
         return out
 
     p = 1.0 / (H + 0.5)
-    upper = min(2.0 * eps, 2.0 * kernel.T)
 
-    def integrand(v):
+    def integrand(v, e):
         vs = v.ravel().tolist()
+        e = np.broadcast_to(e, v.shape).ravel()
         u = np.array([x**p for x in vs])
         phi = np.zeros(len(vs))  # the autocorrelation at lag u, 0.0 from 2 eps on
-        live = eps - u > -eps
-        phi[live], _ = integrate.quad(pair, -eps, eps - u[live], args=(u[live],), limit=100)
+        live = e - u > -e
+        e, lag = e[live], u[live]
+        phi[live], _ = integrate.quad(pair, -e, e - lag, args=(lag, e), limit=100)
         khat = np.array([_khat_at(kernel, x) for x in u.tolist()])
         return (khat * phi * p * np.array([x ** (p - 1.0) for x in vs])).reshape(v.shape)
 
-    hi = upper ** (1.0 / p)
+    his = [min(2.0 * e, 2.0 * kernel.T) ** (1.0 / p) for e in widths]
     with warnings.catch_warnings(record=True) as caught:
-        value, error = integrate.quad(integrand, 0.0, hi, limit=200)
-    return _finite(value, eps, caught), error
+        values, errors = integrate.quad(integrand, 0.0, his, args=(widths,), limit=200)
+    pairs = list(zip(_finite(values.tolist(), widths, caught), errors.tolist()))
+    return pairs[0] if np.ndim(eps) == 0 else pairs
 
 
 def c_eps_timedep(t, eps, H):
@@ -437,7 +445,7 @@ def c_eps_timedep(t, eps, H):
             val, _ = integrate.quad(outer, -eps, eps, epsabs=1e-9, epsrel=1e-7)
         except ZeroDivisionError:  # eps * eps underflowed to 0
             val = math.nan
-    return _finite(val, eps, caught)
+    return _finite([val], [eps], caught)[0]
 
 
 def _normal_width(eps):
@@ -448,18 +456,20 @@ def _normal_width(eps):
         raise DomainError(f"c_eps at eps={eps:g}: 1/eps^2 is not a normal double")
 
 
-def _finite(value, eps, caught):
-    """A renormalisation constant, or a DomainError if it is inf or nan.
+def _finite(values, widths, caught):
+    """Renormalisation constants, one per width, or a DomainError for the
+    first that is inf or nan.
 
     ``caught`` holds the warnings recorded while the quadrature ran.  They
-    are shown, unchanged, only with a finite value: a non-finite one ends
+    are shown, unchanged, only with finite values: a non-finite one ends
     in the DomainError's one line alone.
     """
-    if not math.isfinite(value):
-        raise DomainError(f"c_eps at eps={eps:g} is {value}, not a finite double")
+    for value, eps in zip(values, widths):
+        if not math.isfinite(value):
+            raise DomainError(f"c_eps at eps={eps:g} is {value}, not a finite double")
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
-    return value
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -724,23 +734,15 @@ def _evaluate(terms, w_dot, delta, out=None, tmp=None):
     ``x``) and the sum's ``0 +``.  That changes no bit but the sign of an exact
     zero; the value may be ``w_dot`` itself, never to be written into.
 
-    Given ``out`` and ``tmp``, arrays of the value's shape, the value is
-    written into ``out`` and each later term into ``tmp``, by the same
-    ufuncs in the same order."""
+    ``out`` and ``tmp`` are the ufuncs' outputs: the value and the first term
+    go into ``out``, each later term into ``tmp``; each None gives a new array."""
     total = None
     for (xi, j), c in terms.items():
         factors = [x if p == 1 else x**p for x, p in ((delta, j), (w_dot, xi)) if p]
         factors = factors if c == 1.0 and factors else [c, *factors]
-        if out is None:
-            term = functools.reduce(operator.mul, factors)
-            total = term if total is None else total + term
-            continue
-        term = out if total is None else tmp
-        if len(factors) == 1:
-            term[...] = factors[0]
-        else:
-            functools.reduce(lambda x, y: np.multiply(x, y, out=term), factors)
-        total = out if total is None else np.add(out, tmp, out=out)
+        into = out if total is None else tmp
+        term = functools.reduce(lambda x, y: np.multiply(x, y, out=into), factors)
+        total = term if total is None else np.add(total, term, out=out)
     return 0 if total is None else total
 
 
@@ -775,7 +777,7 @@ def _ladder(config, powers, n):
     weights, each aligned with its signal, read through :meth:`_Ladder.widths`."""
     timings = {}
     with _timed(timings, "c_eps"):
-        corrections = {e: c_eps(e, config.kernel) for e in config.eps_list}
+        corrections = dict(zip(config.eps_list, c_eps(config.eps_list, config.kernel)))
     spec = config.spec
     with _timed(timings, "expansion"):
         terms = {e: renormalised_terms(c, spec, powers) for e, (c, _) in corrections.items()}

@@ -236,8 +236,8 @@ MUTANTS = [
     ),
     (
         "quadpack.py",
-        "e = r * (q**1.5 if q < 1.0 else 1.0)",
-        "e = r * (float(np.power(q, 1.5)) if q < 1.0 else 1.0)",
+        "    err[small] *= [x**1.5 for x in q[small].tolist()]\n",
+        "    err[small] *= np.power(q[small], 1.5)\n",
         [_QUADPACK + "test_port_equals_scipy_quad_on_smooth_integrands"],
     ),
     # dqpsrt moving the bisected interval up one rank short of its place; the
@@ -249,7 +249,22 @@ MUTANTS = [
         "        for _ in range(nrmax - 2):\n",
         [_QUADPACK + "test_port_equals_scipy_quad_on_the_battery[cos 50x]"],
     ),
+    # the lockstep driver skipping an integral at each group's end
+    (
+        "quadpack.py",
+        "        for start in range(0, len(asks), _GROUP):\n",
+        "        for start in range(0, len(asks), _GROUP + 1):\n",
+        [_QUADPACK + "test_a_batch_equals_its_integrals_one_at_a_time[2]"],
+    ),
     # simulation
+    # c_eps's autocorrelation reading another node's width, which one width
+    # alone cannot show
+    (
+        "roughsim.py",
+        "        at = at / norm / np.concatenate((e, e))\n",
+        "        at = at / norm / np.concatenate((e, e[::-1]))\n",
+        [_ROUGHSIM + "test_c_eps_of_widths_equals_each_widths_own"],
+    ),
     (
         "roughsim.py",
         "        if m > 1:\n            fm = fm / math.factorial(m)\n",

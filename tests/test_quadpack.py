@@ -82,10 +82,13 @@ def test_port_equals_scipy_quad_on_smooth_integrands(lo, width, flip, coeffs, fr
     assert got == want
 
 
-def test_a_batch_equals_its_integrals_one_at_a_time():
-    # the lockstep driver hands each integral its own panels and args: a
-    # batch of Gaussians of widths s, with an empty and a reversed interval
-    # among them, equals scipy's integral of each
+@pytest.mark.parametrize("group", [2, quadpack._GROUP])
+def test_a_batch_equals_its_integrals_one_at_a_time(group, monkeypatch):
+    # the lockstep driver hands each integral its own panels and args, in
+    # groups of integrals per rule call: a batch of Gaussians of widths s,
+    # with an empty and a reversed interval among them, equals scipy's
+    # integral of each
+    monkeypatch.setattr(quadpack, "_GROUP", group)
     s = [0.01, 0.1, 1.0, 0.3, 0.05]
     a, b = [0.0, -1.0, 2.0, 0.5, 0.2], [1.0, 1.0, 2.0, -0.5, 4.0]
     gauss = np.frompyfunc(lambda x, s: math.exp(-x * x / s), 2, 1)

@@ -250,8 +250,9 @@ _WZ_TINY = "H = 0.3\nkappa = 0.01\nN = 64\nP = 2\nseed = 1\neps = 0.125\n"
         "from roughrenorm import roughsim\n"
         "assert roughsim.signal is sys.modules['scipy.signal']\n",
         # a command loads no module but the cli: nothing that scipy's subpackages
-        # used to load before the run may load in it
-        "import io, contextlib, pathlib, tempfile\n"
+        # used to load before the run may load in it (the cli's own csv, json
+        # and scipy, for the manifest's version, are loaded here)
+        "import io, contextlib, pathlib, tempfile, csv, json, scipy\n"
         "out = pathlib.Path(tempfile.mkdtemp())\n"
         "(out / 'wz.txt').write_text(" + repr(_WZ_TINY) + ")\n"
         "before = set(sys.modules)\n"
@@ -438,6 +439,15 @@ def _avx512_power():
 def test_c_eps_bits_are_pinned(eps):
     value, error = c_eps(eps, KernelSpec(0.3))
     assert (value.hex(), error.hex()) == _C_EPS_BITS[eps]
+
+
+def test_c_eps_of_widths_equals_each_widths_own():
+    # the widths' integrals run in lockstep, each node with its own width:
+    # a width's value and error are those of its own call
+    kernel = KernelSpec(0.3)
+    widths = [1 / 8, 0.7, 1 / 128, 1 / 16, 1 / 8]
+    assert c_eps(widths, kernel) == [c_eps(e, kernel) for e in widths]
+    assert c_eps((1 / 32,), kernel) == [c_eps(1 / 32, kernel)]
 
 
 @pytest.mark.skipif(not _avx512_power(), reason="bits recorded with numpy's AVX-512 exp")
