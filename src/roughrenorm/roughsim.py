@@ -16,6 +16,7 @@ Conventions
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import sys
@@ -55,12 +56,13 @@ def __getattr__(name):
 # integral, rescaled to (-eps, eps) as rho_eps(x) = rho(x / eps) / eps
 
 
-def _bump_raw(x):
+def _bump_raw(x, exp=np.exp):
+    """The bump at each point of ``x``, its exp taken by ``exp``."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     inside = np.abs(x) < 1.0
     xs = x[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - xs * xs))
+    out[inside] = exp(-1.0 / (1.0 - xs * xs))
     return out
 
 
@@ -72,42 +74,31 @@ def _bump_norm():
     return z
 
 
-def _rho_eps(x, eps):
-    """The mollifier at each point of ``x``."""
-    return _bump_raw(np.asarray(x) / eps) / _bump_norm() / eps
+def _rho_eps(x, eps, exp=np.exp):
+    """The mollifier at each point of ``x``, its exp taken by ``exp``."""
+    return _bump_raw(np.asarray(x) / eps, exp) / _bump_norm() / eps
 
 
-def _drho_eps(x, eps):
-    """The mollifier's derivative at each point of ``x``."""
+def _drho_eps(x, eps, exp=np.exp):
+    """The mollifier's derivative at each point of ``x``: at y = x / eps, the
+    bump times -2y / (1 - y^2)^2, its exp taken by ``exp``."""
     y = np.asarray(x) / eps
-    out = np.zeros_like(y)
+    out = _bump_raw(y, exp)
     inside = np.abs(y) < 1.0
     ys = y[inside]
     denom = 1.0 - ys * ys
-    out[inside] = np.exp(-1.0 / denom) * (-2.0 * ys / (denom * denom))
+    out[inside] *= -2.0 * ys / (denom * denom)
     return out / _bump_norm() / (eps * eps)
 
 
-# The quadrature integrands call these once per point (c_eps inlines the
-# product of two _rho_eps_at), so they stay in plain float arithmetic: a
-# one-element array per point costs more than the quadrature itself.
-
-
-def _rho_eps_at(x, eps, norm):
-    """:func:`_rho_eps` at one float; ``norm`` is :func:`_bump_norm`."""
-    y = x / eps
-    if abs(y) >= 1.0:
-        return 0.0
-    return math.exp(-1.0 / (1.0 - y * y)) / norm / eps
-
-
-def _drho_eps_at(x, eps, norm):
-    """:func:`_drho_eps` at one float."""
-    y = x / eps
-    if abs(y) >= 1.0:
-        return 0.0
-    denom = 1.0 - y * y
-    return math.exp(-1.0 / denom) * (-2.0 * y / (denom * denom)) / norm / (eps * eps)
+def _libm(f, x, *args):
+    """``f(point, *args)`` at each point of the float array ``x``, in its
+    shape, for ``f`` ``math.exp`` or ``pow``: libm's exp and pow, as Python's
+    float arithmetic takes them; numpy's own exp and power round some points
+    differently."""
+    flat = np.ravel(x)
+    points = map(f, memoryview(flat), *map(itertools.repeat, args))
+    return np.fromiter(points, float, flat.size).reshape(np.shape(x))
 
 
 # ---------------------------------------------------------------------------
@@ -167,21 +158,6 @@ class KernelSpec:
         pos = (u > 0) & (u < 2.0 * self.T)
         out[pos] = self.raw(u[pos]) * self.cutoff(u[pos])
         return out
-
-
-def _khat_at(kernel, u):
-    """``kernel.khat`` at one float, as the quadrature integrand needs it.
-
-    On (0, T] the cut-off is exactly 1.0, so this is the raw kernel alone.
-    Its power stays the ``np.power`` ufunc: Python's ``**`` rounds
-    differently from numpy's array power at some points (952 of 20,000
-    uniform points in (0, 1) at H = 0.3, on an AVX-512 CPU), and a 0-d
-    ufunc call runs the same loop as the one-element array of
-    :meth:`KernelSpec.khat`.  Elsewhere it falls back to that method.
-    """
-    if 0.0 < u <= kernel.T:
-        return math.sqrt(2.0 * kernel.H) * float(np.power(u, kernel.H - 0.5))
-    return float(kernel.khat(np.array([u]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +334,11 @@ def c_eps(eps, kernel):
     every width's integrals run in lockstep: the outer integrand takes a
     round's panels of every width at once, and the autocorrelations at all
     their nodes go to one inner call.  So a width's pair is the same alone
-    or in a sequence.  Every float operation is the scalar integrand's, in
-    its order: a power of a float is Python's and an exp is ``math.exp``
-    (libm's; numpy's own round some points differently).  Every width is
-    checked before any is computed; the quadrature's warnings are shown
+    or in a sequence.  Each integrand takes its round's whole node array,
+    each point in the float operations of a point-at-a-time integrand, in
+    their order: the exp and the substitution's powers are libm's
+    (:func:`_libm`), and the kernel is :meth:`KernelSpec.khat`.  Every width
+    is checked before any is computed; the quadrature's warnings are shown
     only if every value is finite.
     """
     widths = [eps] if np.ndim(eps) == 0 else list(eps)
@@ -373,13 +350,13 @@ def c_eps(eps, kernel):
     norm = _bump_norm()
 
     def pair(b, u, e):
-        # _rho_eps_at(b) * _rho_eps_at(b + u) at nodes b of lag u's integral at
-        # width e, 0.0 with no exp where either point lies outside (-1, 1)
+        # the mollifier at b times the mollifier at b + u, at nodes b of lag u's
+        # integral at width e, 0.0 with no exp where either point lies outside (-1, 1)
         y, z = b / e, (b + u) / e
         inside = (np.abs(y) < 1.0) & (np.abs(z) < 1.0)
         e = np.broadcast_to(e, b.shape)[inside]
         y = np.concatenate((y[inside], z[inside]))  # both points' scaled values
-        at = np.fromiter(map(math.exp, memoryview(-1.0 / (1.0 - y * y))), float, len(y))
+        at = _libm(math.exp, -1.0 / (1.0 - y * y))
         at = at / norm / np.concatenate((e, e))
         out = np.zeros(b.shape)
         out[inside] = at[: len(e)] * at[len(e) :]
@@ -388,15 +365,13 @@ def c_eps(eps, kernel):
     p = 1.0 / (H + 0.5)
 
     def integrand(v, e):
-        vs = v.ravel().tolist()
-        e = np.broadcast_to(e, v.shape).ravel()
-        u = np.array([x**p for x in vs])
-        phi = np.zeros(len(vs))  # the autocorrelation at lag u, 0.0 from 2 eps on
+        e = np.broadcast_to(e, v.shape)
+        u = _libm(pow, v, p)
+        phi = np.zeros(v.shape)  # the autocorrelation at lag u, 0.0 from 2 eps on
         live = e - u > -e
         e, lag = e[live], u[live]
         phi[live], _ = integrate.quad(pair, -e, e - lag, args=(lag, e), limit=100)
-        khat = np.array([_khat_at(kernel, x) for x in u.tolist()])
-        return (khat * phi * p * np.array([x ** (p - 1.0) for x in vs])).reshape(v.shape)
+        return kernel.khat(u) * phi * p * _libm(pow, v, p - 1.0)
 
     his = [min(2.0 * e, 2.0 * kernel.T) ** (1.0 / p) for e in widths]
     with warnings.catch_warnings(record=True) as caught:
@@ -410,8 +385,12 @@ def c_eps_timedep(t, eps, H):
     one-sided fractional path started at time 0 (no cutoff).  From t = eps
     on it is :func:`c_eps` under a kernel cut off beyond every float lag.
     Before, it is a double quadrature, the inner integrals at all the
-    outer panel's nodes in one :func:`quadpack.quad` call, with the scalar
-    integrand at every point."""
+    outer panel's nodes in one :func:`quadpack.quad` call.  The integrand
+    takes an inner round's whole node array, each point in the float
+    operations of a point-at-a-time integrand, its exps and powers libm's
+    (:func:`_libm`), so the value is ``scipy.integrate.dblquad``'s of that
+    integrand, bit for bit.  A width whose square underflows to 0 makes
+    the integrand inf or nan, a DomainError."""
     KernelSpec(H)  # H is checked before eps and t
     if not (0.0 < eps < math.inf and 0.0 < t < math.inf):
         raise ConfigError("eps and t must be positive and finite")
@@ -419,32 +398,24 @@ def c_eps_timedep(t, eps, H):
     if t >= eps:
         return c_eps(eps, KernelSpec(H, sys.float_info.max))[0]
     c = math.sqrt(2.0 * H) / (H + 0.5)
-    norm = _bump_norm()
+    exp = functools.partial(_libm, math.exp)
 
-    def cross(a, b):
-        v = t - b
-        if v <= 0:
-            return 0.0
-        u = t - a
-        mn = min(u, v)
-        if mn <= 0:
-            return c * 0.0
-        return c * (v ** (H + 0.5) - max(v - mn, 0.0) ** (H + 0.5))
-
-    points = np.frompyfunc(
-        lambda a, b: _drho_eps_at(a, eps, norm) * _rho_eps_at(b, eps, norm) * cross(a, b), 2, 1
-    )
+    def integrand(a, b):
+        # at nodes a of the inner integral at each b: the mollifier's derivative
+        # at a, times the mollifier at b, times the kernel's cross term, which
+        # is 0.0 unless both t - a and t - b are positive
+        v = np.broadcast_to(t - b, a.shape)
+        mn = np.minimum(t - a, v)
+        live = mn > 0.0
+        cross = np.zeros(a.shape)
+        cross[live] = c * (_libm(pow, v[live], H + 0.5) - _libm(pow, (v - mn)[live], H + 0.5))
+        return _drho_eps(a, eps, exp) * _rho_eps(b, eps, exp) * cross
 
     def outer(b):
-        return integrate.quad(
-            lambda a, b: points(a, b).astype(float), -eps, eps, args=(b,), epsabs=1e-9, epsrel=1e-7
-        )[0]
+        return integrate.quad(integrand, -eps, eps, args=(b,), epsabs=1e-9, epsrel=1e-7)[0]
 
     with warnings.catch_warnings(record=True) as caught:
-        try:
-            val, _ = integrate.quad(outer, -eps, eps, epsabs=1e-9, epsrel=1e-7)
-        except ZeroDivisionError:  # eps * eps underflowed to 0
-            val = math.nan
+        val, _ = integrate.quad(outer, -eps, eps, epsabs=1e-9, epsrel=1e-7)
     return _finite([val], [eps], caught)[0]
 
 

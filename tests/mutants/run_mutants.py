@@ -273,9 +273,17 @@ MUTANTS = [
     ),
     (
         "roughsim.py",
-        "        mn = min(u, v)\n",
-        "        mn = max(u, v)\n",
+        "        mn = np.minimum(t - a, v)\n",
+        "        mn = np.maximum(t - a, v)\n",
         [_ROUGHSIM + "test_c_eps_timedep_before_the_mollification_width"],
+    ),
+    # the t < eps cross term taken where only t - b is positive: a wrong value,
+    # not a rounding, so the scalar oracle sees it on any CPU
+    (
+        "roughsim.py",
+        "        live = mn > 0.0\n",
+        "        live = v > 0.0\n",
+        [_ROUGHSIM + "test_c_eps_timedep_equals_dblquad_before_the_width"],
     ),
     (
         "roughsim.py",

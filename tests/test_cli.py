@@ -431,7 +431,9 @@ def test_too_wide_mollifier_exits_3_with_one_line_error(tmp_path, capsys, argv, 
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", [["1e-320"], ["1e-160", "--time", "0.5"]])
+@pytest.mark.parametrize(
+    "argv", [["1e-320"], ["1e-160", "--time", "0.5"], ["1e-170", "--time", "1e-171"]]
+)
 def test_non_finite_c_eps_prints_no_quadrature_warning(argv):
     # the quadratures warn on their way to nan; only the error line is shown
     src = Path(roughrenorm.__file__).resolve().parents[1]

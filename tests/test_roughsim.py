@@ -290,12 +290,12 @@ def test_fast_len_is_scipys_next_fast_len():
     ]
 
 
-@pytest.mark.parametrize("H, eps", [(0.3, 1 / 16), (0.1, 0.25)])
+@pytest.mark.parametrize("H, eps", [(0.3, 1 / 16), (0.1, 0.25), (0.45, 0.01)])
 def test_c_eps_timedep_equals_dblquad_before_the_width(H, eps):
     # the nested quadrature of the port is scipy's dblquad, bit for bit
     norm = roughsim._bump_norm()
     c = math.sqrt(2.0 * H) / (H + 0.5)
-    for t in (eps / 7, eps / 2, 0.9 * eps):
+    for t in (eps / 1000, eps / 7, eps / 2, 0.9 * eps, eps * (1 - 1e-6)):
 
         def cross(a, b):
             v = t - b
@@ -307,8 +307,8 @@ def test_c_eps_timedep_equals_dblquad_before_the_width(H, eps):
             return c * (v ** (H + 0.5) - max(v - mn, 0.0) ** (H + 0.5))
 
         def f(a, b):
-            rho = roughsim._rho_eps_at(b, eps, norm)
-            return roughsim._drho_eps_at(a, eps, norm) * rho * cross(a, b)
+            rho = reference_roughsim._rho_eps_at(b, eps, norm)
+            return reference_roughsim._drho_eps_at(a, eps, norm) * rho * cross(a, b)
 
         want, _ = integrate.dblquad(f, -eps, eps, -eps, eps, epsabs=1e-9, epsrel=1e-7)
         assert c_eps_timedep(t, eps, H) == want
@@ -456,10 +456,10 @@ def test_bump_norm_bits_are_pinned():
 
 
 def _c_eps_by_arrays(eps, kernel):
-    """c_eps with the integrand it had before :func:`roughsim._khat_at`:
+    """c_eps with the integrand it had before :func:`reference_roughsim._khat_at`:
     ``kernel.khat`` of a one-element array and two ``_rho_eps_at`` calls."""
     norm = roughsim._bump_norm()
-    rho = functools.partial(roughsim._rho_eps_at, eps=eps, norm=norm)
+    rho = functools.partial(reference_roughsim._rho_eps_at, eps=eps, norm=norm)
 
     def phi(u):
         if eps - u <= -eps:
@@ -484,18 +484,19 @@ def test_c_eps_equals_the_array_integrand(H, T, eps):
     assert c_eps(eps, kernel) == _c_eps_by_arrays(eps, kernel)
 
 
-@given(
-    H=st.floats(0.01, 0.49),
-    T=st.floats(1e-3, 1e3),
-    frac=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
-)
-@example(H=0.3, T=1.0, frac=1.0)  # u = T, the last point without the cut-off
-@example(H=0.3, T=1.0, frac=float(np.nextafter(1.0, 2.0)))
+@given(H=st.floats(0.01, 0.49), T=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+@example(H=0.3, T=1.0, seed=0)
 @settings(max_examples=200, deadline=None)
-def test_khat_at_equals_array_khat(H, T, frac):
+def test_khat_at_equals_array_khat(H, T, seed):
+    # c_eps's integrand reads the kernel on a round's whole (panels, 21) node
+    # array: each point is the oracle's, bit for bit, from 0 through T (the
+    # last point without the cut-off) and just past it to 2 T
     kernel = KernelSpec(H, T)
+    frac = np.random.default_rng(seed).uniform(0.0, 2.0, (8, 21))
+    frac.flat[:4] = 0.0, 1.0, np.nextafter(1.0, 2.0), 2.0
     u = frac * T
-    assert roughsim._khat_at(kernel, u) == float(kernel.khat(np.array([u]))[0])
+    want = [reference_roughsim._khat_at(kernel, x).hex() for x in u.ravel().tolist()]
+    assert [x.hex() for x in kernel.khat(u).ravel().tolist()] == want
 
 
 @pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 0.3])
@@ -505,9 +506,10 @@ def test_scalar_mollifier_matches_array_mollifier(eps):
     y = np.concatenate((np.linspace(-1.5, 1.5, 241), [-1.0, 1.0, -edge, edge, 0.0]))
     x = np.concatenate((y * eps, [-eps, eps]))
     rho, drho = roughsim._rho_eps(x, eps), roughsim._drho_eps(x, eps)
+    oracle = reference_roughsim
     for xi, r, d in zip(x, rho, drho):
-        assert roughsim._rho_eps_at(xi, eps, norm) == pytest.approx(r, rel=1e-15, abs=0)
-        assert roughsim._drho_eps_at(xi, eps, norm) == pytest.approx(d, rel=1e-15, abs=0)
+        assert oracle._rho_eps_at(xi, eps, norm) == pytest.approx(r, rel=1e-15, abs=0)
+        assert oracle._drho_eps_at(xi, eps, norm) == pytest.approx(d, rel=1e-15, abs=0)
 
 
 def test_c_eps_monte_carlo_cross_check():
